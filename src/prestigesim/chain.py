@@ -507,6 +507,9 @@ def load_snapshot(text: str, scheme: CompositeScheme = DEFAULT_SCHEME) -> ChainS
             if not progressed:
                 raise SnapshotError(f"dangling DAG edges: {rest[:3]}")
             pending_edges = rest
+        for node in dag.nodes:
+            if node not in accounts:
+                raise SnapshotError(f"DAG node {node!r} has no account line")
 
         state = ChainState(
             height=int(header["height"]),

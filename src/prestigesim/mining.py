@@ -138,11 +138,6 @@ class MiningDag:
         return dup
 
 
-def attach_node(dag: MiningDag, parent: str, child: str) -> MiningDag:
-    """Grow the DAG under an existing parent; returns the mutated DAG."""
-    return dag.attach(parent, child)
-
-
 @dataclass(frozen=True)
 class TransferRecord:
     """Audit record of one applied prestige transfer."""
@@ -153,24 +148,6 @@ class TransferRecord:
     block: int
     mode: MiningMode
     retained_by: tuple[tuple[str, float], ...]
-
-
-class PrestigeView(Mapping):
-    """Read-only id -> prestige view over an account map (no copying)."""
-
-    __slots__ = ("_accounts",)
-
-    def __init__(self, accounts: Mapping[str, Account]) -> None:
-        self._accounts = accounts
-
-    def __getitem__(self, node: str) -> float:
-        return self._accounts[node].prestige
-
-    def __iter__(self):
-        return iter(self._accounts)
-
-    def __len__(self) -> int:
-        return len(self._accounts)
 
 
 # --- retention ----------------------------------------------------------------
@@ -222,10 +199,12 @@ def propagate_upstream(
 ) -> list[tuple[str, float]]:
     """Split a fee x along the contributor's path to the root.
 
-    Returns (node, amount) pairs in walk order, contributor first and root
-    last. Every intermediate node keeps its progressive fraction of the
-    residual reaching it; the root absorbs the final residual outright, so the
-    amounts are non-negative and sum to exactly x (up to float rounding).
+    *prestige_of* is any mapping that holds the prestige of every id on that
+    path; ids off the path are never read. Returns (node, amount) pairs in
+    walk order, contributor first and root last. Every intermediate node
+    keeps its progressive fraction of the residual reaching it; the root
+    absorbs the final residual outright, so the amounts are non-negative and
+    sum to exactly x (up to float rounding).
     """
     if x < 0:
         raise ValueError(f"transfer amount must be >= 0, got {x}")
@@ -269,8 +248,10 @@ def apply_transfer(
 
     Simple mode credits the contributor in full; progressive mode splits x
     along the contributor's branch (requires the contributor to be in the
-    DAG). Returns a new account map plus an audit record; the beneficiary may
-    be driven below zero prestige.
+    DAG, else NotInDag, and an account for every node on its path to the
+    root, else UnknownAccount naming the first one missing). Returns a new
+    account map plus an audit record; the beneficiary may be driven below
+    zero prestige.
     """
     mode = MiningMode.parse(mode)
     if beneficiary not in accounts:
@@ -283,10 +264,11 @@ def apply_transfer(
     else:
         if contributor not in dag:
             raise NotInDag(contributor)
-        shares = propagate_upstream(dag, contributor, x, PrestigeView(accounts), b)
-        for node, _ in shares:
+        path = dag.path_to_root(contributor)
+        for node in path:
             if node not in accounts:
                 raise UnknownAccount(node)
+        shares = propagate_upstream(dag, contributor, x, {n: accounts[n].prestige for n in path}, b)
 
     updated = dict(accounts)
     benef = updated[beneficiary]

@@ -148,26 +148,6 @@ def _grow_forest(
     return dag, tree_of, edges
 
 
-def _apply_shares(
-    prestige: dict[str, float],
-    shares: Sequence[tuple[str, float]],
-    retained: dict[str, float],
-    absorbed: dict[str, float],
-) -> None:
-    """Credit propagation shares, splitting retention from root absorption.
-
-    The final entry of *shares* is always the root's unconditional
-    residual, which we account separately from amounts kept by the
-    retention rule.
-    """
-    for i, (node, amount) in enumerate(shares):
-        prestige[node] += amount
-        if i == len(shares) - 1:
-            absorbed[node] += amount
-        else:
-            retained[node] += amount
-
-
 def _ack_volumes(dag: MiningDag, n_edges: int) -> tuple[int, int]:
     """Bytes that would cross the wire to acknowledge every edge.
 
@@ -663,57 +643,6 @@ def _largest_remainder(weights: np.ndarray, budget: int) -> np.ndarray:
     return out
 
 
-def _distribution_round(
-    rng: np.random.Generator,
-    pool: list[str],
-    episodes: int,
-    viewers_low: int,
-    viewers_high: int,
-    fanout: int,
-    fee: float,
-    branch_power: float,
-    prestige: dict[str, float],
-    creator: str,
-    tasks_served: dict[str, int],
-    episodes_joined: dict[str, int],
-) -> tuple[int, int, int]:
-    """Simulate all episodes once; returns (tasks, simple_bytes, path_bytes)."""
-    n_tasks = 0
-    simple_total = 0
-    path_total = 0
-    for _ in range(episodes):
-        audience = int(rng.integers(viewers_low, viewers_high + 1))
-        participants = [pool[int(i)] for i in rng.permutation(len(pool))[:audience]]
-        dag = MiningDag()
-        dag.add_root(creator)
-        open_slots = [creator]
-        child_count = {creator: 0}
-        for uid in participants:
-            idx = int(rng.integers(len(open_slots)))
-            parent = open_slots[idx]
-            dag.attach(parent, uid)
-            child_count[parent] += 1
-            child_count[uid] = 0
-            if child_count[parent] >= fanout:
-                open_slots[idx] = open_slots[-1]
-                open_slots.pop()
-            open_slots.append(uid)
-            episodes_joined[uid] += 1
-            tasks_served[parent] = tasks_served.get(parent, 0) + 1
-            # The new peer pays its upload fee the moment it joins.
-            prestige[uid] -= fee
-            shares = mining.propagate_upstream(
-                dag, parent, fee, prestige, branch_power
-            )
-            for node, amount in shares:
-                prestige[node] += amount
-            n_tasks += 1
-        simple_bytes, path_bytes = _ack_volumes(dag, audience)
-        simple_total += simple_bytes
-        path_total += path_bytes
-    return n_tasks, simple_total, path_total
-
-
 def run_file_distribution(
     seed: int = 0,
     scale: int = 1000,
@@ -764,11 +693,23 @@ def run_file_distribution(
         prestige[creator] = float(rng.integers(base_range[0], base_range[1] + 1))
         tasks_served: dict[str, int] = {}
         episodes_joined = {u: 0 for u in pool}
-        n_tasks, simple_bytes, path_bytes = _distribution_round(
-            rng, pool, episodes, viewers_low, viewers_high, fanout,
-            fee_value, branch_value, prestige, creator,
-            tasks_served, episodes_joined,
-        )
+        n_tasks = simple_bytes = path_bytes = 0
+        for _ in range(episodes):
+            audience = int(rng.integers(viewers_low, viewers_high + 1))
+            joiners = [pool[int(i)] for i in rng.permutation(len(pool))[:audience]]
+            dag, _, edges = _grow_forest(rng, [creator, *joiners], 1, fanout)
+            # Settle joins in attachment order: a later join never changes an earlier path.
+            for parent, uid in edges:
+                episodes_joined[uid] += 1
+                tasks_served[parent] = tasks_served.get(parent, 0) + 1
+                prestige[uid] -= fee_value
+                shares = mining.propagate_upstream(dag, parent, fee_value, prestige, branch_value)
+                for node, amount in shares:
+                    prestige[node] += amount
+            n_tasks += len(edges)
+            episode_simple, episode_path = _ack_volumes(dag, audience)
+            simple_bytes += episode_simple
+            path_bytes += episode_path
         weights = np.array([max(prestige[u], 0.0) for u in pool])
         rewards = _largest_remainder(weights, budget)
         return base, prestige, tasks_served, episodes_joined, rewards, n_tasks, simple_bytes, path_bytes

@@ -496,6 +496,14 @@ def test_snapshot_rejects_malformed_lines():
         load_snapshot(good.replace("# decay 0.5", "# decay banana"))
 
 
+def test_snapshot_rejects_dag_nodes_without_accounts():
+    good = save_snapshot(busy_state())
+    with pytest.raises(SnapshotError, match="ghost"):
+        load_snapshot(good + "# root ghost\n")
+    with pytest.raises(SnapshotError, match="ghost"):
+        load_snapshot(good + "# edge ghost A\n")
+
+
 def test_copy_is_deep_enough():
     state = busy_state()
     dup = state.copy()

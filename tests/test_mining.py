@@ -11,13 +11,11 @@ from prestigesim import (
     MiningDag,
     MiningMode,
     NotInDag,
-    PrestigeView,
     TransferRecord,
     UnknownAccount,
     UnknownNode,
     UnknownParent,
     apply_transfer,
-    attach_node,
     branch_power,
     propagate_upstream,
     retain_progressive,
@@ -76,12 +74,6 @@ class TestMiningDag:
             dag.parent("nope")
         with pytest.raises(UnknownNode):
             dag.children("nope")
-
-    def test_attach_node_helper(self):
-        dag = MiningDag().add_root("r")
-        out = attach_node(dag, "r", "kid")
-        assert out is dag
-        assert dag.parent("kid") == "r"
 
     def test_copy_is_independent(self):
         dag = chain_dag("r", "a")
@@ -255,15 +247,12 @@ def test_apply_transfer_errors():
                        mode="progressive")
 
 
-def test_prestige_view():
-    accounts = {"a": Account(id="a", prestige=3.5), "b": Account(id="b", prestige=-1.0)}
-    view = PrestigeView(accounts)
-    assert view["a"] == 3.5
-    assert view["b"] == -1.0
-    assert len(view) == 2
-    assert set(view) == {"a", "b"}
-    with pytest.raises(KeyError):
-        view["c"]
+def test_progressive_transfer_rejects_ancestor_without_account():
+    dag = chain_dag("ghost", "a")
+    accounts = accounts_for(["a"], {"a": 1.0})
+    with pytest.raises(UnknownAccount, match="ghost"):
+        apply_transfer(accounts, dag, beneficiary="a", contributor="a", x=1.0,
+                       mode="progressive", b=1.0)
 
 
 @settings(max_examples=200)

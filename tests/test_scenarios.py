@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import prestigesim.mining
@@ -18,6 +19,7 @@ from prestigesim import (
     scenario_names,
 )
 from prestigesim.acks import SIMPLE_ACK_BYTES
+from prestigesim.scenarios import _grow_forest
 
 
 # --- registry -----------------------------------------------------------------
@@ -122,6 +124,23 @@ def test_gain_vs_decay_verdicts():
     assert result.summary["zero_injection_zero_surplus"] is True
     assert result.summary["linearity_max_rel_dev"] == 0.0
     assert result.summary["surplus_decreasing_in_decay"] is True
+
+
+# --- forest growth ---------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize(("n_nodes", "n_roots", "fanout"),
+                         [(1, 1, 1), (40, 1, 1), (200, 1, 3), (200, 5, 2), (500, 3, 8)])
+def test_grow_forest_attaches_every_id_once_within_fanout(seed, n_nodes, n_roots, fanout):
+    ids = [f"n{i}" for i in range(n_nodes)]
+    dag, tree_of, edges = _grow_forest(np.random.default_rng(seed), ids, n_roots, fanout)
+    assert list(dag.nodes) == ids
+    assert dag.roots == tuple(ids[:n_roots])
+    assert [child for _, child in edges] == ids[n_roots:]
+    for parent, child in edges:
+        assert dag.parent(child) == parent
+        assert tree_of[child] == tree_of[parent]
+    assert all(len(dag.children(node)) <= fanout for node in ids)
 
 
 # --- dag study -------------------------------------------------------------------
