@@ -44,9 +44,6 @@ from .mining import (
 )
 from .acks import (
     AMOUNT_MAX,
-    DEFAULT_SCHEME,
-    CompositeScheme,
-    HashXorScheme,
     KeyPair,
     MessageDescriptor,
     PATH_ACK_BASE_BYTES,
@@ -113,9 +110,6 @@ __all__ = [
     "KeyPair",
     "MessageDescriptor",
     "SchemeParams",
-    "CompositeScheme",
-    "HashXorScheme",
-    "DEFAULT_SCHEME",
     "setup",
     "keygen",
     "sign",

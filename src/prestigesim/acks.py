@@ -17,19 +17,17 @@ Two wire formats are exchanged:
   composition of all hop signatures; removing, reordering descriptor entries
   or tampering any field breaks it.
 
-The signature scheme is pluggable behind ``CompositeScheme``. The default
-backend is a deterministic keyed-hash construction (sign = 33-byte hash bound
-to the signer's public key and message, compose = bytewise XOR). It gives the
-exact algebra the simulator needs (commutative, associative, order-free
-composition; unions verify; subsets do not) but no real unforgeability, and
-exists so the package stays dependency-free and reproducible. A pairing-based
-aggregate backend can be slotted in behind the same five operations.
+The signature scheme is a deterministic keyed-hash construction (sign =
+33-byte hash bound to the signer's public key and message, compose = bytewise
+XOR). It gives the exact algebra the simulator needs (commutative,
+associative, order-free composition; unions verify; subsets do not) but no
+real unforgeability, and exists so the package stays dependency-free and
+reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
@@ -52,7 +50,6 @@ class SchemeParams:
     """Output of scheme setup; carried by every key pair."""
 
     security: int
-    backend: str
 
 
 @dataclass(frozen=True)
@@ -98,41 +95,6 @@ class MessageDescriptor:
         return self.union(other)
 
 
-class CompositeScheme(ABC):
-    """Five-operation interface every signature backend implements."""
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def setup(self, security_parameter: int) -> SchemeParams: ...
-
-    @abstractmethod
-    def keygen(self, params: SchemeParams, seed: bytes | int | str) -> KeyPair: ...
-
-    @abstractmethod
-    def sign(self, sk: bytes, message: bytes) -> bytes: ...
-
-    @abstractmethod
-    def verify(self, descriptor: MessageDescriptor, signature: bytes) -> bool: ...
-
-    def compose(
-        self,
-        l1: MessageDescriptor,
-        s1: bytes,
-        l2: MessageDescriptor,
-        s2: bytes,
-    ) -> bytes | None:
-        """Merge two valid composites over disjoint messages; None otherwise."""
-        if not self.verify(l1, s1) or not self.verify(l2, s2):
-            return None
-        if l1.overlaps(l2):
-            return None
-        return self._merge(s1, s2)
-
-    @abstractmethod
-    def _merge(self, s1: bytes, s2: bytes) -> bytes: ...
-
-
 def _seed_bytes(seed: bytes | int | str) -> bytes:
     if isinstance(seed, bytes):
         return seed
@@ -141,87 +103,47 @@ def _seed_bytes(seed: bytes | int | str) -> bytes:
     return seed.to_bytes(16, "big", signed=False)
 
 
-class HashXorScheme(CompositeScheme):
-    """Deterministic functional backend: keyed hashes composed by XOR.
+def _derive_vk(sk: bytes) -> bytes:
+    return hashlib.shake_256(b"prestigesim/vk/" + sk).digest(VK_BYTES)
 
-    Public keys are derived from secret keys, per-entry signatures are hashes
-    bound to (vk, message), and a composite is the XOR of its entry hashes, so
-    a composite verifies exactly against the full entry set it was built from.
-    """
 
-    name = "hash-xor"
-
-    def setup(self, security_parameter: int) -> SchemeParams:
-        if security_parameter <= 0:
-            raise ValueError(f"security parameter must be positive, got {security_parameter}")
-        return SchemeParams(security=security_parameter, backend=self.name)
-
-    def keygen(self, params: SchemeParams, seed: bytes | int | str) -> KeyPair:
-        material = _seed_bytes(seed)
-        sk = hashlib.shake_256(
-            b"prestigesim/sk/" + params.security.to_bytes(4, "big") + material
-        ).digest(32)
-        return KeyPair(sk=sk, vk=self._derive_vk(sk), params=params)
-
-    def sign(self, sk: bytes, message: bytes) -> bytes:
-        return self._entry_sig(self._derive_vk(sk), message)
-
-    def verify(self, descriptor: MessageDescriptor, signature: bytes) -> bool:
-        if len(signature) != SIG_BYTES:
-            return False
-        if len(descriptor) == 0:
-            return False
-        if not descriptor.messages_unique():
-            return False
-        expected = reduce(
-            _xor_bytes,
-            (self._entry_sig(vk, m) for m, vk in sorted(descriptor.entries)),
-        )
-        return expected == signature
-
-    def _merge(self, s1: bytes, s2: bytes) -> bytes:
-        return _xor_bytes(s1, s2)
-
-    @staticmethod
-    def _derive_vk(sk: bytes) -> bytes:
-        return hashlib.shake_256(b"prestigesim/vk/" + sk).digest(VK_BYTES)
-
-    @staticmethod
-    def _entry_sig(vk: bytes, message: bytes) -> bytes:
-        return hashlib.shake_256(b"prestigesim/sig/" + vk + message).digest(SIG_BYTES)
+def _entry_sig(vk: bytes, message: bytes) -> bytes:
+    return hashlib.shake_256(b"prestigesim/sig/" + vk + message).digest(SIG_BYTES)
 
 
 def _xor_bytes(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b, strict=True))
 
 
-DEFAULT_SCHEME: CompositeScheme = HashXorScheme()
+def setup(security_parameter: int) -> SchemeParams:
+    if security_parameter <= 0:
+        raise ValueError(f"security parameter must be positive, got {security_parameter}")
+    return SchemeParams(security=security_parameter)
 
 
-# Module-level convenience surface over the default backend.
-
-def setup(security_parameter: int, scheme: CompositeScheme = DEFAULT_SCHEME) -> SchemeParams:
-    return scheme.setup(security_parameter)
-
-
-def keygen(
-    params: SchemeParams,
-    seed: bytes | int | str,
-    scheme: CompositeScheme = DEFAULT_SCHEME,
-) -> KeyPair:
-    return scheme.keygen(params, seed)
+def keygen(params: SchemeParams, seed: bytes | int | str) -> KeyPair:
+    """Deterministic key pair; the public key is derived from the secret key."""
+    sk = hashlib.shake_256(
+        b"prestigesim/sk/" + params.security.to_bytes(4, "big") + _seed_bytes(seed)
+    ).digest(32)
+    return KeyPair(sk=sk, vk=_derive_vk(sk), params=params)
 
 
-def sign(sk: bytes, message: bytes, scheme: CompositeScheme = DEFAULT_SCHEME) -> bytes:
-    return scheme.sign(sk, message)
+def sign(sk: bytes, message: bytes) -> bytes:
+    """Per-entry signature: a hash bound to (signer's vk, message)."""
+    return _entry_sig(_derive_vk(sk), message)
 
 
-def verify(
-    descriptor: MessageDescriptor,
-    signature: bytes,
-    scheme: CompositeScheme = DEFAULT_SCHEME,
-) -> bool:
-    return scheme.verify(descriptor, signature)
+def verify(descriptor: MessageDescriptor, signature: bytes) -> bool:
+    """A composite verifies exactly against the full entry set it was built from."""
+    if len(signature) != SIG_BYTES:
+        return False
+    if len(descriptor) == 0:
+        return False
+    if not descriptor.messages_unique():
+        return False
+    expected = reduce(_xor_bytes, (_entry_sig(vk, m) for m, vk in descriptor.entries))
+    return expected == signature
 
 
 def compose(
@@ -229,9 +151,13 @@ def compose(
     s1: bytes,
     l2: MessageDescriptor,
     s2: bytes,
-    scheme: CompositeScheme = DEFAULT_SCHEME,
 ) -> bytes | None:
-    return scheme.compose(l1, s1, l2, s2)
+    """Merge two valid composites over disjoint messages; None otherwise."""
+    if not verify(l1, s1) or not verify(l2, s2):
+        return None
+    if l1.overlaps(l2):
+        return None
+    return _xor_bytes(s1, s2)
 
 
 # --- wire formats -----------------------------------------------------------
@@ -286,11 +212,10 @@ def make_simple_ack(
     task_id: bytes,
     contributor_vk: bytes,
     amount: int,
-    scheme: CompositeScheme = DEFAULT_SCHEME,
 ) -> SimpleAck:
     """Beneficiary-signed receipt naming the contributor to be credited."""
     message = encode_ack_message(task_id, contributor_vk, amount)
-    signature = scheme.sign(beneficiary.sk, message)
+    signature = sign(beneficiary.sk, message)
     return SimpleAck(
         task_id=bytes(task_id),
         contributor_vk=bytes(contributor_vk),
@@ -299,16 +224,12 @@ def make_simple_ack(
     )
 
 
-def verify_simple_ack(
-    ack: SimpleAck,
-    beneficiary_vk: bytes,
-    scheme: CompositeScheme = DEFAULT_SCHEME,
-) -> bool:
+def verify_simple_ack(ack: SimpleAck, beneficiary_vk: bytes) -> bool:
     try:
         descriptor = MessageDescriptor.of([(ack.message(), beneficiary_vk)])
     except (ValueError, AmountOverflow):
         return False
-    return scheme.verify(descriptor, ack.signature)
+    return verify(descriptor, ack.signature)
 
 
 @dataclass(frozen=True)
@@ -351,9 +272,6 @@ class PathAck:
     def descriptor(self) -> MessageDescriptor:
         return MessageDescriptor.of((hop.message(), hop.vk) for hop in self.hops)
 
-    def messages(self) -> set[bytes]:
-        return {hop.message() for hop in self.hops}
-
     def to_bytes(self) -> bytes:
         return b"".join(hop.to_bytes() for hop in self.hops) + self.composite
 
@@ -376,15 +294,10 @@ class PathAck:
         return cls.from_bytes(bytes.fromhex(text))
 
 
-def make_root_ack(
-    root: KeyPair,
-    task_id: bytes,
-    amount: int = 0,
-    scheme: CompositeScheme = DEFAULT_SCHEME,
-) -> PathAck:
+def make_root_ack(root: KeyPair, task_id: bytes, amount: int = 0) -> PathAck:
     """Self-signed genesis record that seeds a branch's path acks."""
     hop = PathHop(task_id=bytes(task_id), vk=root.vk, amount=int(amount))
-    signature = scheme.sign(root.sk, hop.message())
+    signature = sign(root.sk, hop.message())
     return PathAck(hops=(hop,), composite=signature)
 
 
@@ -394,7 +307,6 @@ def extend_path_ack(
     task_id: bytes,
     contributor_vk: bytes,
     amount: int,
-    scheme: CompositeScheme = DEFAULT_SCHEME,
 ) -> PathAck:
     """Append the extending node's hop and recompose the signature.
 
@@ -404,31 +316,20 @@ def extend_path_ack(
     """
     if contributor_vk != beneficiary.vk:
         raise ValueError("extending node records its own key; contributor_vk must match beneficiary.vk")
-    if not scheme.verify(prev.descriptor(), prev.composite):
+    descriptor = prev.descriptor()
+    if not verify(descriptor, prev.composite):
         raise InvalidPrev("previous path ack does not verify")
 
     hop = PathHop(task_id=bytes(task_id), vk=bytes(contributor_vk), amount=int(amount))
     message = hop.message()
-    if message in prev.messages():
+    if message in descriptor.messages():
         raise DuplicateHop("hop message already present in the path")
 
-    signature = scheme.sign(beneficiary.sk, message)
-    composite = scheme.compose(
-        prev.descriptor(),
-        prev.composite,
-        MessageDescriptor.of([(message, hop.vk)]),
-        signature,
-    )
-    if composite is None:
-        raise InvalidPrev("extension failed to compose with the previous path")
+    composite = _xor_bytes(prev.composite, sign(beneficiary.sk, message))
     return PathAck(hops=prev.hops + (hop,), composite=composite)
 
 
-def verify_path_ack(
-    ack: PathAck,
-    expected_root_vk: bytes,
-    scheme: CompositeScheme = DEFAULT_SCHEME,
-) -> bool:
+def verify_path_ack(ack: PathAck, expected_root_vk: bytes) -> bool:
     """Check the composite against every hop and the anchoring at the root."""
     if ack.hops[0].vk != expected_root_vk:
         return False
@@ -436,4 +337,4 @@ def verify_path_ack(
         descriptor = ack.descriptor()
     except (ValueError, AmountOverflow):
         return False
-    return scheme.verify(descriptor, ack.composite)
+    return verify(descriptor, ack.composite)

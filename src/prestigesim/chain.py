@@ -31,14 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .acks import (
-    DEFAULT_SCHEME,
-    CompositeScheme,
-    PathAck,
-    SimpleAck,
-    verify_path_ack,
-    verify_simple_ack,
-)
+from .acks import PathAck, SimpleAck, keygen, setup, verify_path_ack, verify_simple_ack
 from .core import Account, SystemParams, step_account
 from .errors import (
     DuplicateTask,
@@ -103,7 +96,6 @@ class ChainState:
     seen_tasks: set[bytes] = field(default_factory=set)
     initial_coins: int = 0
     fees_pending: int = 0
-    scheme: CompositeScheme = DEFAULT_SCHEME
 
     @classmethod
     def genesis(
@@ -114,20 +106,18 @@ class ChainState:
         *,
         subsidy: int = 0,
         ack_fee: int = 0,
-        scheme: CompositeScheme = DEFAULT_SCHEME,
-        key_security: int = 128,
     ) -> "ChainState":
         """Build height-0 state; accounts given as Account or (id, coins).
 
         Accounts without a verification key get one derived from their id so
         the acknowledgment layer works out of the box.
         """
-        scheme_params = scheme.setup(key_security)
+        key_params = setup(128)
         table: dict[str, Account] = {}
         for entry in accounts:
             acct = entry if isinstance(entry, Account) else Account(id=entry[0], coins=entry[1])
             if not acct.verification_key:
-                acct = replace(acct, verification_key=scheme.keygen(scheme_params, acct.id).vk)
+                acct = replace(acct, verification_key=keygen(key_params, acct.id).vk)
             if acct.id in table:
                 raise ValueError(f"duplicate account id {acct.id!r}")
             table[acct.id] = acct
@@ -140,7 +130,6 @@ class ChainState:
             subsidy=subsidy,
             ack_fee=ack_fee,
             initial_coins=sum(a.coins for a in table.values()),
-            scheme=scheme,
         )
 
     # -- bookkeeping -----------------------------------------------------------
@@ -160,14 +149,19 @@ class ChainState:
     def escrowed_coins(self) -> int:
         return sum(s.coins_per_block * s.remaining_blocks for s in self.motivator_rewards)
 
-    def _queued_tasks(self) -> set[bytes]:
-        queued: set[bytes] = set()
+    def _queued(self) -> tuple[set[bytes], dict[str, str | None]]:
+        """Task ids the pending queue will mark seen, and the DAG placements
+        (node -> parent, None for a root) its path acks will record."""
+        tasks: set[bytes] = set()
+        placed: dict[str, str | None] = {}
         for item in self.pending_acks:
             if isinstance(item, _PendingSimple):
-                queued.add(item.ack.task_id)
+                tasks.add(item.ack.task_id)
             else:
-                queued.update(hop.task_id for hop in item.ack.hops)
-        return queued
+                tasks.update(hop.task_id for hop in item.ack.hops)
+                for k, node in enumerate(item.node_ids):
+                    placed.setdefault(node, item.node_ids[k - 1] if k else None)
+        return tasks, placed
 
     def copy(self) -> "ChainState":
         dup = ChainState(
@@ -183,7 +177,6 @@ class ChainState:
             seen_tasks=set(self.seen_tasks),
             initial_coins=self.initial_coins,
             fees_pending=self.fees_pending,
-            scheme=self.scheme,
         )
         return dup
 
@@ -228,8 +221,9 @@ def submit_ack(
     """Validate an acknowledgment and queue it for the next block.
 
     Checks run in order: referenced accounts exist, signatures verify (for a
-    path ack this includes root anchoring and consistency with the recorded
-    DAG), at least one task id is new, and the claiming account can cover the
+    path ack this includes naming no account twice, consistency with the DAG
+    on chain and the placements already queued, and root anchoring), at least
+    one task id is new, and the claiming account can cover the
     acknowledgment fee. The optional ``beneficiary`` hint names the simple-ack
     signer; without it the signer is resolved by scanning account keys.
     """
@@ -241,19 +235,17 @@ def submit_ack(
             if beneficiary not in state.accounts:
                 raise UnknownAccount(beneficiary)
             payer = state.accounts[beneficiary]
-            if not verify_simple_ack(ack, payer.verification_key, state.scheme):
+            if not verify_simple_ack(ack, payer.verification_key):
                 raise InvalidSignature("simple ack does not verify against the named beneficiary")
         else:
             payer = None
             for acct in state.accounts.values():
-                if acct.verification_key and verify_simple_ack(
-                    ack, acct.verification_key, state.scheme
-                ):
+                if acct.verification_key and verify_simple_ack(ack, acct.verification_key):
                     payer = acct
                     break
             if payer is None:
                 raise InvalidSignature("simple ack does not verify against any account key")
-        if ack.task_id in state.seen_tasks or ack.task_id in state._queued_tasks():
+        if ack.task_id in state.seen_tasks or ack.task_id in state._queued()[0]:
             raise DuplicateTask(ack.task_id.hex())
         _charge_fee(state, contributor.id)
         state.pending_acks.append(
@@ -269,22 +261,30 @@ def submit_ack(
                 raise UnknownAccount(f"no account holds the key of hop {len(node_ids)}")
             node_ids.append(acct.id)
 
-        # Path shape must agree with the DAG already on chain.
-        first = node_ids[0]
-        if first in state.dag and not state.dag.is_root(first):
-            raise InvalidSignature(f"path starts at {first!r}, which is not a branch root")
-        for k in range(1, len(node_ids)):
-            node = node_ids[k]
-            if node in state.dag and state.dag.parent(node) != node_ids[k - 1]:
+        if len(set(node_ids)) != len(node_ids):
+            raise InvalidSignature("path names an account more than once")
+
+        # Path shape must agree with the DAG on chain and with the placements
+        # already queued, so block boundaries do not change what is accepted.
+        queued_tasks, queued_at = state._queued()
+        for k, node in enumerate(node_ids):
+            if node in state.dag:
+                parent = state.dag.parent(node)
+            elif node in queued_at:
+                parent = queued_at[node]
+            else:
+                continue
+            if k == 0 and parent is not None:
+                raise InvalidSignature(f"path starts at {node!r}, which is not a branch root")
+            if k > 0 and parent != node_ids[k - 1]:
                 raise InvalidSignature(
                     f"path places {node!r} under {node_ids[k-1]!r} but it is attached elsewhere"
                 )
-        root_vk = state.accounts[first].verification_key
-        if not verify_path_ack(ack, root_vk, state.scheme):
+        root_vk = state.accounts[node_ids[0]].verification_key
+        if not verify_path_ack(ack, root_vk):
             raise InvalidSignature("path ack composite does not verify")
 
-        known = state.seen_tasks | state._queued_tasks()
-        if all(hop.task_id in known for hop in ack.hops):
+        if all(hop.task_id in state.seen_tasks or hop.task_id in queued_tasks for hop in ack.hops):
             raise DuplicateTask("every hop in the path was already processed")
         _charge_fee(state, node_ids[-1])
         state.pending_acks.append(_PendingPath(ack=ack, node_ids=tuple(node_ids)))
@@ -432,7 +432,7 @@ def save_snapshot(state: ChainState) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_snapshot(text: str, scheme: CompositeScheme = DEFAULT_SCHEME) -> ChainState:
+def load_snapshot(text: str) -> ChainState:
     """Parse ``save_snapshot`` output back into a ChainState."""
     header: dict[str, str] = {}
     roots: list[str] = []
@@ -523,7 +523,6 @@ def load_snapshot(text: str, scheme: CompositeScheme = DEFAULT_SCHEME) -> ChainS
             seen_tasks=seen,
             initial_coins=int(header["initial-coins"]),
             fees_pending=int(header.get("fees-pending", "0")),
-            scheme=scheme,
         )
         return state
     except SnapshotError:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prestigesim import (
     Account,
@@ -26,7 +27,7 @@ from prestigesim import (
     submit_ack,
 )
 
-KEYS = setup(128)  # matches ChainState.genesis(key_security=128)
+KEYS = setup(128)  # the security level ChainState.genesis derives keys at
 
 
 def kp_for(account_id: str):
@@ -341,6 +342,104 @@ def test_path_ack_bad_composite():
     broken = PathAck(hops=path.hops, composite=bytes(33))
     with pytest.raises(InvalidSignature, match="does not verify"):
         submit_ack(state, broken)
+
+
+def four_state():
+    return ChainState.genesis(
+        [("r", 8), ("A", 8), ("B", 8), ("C", 8)], SystemParams(decay=0.5), rng_seed=9
+    )
+
+
+def path_through(node_ids, first_task):
+    """Path ack over node_ids, root first, one fresh task id per hop."""
+    ack = make_root_ack(kp_for(node_ids[0]), tid(first_task))
+    for k, node in enumerate(node_ids[1:], start=1):
+        ack = extend_path_ack(ack, kp_for(node), tid(first_task + k), kp_for(node).vk, 1)
+    return ack
+
+
+def test_path_ack_rejects_repeated_account():
+    state = path_state()  # r is not on chain yet, so only the repeat gives r->A->r away
+    with pytest.raises(InvalidSignature, match="more than once"):
+        submit_ack(state, path_through(["r", "A", "r"], 100))
+    assert state.pending_acks == []
+
+
+def test_path_ack_must_match_queued_parents():
+    state = four_state()
+    state = submit_ack(state, path_through(["r", "A", "C"], 100))
+    with pytest.raises(InvalidSignature, match="attached elsewhere"):
+        submit_ack(state, path_through(["r", "B", "C"], 200))  # C is queued under A
+    state, blk = advance_block(state)
+    assert state.dag.parent("C") == "A" and "B" not in state.dag
+    assert [rec.contributor for rec in blk.processed_acks] == ["r", "A"]
+
+
+def test_path_ack_must_start_at_queued_root():
+    state = four_state()
+    state = submit_ack(state, path_through(["r", "A"], 100))
+    with pytest.raises(InvalidSignature, match="not a branch root"):
+        submit_ack(state, path_through(["A", "B"], 200))  # A is queued under r
+    state, _ = advance_block(state)
+    assert state.dag.parent("A") == "r" and "B" not in state.dag
+
+
+# Acks the property below draws: a root ack, an extension of an earlier path
+# ack, a simple ack, or an exact replay of an earlier ack. Node and ack
+# references are reduced modulo what exists when the op is built.
+ACK_OPS = st.one_of(
+    st.tuples(st.just("root"), st.integers(0, 4)),
+    st.tuples(st.just("extend"), st.integers(0, 99), st.integers(0, 4)),
+    st.tuples(st.just("simple"), st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.just("replay"), st.integers(0, 99)),
+)
+
+
+def build_acks(ops):
+    ids = [f"n{i}" for i in range(5)]
+    acks, paths = [], []
+    for n, op in enumerate(ops):
+        task = tid(1000 + n)
+        if op[0] == "root":
+            ack = make_root_ack(kp_for(ids[op[1]]), task)
+            paths.append(ack)
+        elif op[0] == "extend" and paths:
+            kp = kp_for(ids[op[2]])
+            ack = extend_path_ack(paths[op[1] % len(paths)], kp, task, kp.vk, 1)
+            paths.append(ack)
+        elif op[0] == "simple":
+            ack = make_simple_ack(kp_for(ids[op[1]]), task, kp_for(ids[op[2]]).vk, 1)
+        elif op[0] == "replay" and acks:
+            ack = acks[op[1] % len(acks)]
+        else:
+            continue
+        acks.append(ack)
+    return acks
+
+
+def submit_with_cuts(acks, cuts):
+    """Submit acks in order, minting a block before each index in cuts."""
+    state = ChainState.genesis(
+        [(f"n{i}", 10) for i in range(5)], SystemParams(decay=0.5), rng_seed=4, ack_fee=0
+    )
+    outcomes = []
+    for k, ack in enumerate(acks):
+        if k in cuts:
+            state, _ = advance_block(state)
+        try:
+            submit_ack(state, ack)
+            outcomes.append("accepted")
+        except (InvalidSignature, DuplicateTask) as exc:
+            outcomes.append(type(exc).__name__)
+    state, _ = advance_block(state)
+    return outcomes, {node: state.dag.parent(node) for node in state.dag.nodes}
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(ACK_OPS, min_size=1, max_size=14), cuts=st.sets(st.integers(1, 13)))
+def test_block_boundaries_do_not_change_acceptance(ops, cuts):
+    acks = build_acks(ops)
+    assert submit_with_cuts(acks, cuts) == submit_with_cuts(acks, set())
 
 
 def test_path_ack_fee_charged_to_deepest_node():
