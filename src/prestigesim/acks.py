@@ -112,7 +112,9 @@ def _entry_sig(vk: bytes, message: bytes) -> bytes:
 
 
 def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"cannot XOR {len(a)} bytes with {len(b)} bytes")
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def setup(security_parameter: int) -> SchemeParams:

@@ -26,6 +26,7 @@ snapshots are taken between blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -96,6 +97,21 @@ class ChainState:
     seen_tasks: set[bytes] = field(default_factory=set)
     initial_coins: int = 0
     fees_pending: int = 0
+    # Lookup indexes, rebuilt from the fields above whenever a state is made.
+    # _vk_index maps each key to the first account in dict order holding it;
+    # _queued_tasks and _queued_at hold the task ids pending_acks will mark
+    # seen and the DAG placements (node -> parent, None for a root) its path
+    # acks will record. submit_ack and advance_block keep the last two.
+    _vk_index: dict[bytes, str] = field(init=False, repr=False, compare=False)
+    _queued_tasks: set[bytes] = field(init=False, repr=False, compare=False)
+    _queued_at: dict[str, str | None] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._vk_index = {a.verification_key: a.id for a in reversed(self.accounts.values())}
+        self._queued_tasks = set()
+        self._queued_at = {}
+        for item in self.pending_acks:
+            self._index_queued(item)
 
     @classmethod
     def genesis(
@@ -110,12 +126,16 @@ class ChainState:
         """Build height-0 state; accounts given as Account or (id, coins).
 
         Accounts without a verification key get one derived from their id so
-        the acknowledgment layer works out of the box.
+        the acknowledgment layer works out of the box. Raises ValueError for a
+        duplicate id and for an account ``save_snapshot`` could not write so
+        that it loads back: an empty id, an id containing ``,`` or whitespace
+        or starting with ``#``, or non-finite prestige.
         """
         key_params = setup(128)
         table: dict[str, Account] = {}
         for entry in accounts:
             acct = entry if isinstance(entry, Account) else Account(id=entry[0], coins=entry[1])
+            _check_snapshot_safe(acct)
             if not acct.verification_key:
                 acct = replace(acct, verification_key=keygen(key_params, acct.id).vk)
             if acct.id in table:
@@ -135,6 +155,18 @@ class ChainState:
     # -- bookkeeping -----------------------------------------------------------
 
     def account_by_vk(self, vk: bytes) -> Account | None:
+        """The first account in dict order holding ``vk``, or None.
+
+        Resolved in O(1) through the key index, then checked against that
+        account's current key. A miss (an unknown key, or an account whose
+        key was changed by editing ``accounts`` directly) falls back to
+        scanning every account. The chain API never changes a key.
+        """
+        acct_id = self._vk_index.get(vk)
+        if acct_id is not None:
+            acct = self.accounts.get(acct_id)
+            if acct is not None and acct.verification_key == vk:
+                return acct
         for acct in self.accounts.values():
             if acct.verification_key == vk:
                 return acct
@@ -149,19 +181,17 @@ class ChainState:
     def escrowed_coins(self) -> int:
         return sum(s.coins_per_block * s.remaining_blocks for s in self.motivator_rewards)
 
-    def _queued(self) -> tuple[set[bytes], dict[str, str | None]]:
-        """Task ids the pending queue will mark seen, and the DAG placements
-        (node -> parent, None for a root) its path acks will record."""
-        tasks: set[bytes] = set()
-        placed: dict[str, str | None] = {}
-        for item in self.pending_acks:
-            if isinstance(item, _PendingSimple):
-                tasks.add(item.ack.task_id)
-            else:
-                tasks.update(hop.task_id for hop in item.ack.hops)
-                for k, node in enumerate(item.node_ids):
-                    placed.setdefault(node, item.node_ids[k - 1] if k else None)
-        return tasks, placed
+    def _index_queued(self, item: "_PendingSimple | _PendingPath") -> None:
+        if isinstance(item, _PendingSimple):
+            self._queued_tasks.add(item.ack.task_id)
+            return
+        self._queued_tasks.update(hop.task_id for hop in item.ack.hops)
+        for k, node in enumerate(item.node_ids):
+            self._queued_at.setdefault(node, item.node_ids[k - 1] if k else None)
+
+    def _enqueue(self, item: "_PendingSimple | _PendingPath") -> None:
+        self.pending_acks.append(item)
+        self._index_queued(item)
 
     def copy(self) -> "ChainState":
         dup = ChainState(
@@ -190,7 +220,10 @@ def elect_minter(accounts: Mapping[str, Account], rng: np.random.Generator) -> s
     if not accounts:
         raise NoAccounts("cannot elect a minter with no accounts")
     ids = list(accounts)
-    weights = np.array([max(accounts[i].prestige, 0.0) for i in ids], dtype=np.float64)
+    weights = np.maximum(
+        np.fromiter((a.prestige for a in accounts.values()), dtype=np.float64, count=len(ids)),
+        0.0,
+    )
     total = float(weights.sum())
     if total > 0.0:
         cutoff = rng.random() * total
@@ -199,6 +232,19 @@ def elect_minter(accounts: Mapping[str, Account], rng: np.random.Generator) -> s
     funded = [i for i in ids if accounts[i].coins > 0]
     pool = funded if funded else ids
     return pool[int(rng.integers(len(pool)))]
+
+
+def _check_snapshot_safe(acct: Account) -> None:
+    """Raise ValueError for an account whose snapshot line would not load back."""
+    if not acct.id or acct.id.startswith("#") or "," in acct.id or any(
+        ch.isspace() for ch in acct.id
+    ):
+        raise ValueError(
+            f"account id {acct.id!r} must be non-empty, start with no '#' and "
+            "contain no ',' or whitespace"
+        )
+    if not math.isfinite(acct.prestige):
+        raise ValueError(f"prestige of {acct.id!r} must be finite, got {acct.prestige!r}")
 
 
 def _charge_fee(state: ChainState, claimer: str) -> None:
@@ -224,8 +270,12 @@ def submit_ack(
     path ack this includes naming no account twice, consistency with the DAG
     on chain and the placements already queued, and root anchoring), at least
     one task id is new, and the claiming account can cover the
-    acknowledgment fee. The optional ``beneficiary`` hint names the simple-ack
-    signer; without it the signer is resolved by scanning account keys.
+    acknowledgment fee. Hop and contributor keys resolve to accounts through
+    the state's key index, and the task-id and placement checks read the
+    queue index this function keeps, so the cost of a submit depends on
+    neither the number of accounts nor the queue length. The one exception
+    is a simple ack without the optional ``beneficiary`` hint, which names
+    the signer: then the signer is resolved by scanning account keys.
     """
     if isinstance(ack, SimpleAck):
         contributor = state.account_by_vk(ack.contributor_vk)
@@ -245,12 +295,10 @@ def submit_ack(
                     break
             if payer is None:
                 raise InvalidSignature("simple ack does not verify against any account key")
-        if ack.task_id in state.seen_tasks or ack.task_id in state._queued()[0]:
+        if ack.task_id in state.seen_tasks or ack.task_id in state._queued_tasks:
             raise DuplicateTask(ack.task_id.hex())
         _charge_fee(state, contributor.id)
-        state.pending_acks.append(
-            _PendingSimple(ack=ack, beneficiary=payer.id, contributor=contributor.id)
-        )
+        state._enqueue(_PendingSimple(ack=ack, beneficiary=payer.id, contributor=contributor.id))
         return state
 
     if isinstance(ack, PathAck):
@@ -266,7 +314,7 @@ def submit_ack(
 
         # Path shape must agree with the DAG on chain and with the placements
         # already queued, so block boundaries do not change what is accepted.
-        queued_tasks, queued_at = state._queued()
+        queued_tasks, queued_at = state._queued_tasks, state._queued_at
         for k, node in enumerate(node_ids):
             if node in state.dag:
                 parent = state.dag.parent(node)
@@ -287,7 +335,7 @@ def submit_ack(
         if all(hop.task_id in state.seen_tasks or hop.task_id in queued_tasks for hop in ack.hops):
             raise DuplicateTask("every hop in the path was already processed")
         _charge_fee(state, node_ids[-1])
-        state.pending_acks.append(_PendingPath(ack=ack, node_ids=tuple(node_ids)))
+        state._enqueue(_PendingPath(ack=ack, node_ids=tuple(node_ids)))
         return state
 
     raise TypeError(f"unsupported acknowledgment type {type(ack).__name__}")
@@ -323,8 +371,9 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
         raise NoAccounts("cannot advance an empty chain")
     new_height = state.height + 1
 
-    for acct_id in list(state.accounts):
-        state.accounts[acct_id] = step_account(state.accounts[acct_id], state.params)
+    accounts, params = state.accounts, state.params
+    for acct_id, acct in list(accounts.items()):
+        accounts[acct_id] = step_account(acct, params)
 
     records: list[TransferRecord] = []
     hexes: list[str] = []
@@ -369,6 +418,8 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
                 records.append(rec)
             hexes.append(item.ack.to_hex())
     state.pending_acks = []
+    state._queued_tasks.clear()
+    state._queued_at.clear()
 
     rng = np.random.default_rng([state.rng_seed & 0xFFFFFFFFFFFFFFFF, new_height])
     minter = elect_minter(state.accounts, rng)
@@ -480,6 +531,10 @@ def load_snapshot(text: str) -> ChainState:
                 prestige=float(fields[2]),
                 verification_key=vk,
             )
+            try:
+                _check_snapshot_safe(acct)
+            except ValueError as exc:
+                raise SnapshotError(f"line {lineno}: {exc}") from exc
             if acct.id in accounts:
                 raise SnapshotError(f"line {lineno}: duplicate account {acct.id!r}")
             accounts[acct.id] = acct

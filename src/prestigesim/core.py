@@ -70,7 +70,7 @@ def step_account(account: Account, params: SystemParams) -> Account:
     coins earned during a block first regenerate prestige the following block.
     """
     new_p = account.coins + (1.0 - params.decay) * account.prestige
-    return replace(account, prestige=new_p)
+    return Account(account.id, account.coins, new_p, account.verification_key)
 
 
 def static_value(coins: int, params: SystemParams) -> float:

@@ -28,6 +28,7 @@ from prestigesim.acks import (
     PATH_ACK_BASE_BYTES,
     PATH_HOP_BYTES,
     SIMPLE_ACK_BYTES,
+    _xor_bytes,
 )
 
 PARAMS = setup(128)
@@ -140,6 +141,21 @@ def test_compose_rejects_overlap_and_garbage():
     assert compose(d1, s1, d2, s2) is None  # overlapping messages
     d3 = MessageDescriptor.of([(b"other", b.vk)])
     assert compose(d1, b"\x00" * 33, d3, sign(b.sk, b"other")) is None  # s1 invalid
+
+
+@given(st.integers(0, 64).flatmap(lambda n: st.tuples(st.binary(min_size=n, max_size=n),
+                                                       st.binary(min_size=n, max_size=n))))
+def test_xor_bytes_matches_bytewise_xor(pair):
+    a, b = pair
+    assert _xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
+
+
+@given(st.binary(max_size=40), st.binary(max_size=40))
+def test_xor_bytes_rejects_unequal_lengths(a, b):
+    if len(a) == len(b):
+        b += b"\x00"
+    with pytest.raises(ValueError):
+        _xor_bytes(a, b)
 
 
 def test_same_signer_two_messages_composes():

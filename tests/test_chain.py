@@ -1,8 +1,10 @@
 """Block processing: regeneration, ack settlement, election, rewards, snapshots."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from prestigesim import (
     Account,
@@ -11,6 +13,8 @@ from prestigesim import (
     InsufficientFunds,
     InvalidSignature,
     NoAccounts,
+    PrestigeError,
+    RewardSchedule,
     SnapshotError,
     SystemParams,
     UnknownAccount,
@@ -26,6 +30,7 @@ from prestigesim import (
     setup,
     submit_ack,
 )
+from prestigesim.chain import _PendingSimple
 
 KEYS = setup(128)  # the security level ChainState.genesis derives keys at
 
@@ -69,6 +74,55 @@ def test_genesis_keeps_provided_accounts():
 def test_genesis_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="duplicate"):
         ChainState.genesis([("a", 1), ("a", 2)], SystemParams(decay=0.5), rng_seed=1)
+
+
+@pytest.mark.parametrize("bad_id", ["a,b", "#x", "a b", "tab\tid", "line\nbreak", ""])
+def test_genesis_rejects_ids_a_snapshot_cannot_hold(bad_id):
+    with pytest.raises(ValueError, match="account id"):
+        ChainState.genesis([(bad_id, 1)], SystemParams(decay=0.5), rng_seed=1)
+
+
+@pytest.mark.parametrize("prestige", [math.nan, math.inf, -math.inf])
+def test_genesis_rejects_non_finite_prestige(prestige):
+    with pytest.raises(ValueError, match="finite"):
+        ChainState.genesis(
+            [Account(id="a", prestige=prestige)], SystemParams(decay=0.5), rng_seed=1
+        )
+
+
+# --- key index -------------------------------------------------------------------
+
+def scan_by_vk(state: ChainState, vk: bytes):
+    """The linear scan the key index must agree with."""
+    return next((a for a in state.accounts.values() if a.verification_key == vk), None)
+
+
+def assert_index_agrees(state: ChainState, extra_keys=()):
+    keys = [a.verification_key for a in state.accounts.values()]
+    for vk in [*keys, *extra_keys, b"\x00" * 33, b""]:
+        assert state.account_by_vk(vk) == scan_by_vk(state, vk)
+
+
+def test_account_by_vk_agrees_with_scan():
+    shared = kp_for("shared").vk
+    state = ChainState.genesis(
+        [("a", 1), Account(id="b", verification_key=shared), ("c", 2),
+         Account(id="d", verification_key=shared)],
+        SystemParams(decay=0.5),
+        rng_seed=1,
+    )
+    assert state.account_by_vk(shared).id == "b"  # first holder in dict order
+    assert_index_agrees(state)
+    assert_index_agrees(state.copy())
+    assert_index_agrees(load_snapshot(save_snapshot(state)))
+
+    old_a = state.accounts["a"].verification_key
+    state.accounts["a"] = Account(id="a", verification_key=kp_for("other").vk)
+    state.accounts["c"] = Account(id="c")
+    state.accounts["b"] = Account(id="b", verification_key=kp_for("b").vk)
+    assert state.account_by_vk(shared).id == "d"
+    assert state.account_by_vk(old_a) is None
+    assert_index_agrees(state, [old_a, shared, kp_for("c").vk])
 
 
 def test_totals():
@@ -164,6 +218,46 @@ def test_election_fallback_when_everyone_is_broke():
     rng = np.random.default_rng(0)
     winners = {elect_minter(accounts, rng) for _ in range(50)}
     assert winners == {"a", "b"}
+
+
+def list_weights_minter(accounts, rng):
+    """elect_minter with weights built by a Python list, as the reference."""
+    ids = list(accounts)
+    weights = np.array([max(accounts[i].prestige, 0.0) for i in ids], dtype=np.float64)
+    total = float(weights.sum())
+    if total > 0.0:
+        cutoff = rng.random() * total
+        idx = int(np.searchsorted(np.cumsum(weights), cutoff, side="right"))
+        return ids[min(idx, len(ids) - 1)]
+    funded = [i for i in ids if accounts[i].coins > 0]
+    pool = funded if funded else ids
+    return pool[int(rng.integers(len(pool)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, -1.0, 1e-300, -1e300]),
+                st.floats(-1e6, 1e6),
+            ),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cells=[(-5.0, 1), (-1.0, 0), (-2.5, 3)], seed=7)  # all negative: coins fallback
+@example(cells=[(-0.0, 0), (-0.0, 0), (0.0, 0)], seed=7)  # signed zeros, nobody funded
+@example(cells=[(0.0, 2), (0.0, 0), (0.0, 1)], seed=7)  # all zero: coins fallback
+@example(cells=[(-3.0, 1), (-0.0, 2), (4.0, 0), (0.5, 0)], seed=7)  # mixed
+def test_election_matches_list_weights(cells, seed):
+    accounts = {f"u{k}": Account(id=f"u{k}", coins=c, prestige=p) for k, (p, c) in enumerate(cells)}
+    assert elect_minter(accounts, np.random.default_rng(seed)) == list_weights_minter(
+        accounts, np.random.default_rng(seed)
+    )
 
 
 def test_election_empty():
@@ -442,6 +536,42 @@ def test_block_boundaries_do_not_change_acceptance(ops, cuts):
     assert submit_with_cuts(acks, cuts) == submit_with_cuts(acks, set())
 
 
+def rebuilt_queue_index(state: ChainState):
+    """Task ids and placements (node -> parent) recomputed from pending_acks."""
+    tasks, placed = set(), {}
+    for item in state.pending_acks:
+        if isinstance(item, _PendingSimple):
+            tasks.add(item.ack.task_id)
+        else:
+            tasks.update(hop.task_id for hop in item.ack.hops)
+            for k, node in enumerate(item.node_ids):
+                placed.setdefault(node, item.node_ids[k - 1] if k else None)
+    return tasks, placed
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=st.lists(ACK_OPS, min_size=1, max_size=14),
+    coins=st.lists(st.integers(0, 2), min_size=5, max_size=5),
+)
+def test_queue_index_matches_pending_acks(ops, coins):
+    # A fee of 1 against 0-2 coins makes some submits fail in _charge_fee,
+    # after every other check has passed.
+    state = ChainState.genesis(
+        [(f"n{i}", c) for i, c in enumerate(coins)], SystemParams(decay=0.5), rng_seed=4, ack_fee=1
+    )
+    for ack in build_acks(ops):
+        try:
+            submit_ack(state, ack)
+        except PrestigeError:
+            pass
+        assert (state._queued_tasks, state._queued_at) == rebuilt_queue_index(state)
+        dup = state.copy()
+        assert (dup._queued_tasks, dup._queued_at) == rebuilt_queue_index(state)
+    state, _ = advance_block(state)
+    assert state.pending_acks == [] and not state._queued_tasks and not state._queued_at
+
+
 def test_path_ack_fee_charged_to_deepest_node():
     state = ChainState.genesis(
         [("r", 8), ("A", 8), ("B", 8)],
@@ -601,6 +731,77 @@ def test_snapshot_rejects_dag_nodes_without_accounts():
         load_snapshot(good + "# root ghost\n")
     with pytest.raises(SnapshotError, match="ghost"):
         load_snapshot(good + "# edge ghost A\n")
+
+
+@pytest.mark.parametrize("line", ["a,1,nan,", "a,1,inf,", "a,1,-inf,", "a b,1,0.0,"])
+def test_snapshot_rejects_accounts_genesis_rejects(line):
+    good = save_snapshot(busy_state())
+    with pytest.raises(SnapshotError, match="line"):
+        load_snapshot(good + line + "\n")
+
+
+@st.composite
+def chain_states(draw):
+    """Any state genesis accepts, with a forest, history and reward schedules.
+
+    Ids and prestige are drawn unrestricted; what genesis rejects is discarded,
+    so the property covers exactly the accounts genesis lets through.
+    """
+    some_id = st.one_of(st.text(max_size=4), st.from_regex(r"[a-z0-9_.-]{1,4}", fullmatch=True))
+    ids = draw(st.lists(some_id, min_size=1, max_size=6, unique=True))
+    accounts = [
+        Account(
+            id=uid,
+            coins=draw(st.integers(0, 10**12)),
+            prestige=draw(st.one_of(st.floats(), st.floats(allow_nan=False, allow_infinity=False))),
+            verification_key=draw(st.sampled_from([b"", kp_for(uid).vk])),
+        )
+        for uid in ids
+    ]
+    try:
+        state = ChainState.genesis(
+            accounts,
+            SystemParams(
+                decay=draw(st.floats(0.001, 0.999)),
+                branch_power=draw(st.floats(0.0, 10.0)),
+                service_fee=draw(st.floats(0.0, 10.0)),
+            ),
+            rng_seed=draw(st.integers(0, 2**64 - 1)),
+            subsidy=draw(st.integers(0, 100)),
+            ack_fee=draw(st.integers(0, 100)),
+        )
+    except ValueError:
+        reject()
+    for k, uid in enumerate(draw(st.permutations(ids))[: draw(st.integers(0, len(ids)))]):
+        parents = list(state.dag.nodes)
+        if k == 0 or draw(st.booleans()):
+            state.dag.add_root(uid)
+        else:
+            state.dag.attach(draw(st.sampled_from(parents)), uid)
+    for funder in draw(st.lists(st.sampled_from(ids), max_size=3)):
+        state.motivator_rewards.append(
+            RewardSchedule(funder, draw(st.integers(1, 50)), draw(st.integers(1, 50)))
+        )
+    state.seen_tasks = draw(st.sets(st.binary(min_size=32, max_size=32), max_size=4))
+    state.height = draw(st.integers(0, 10**6))
+    state.fees_pending = draw(st.integers(0, 10**6))
+    return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=chain_states())
+def test_snapshot_roundtrip_over_valid_states(state):
+    text = save_snapshot(state)
+    restored = load_snapshot(text)
+    assert save_snapshot(restored) == text
+    assert restored.accounts == state.accounts
+    assert {n: restored.dag.parent(n) for n in restored.dag.nodes} == {
+        n: state.dag.parent(n) for n in state.dag.nodes
+    }
+    assert restored.seen_tasks == state.seen_tasks
+    assert (restored.height, restored.params, restored.rng_seed) == (
+        state.height, state.params, state.rng_seed
+    )
 
 
 def test_copy_is_deep_enough():
