@@ -8,7 +8,7 @@ x * P / (P + b * sum(ancestor prestige)) and the remainder climbs upstream,
 hop by hop, with the root absorbing whatever is left.
 """
 
-from prestigesim import Account, MiningDag, apply_transfer, branch_power, retain_progressive
+from prestigesim import Account, MiningDag, apply_transfer, retain_progressive
 
 dag = MiningDag()
 dag.add_root("root")
@@ -26,7 +26,8 @@ accounts = {
 
 b = 0.5
 x = 100.0
-pull = branch_power(dag, "carol", {k: a.prestige for k, a in accounts.items()}, b)
+# branch power: b times the prestige above carol, negative ancestors counting zero
+pull = b * sum(max(accounts[uid].prestige, 0.0) for uid in dag.path_to_root("carol")[1:])
 kept = retain_progressive(x, accounts["carol"].prestige, pull)
 print(f"carol is paid {x:.0f} prestige for a task")
 print(f"branch power above carol (b={b}): {pull:.1f}")
@@ -34,8 +35,9 @@ print(f"carol keeps {kept:.2f}, {x - kept:.2f} flows upstream")
 print()
 
 for mode in ("simple", "progressive"):
-    after, record = apply_transfer(
-        accounts, dag, beneficiary="payer", contributor="carol", x=x, mode=mode, b=b,
+    after = dict(accounts)  # apply_transfer updates the map it is given
+    record = apply_transfer(
+        after, dag, beneficiary="payer", contributor="carol", x=x, mode=mode, b=b,
     )
     print(f"-- {mode} --")
     for uid in ("root", "alice", "bob", "carol"):

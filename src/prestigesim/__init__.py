@@ -37,10 +37,8 @@ from .mining import (
     MiningMode,
     TransferRecord,
     apply_transfer,
-    branch_power,
     propagate_upstream,
     retain_progressive,
-    retain_simple,
 )
 from .acks import (
     AMOUNT_MAX,
@@ -102,8 +100,6 @@ __all__ = [
     "MiningDag",
     "MiningMode",
     "TransferRecord",
-    "branch_power",
-    "retain_simple",
     "retain_progressive",
     "propagate_upstream",
     "apply_transfer",

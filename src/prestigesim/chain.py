@@ -379,7 +379,7 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
     hexes: list[str] = []
     for item in state.pending_acks:
         if isinstance(item, _PendingSimple):
-            state.accounts, rec = apply_transfer(
+            rec = apply_transfer(
                 state.accounts,
                 state.dag,
                 beneficiary=item.beneficiary,
@@ -405,7 +405,7 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
                 state.seen_tasks.add(hop.task_id)
                 if k == 0:
                     continue  # genesis hop registers the root; nothing to transfer
-                state.accounts, rec = apply_transfer(
+                rec = apply_transfer(
                     state.accounts,
                     state.dag,
                     beneficiary=node,

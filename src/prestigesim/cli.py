@@ -289,19 +289,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         return cmd_list()
 
+    if args.command == "step":
+        cfg = CliConfig(command="step", output_dir=args.out)
+        return cmd_step(cfg, args.state_file, args.blocks)
+
+    # run and check both take --seed
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        print("--seed must fit in an unsigned 64-bit integer", file=sys.stderr)
+        return EXIT_USAGE
+
     if args.command == "check":
         cfg = CliConfig(command="check", seed=args.seed,
                         overrides={"trials": args.trials})
         return cmd_check(cfg)
 
-    if args.command == "step":
-        cfg = CliConfig(command="step", output_dir=args.out)
-        return cmd_step(cfg, args.state_file, args.blocks)
-
-    # run
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        print("--seed must fit in an unsigned 64-bit integer", file=sys.stderr)
-        return EXIT_USAGE
     try:
         overrides = _parse_overrides(args.sets)
     except ValueError as exc:

@@ -16,7 +16,7 @@ zero where a non-negative weight is required).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def inject_prestige(account: Account, delta: float) -> Account:
     Used by experiments to model one-off awards and by transfers; the result
     may be negative.
     """
-    return replace(account, prestige=account.prestige + delta)
+    return Account(account.id, account.coins, account.prestige + delta, account.verification_key)
 
 
 def convergence_gap(p0: float, coins: int, params: SystemParams, t: int) -> float:

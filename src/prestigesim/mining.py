@@ -20,11 +20,11 @@ upstream; ancestors with negative prestige contribute zero to branch power.
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from collections.abc import Mapping, MutableMapping
+from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Account
+from .core import Account, inject_prestige
 from .errors import (
     DuplicateNode,
     NotInDag,
@@ -98,9 +98,6 @@ class MiningDag:
     def roots(self) -> tuple[str, ...]:
         return tuple(n for n, p in self._parent.items() if p is None)
 
-    def is_root(self, node: str) -> bool:
-        return self.parent(node) is None
-
     def parent(self, node: str) -> str | None:
         try:
             return self._parent[node]
@@ -121,15 +118,9 @@ class MiningDag:
             current = self._parent[current]
         return path
 
-    def ancestors(self, node: str) -> list[str]:
-        return self.path_to_root(node)[1:]
-
     def depth(self, node: str) -> int:
         """Edges between node and its root; roots have depth 0."""
         return len(self.path_to_root(node)) - 1
-
-    def root_of(self, node: str) -> str:
-        return self.path_to_root(node)[-1]
 
     def copy(self) -> "MiningDag":
         dup = MiningDag()
@@ -152,13 +143,6 @@ class TransferRecord:
 
 # --- retention ----------------------------------------------------------------
 
-def retain_simple(x: float) -> float:
-    """Simple mining keeps the full fee."""
-    if x < 0:
-        raise ValueError(f"transfer amount must be >= 0, got {x}")
-    return x
-
-
 def retain_progressive(x: float, prestige: float, branch_power_value: float) -> float:
     """Fraction of x kept by a node with the given prestige and branch power.
 
@@ -175,19 +159,6 @@ def retain_progressive(x: float, prestige: float, branch_power_value: float) -> 
     # multiply-then-divide can overshoot x by an ulp when bp is negligible
     # next to prestige; never hand back more than came in
     return min(x, x * prestige / (prestige + bp))
-
-
-def branch_power(dag: MiningDag, node: str, prestige_of: Mapping[str, float], b: float) -> float:
-    """b times the clamped prestige mass of everything above the node.
-
-    Roots have no ancestors and therefore zero branch power.
-    """
-    if node not in dag:
-        raise UnknownNode(node)
-    total = 0.0
-    for ancestor in dag.ancestors(node):
-        total += max(prestige_of[ancestor], 0.0)
-    return b * total
 
 
 def propagate_upstream(
@@ -234,7 +205,7 @@ def propagate_upstream(
 # --- applying transfers ---------------------------------------------------------
 
 def apply_transfer(
-    accounts: Mapping[str, Account],
+    accounts: MutableMapping[str, Account],
     dag: MiningDag,
     beneficiary: str,
     contributor: str,
@@ -243,15 +214,18 @@ def apply_transfer(
     *,
     b: float = 0.0,
     block: int = 0,
-) -> tuple[dict[str, Account], TransferRecord]:
-    """Debit the beneficiary by x and credit the contributor side.
+) -> TransferRecord:
+    """Debit the beneficiary by x and credit the contributor side, in place.
 
     Simple mode credits the contributor in full; progressive mode splits x
     along the contributor's branch (requires the contributor to be in the
     DAG, else NotInDag, and an account for every node on its path to the
-    root, else UnknownAccount naming the first one missing). Returns a new
-    account map plus an audit record; the beneficiary may be driven below
-    zero prestige.
+    root, else UnknownAccount naming the first one missing). Every check,
+    ValueError for x < 0 included, runs before any account changes, so a
+    call that raises leaves *accounts* as it found it. On success the
+    beneficiary and every node with a non-zero share are replaced in
+    *accounts* and an audit record is returned; the beneficiary may be
+    driven below zero prestige.
     """
     mode = MiningMode.parse(mode)
     if beneficiary not in accounts:
@@ -260,7 +234,9 @@ def apply_transfer(
         raise UnknownAccount(contributor)
 
     if mode is MiningMode.SIMPLE:
-        shares = [(contributor, retain_simple(x))]
+        if x < 0:
+            raise ValueError(f"transfer amount must be >= 0, got {x}")
+        shares = [(contributor, x)]
     else:
         if contributor not in dag:
             raise NotInDag(contributor)
@@ -270,16 +246,12 @@ def apply_transfer(
                 raise UnknownAccount(node)
         shares = propagate_upstream(dag, contributor, x, {n: accounts[n].prestige for n in path}, b)
 
-    updated = dict(accounts)
-    benef = updated[beneficiary]
-    updated[beneficiary] = replace(benef, prestige=benef.prestige - x)
+    accounts[beneficiary] = inject_prestige(accounts[beneficiary], -x)
     for node, amount in shares:
-        if amount == 0.0:
-            continue
-        acct = updated[node]
-        updated[node] = replace(acct, prestige=acct.prestige + amount)
+        if amount != 0.0:
+            accounts[node] = inject_prestige(accounts[node], amount)
 
-    record = TransferRecord(
+    return TransferRecord(
         beneficiary=beneficiary,
         contributor=contributor,
         amount=float(x),
@@ -287,4 +259,3 @@ def apply_transfer(
         mode=mode,
         retained_by=tuple((n, float(a)) for n, a in shares),
     )
-    return updated, record

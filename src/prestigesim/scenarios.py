@@ -845,7 +845,7 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
                 k = int(rng.integers(1, n))
                 beneficiary, contributor = ids[int(rng.integers(n))], ids[k]
                 if beneficiary != contributor:
-                    accounts, _ = apply_transfer(
+                    apply_transfer(
                         accounts, dag, beneficiary=beneficiary,
                         contributor=contributor, x=float(rng.uniform(1, 300)),
                         mode=mode, b=0.5,
@@ -890,13 +890,13 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
                 idle[u] = step_account(idle[u], params)
             x_ji = float(rng.uniform(1, 50))
             before = active["i"].prestige
-            active, _ = apply_transfer(
+            apply_transfer(
                 active, dag, beneficiary="j", contributor="i", x=x_ji,
                 mode=MiningMode.PROGRESSIVE, b=0.5,
             )
             retained_i = active["i"].prestige - before
             x_ij = max(retained_i, 0.0) + float(rng.uniform(0, 10))
-            active, _ = apply_transfer(
+            apply_transfer(
                 active, dag, beneficiary="i", contributor="j", x=x_ij,
                 mode=MiningMode.PROGRESSIVE, b=0.5,
             )

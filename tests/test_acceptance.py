@@ -128,7 +128,7 @@ def test_criterion_03_transfer_conservation():
                 b_idx, c_idx = rng.integers(6), rng.integers(6)
                 if b_idx == c_idx:
                     continue
-                with_t, _ = apply_transfer(
+                apply_transfer(
                     with_t, dag, beneficiary=ids[b_idx], contributor=ids[c_idx],
                     x=float(rng.uniform(0.5, 80.0)), mode=mode, b=0.5,
                 )

@@ -372,7 +372,7 @@ def test_path_ack_settlement_hand_walk():
     assert state.accounts["r"].prestige == 18.0
     assert state.accounts["A"].prestige == 6.0
     assert state.accounts["B"].prestige == 12.0
-    assert state.dag.is_root("r") and state.dag.parent("A") == "r"
+    assert state.dag.parent("r") is None and state.dag.parent("A") == "r"
     assert blk.ack_hexes == (path_a.to_hex(),)
     # only A's hop moved prestige; the genesis hop just registers the root
     assert len(blk.processed_acks) == 1

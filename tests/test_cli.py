@@ -185,6 +185,12 @@ def test_check_rejects_bad_trials(capsys):
     assert main(["check", "--trials", "-5"]) == EXIT_USAGE
 
 
+def test_check_rejects_bad_seed(capsys):
+    assert main(["check", "--trials", "1", "--seed", "-1"]) == EXIT_USAGE
+    assert main(["check", "--trials", "1", "--seed", str(2**64)]) == EXIT_USAGE
+    assert "unsigned 64-bit" in capsys.readouterr().err
+
+
 def test_check_detects_corruption(monkeypatch, capsys):
     monkeypatch.setattr(
         prestigesim.mining,

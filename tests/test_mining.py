@@ -16,10 +16,8 @@ from prestigesim import (
     UnknownNode,
     UnknownParent,
     apply_transfer,
-    branch_power,
     propagate_upstream,
     retain_progressive,
-    retain_simple,
 )
 
 
@@ -40,22 +38,18 @@ class TestMiningDag:
         assert len(dag) == 4
         assert set(dag.nodes) == {"r", "a", "b", "c"}
         assert dag.roots == ("r",)
-        assert dag.is_root("r") and not dag.is_root("b")
         assert dag.parent("r") is None
         assert dag.parent("b") == "a"
         assert dag.children("r") == ("a", "c")
         assert dag.children("b") == ()
         assert dag.path_to_root("b") == ["b", "a", "r"]
-        assert dag.ancestors("b") == ["a", "r"]
         assert dag.depth("r") == 0
         assert dag.depth("b") == 2
-        assert dag.root_of("c") == "r"
 
     def test_multiple_roots(self):
         dag = MiningDag()
         dag.add_root("r1").add_root("r2").attach("r2", "x")
         assert set(dag.roots) == {"r1", "r2"}
-        assert dag.root_of("x") == "r2"
 
     def test_attach_unknown_parent(self):
         with pytest.raises(UnknownParent):
@@ -93,13 +87,6 @@ def test_mode_parse():
 
 # --- retention rules --------------------------------------------------------------
 
-def test_retain_simple():
-    assert retain_simple(42.0) == 42.0
-    assert retain_simple(0.0) == 0.0
-    with pytest.raises(ValueError):
-        retain_simple(-1.0)
-
-
 def test_retain_progressive_hand_values():
     # equal prestige and branch power -> keep exactly half
     assert retain_progressive(100.0, 50.0, 50.0) == 50.0
@@ -113,18 +100,6 @@ def test_retain_progressive_clamps():
     assert retain_progressive(100.0, 25.0, -3.0) == 100.0  # negative power clamps to 0
     with pytest.raises(ValueError):
         retain_progressive(-0.5, 10.0, 10.0)
-
-
-def test_branch_power_hand_walk():
-    dag = chain_dag("root", "A")
-    prestige = {"root": 60.0, "A": 40.0}
-    assert branch_power(dag, "root", prestige, 0.5) == 0.0  # roots have nothing above
-    assert branch_power(dag, "A", prestige, 0.5) == pytest.approx(30.0)
-    # negative ancestors contribute zero, not a deduction
-    prestige["root"] = -60.0
-    assert branch_power(dag, "A", prestige, 0.5) == 0.0
-    with pytest.raises(UnknownNode):
-        branch_power(dag, "missing", prestige, 0.5)
 
 
 # --- propagation -------------------------------------------------------------------
@@ -199,13 +174,12 @@ def test_apply_transfer_simple():
         "alice": Account(id="alice", prestige=500.0),
         "bob": Account(id="bob", prestige=20.0),
     }
-    out, rec = apply_transfer(
+    rec = apply_transfer(
         accounts, MiningDag(), beneficiary="alice", contributor="bob",
         x=30.0, mode="simple", block=7,
     )
-    assert out["alice"].prestige == 470.0
-    assert out["bob"].prestige == 50.0
-    assert accounts["alice"].prestige == 500.0  # input map untouched
+    assert accounts["alice"].prestige == 470.0  # updated in place
+    assert accounts["bob"].prestige == 50.0
     assert rec == TransferRecord(
         beneficiary="alice", contributor="bob", amount=30.0, block=7,
         mode=MiningMode.SIMPLE, retained_by=(("bob", 30.0),),
@@ -215,36 +189,45 @@ def test_apply_transfer_simple():
 def test_apply_transfer_progressive():
     dag = chain_dag("root", "A")
     accounts = accounts_for(["root", "A", "payer"], {"root": 60.0, "A": 60.0, "payer": 10.0})
-    out, rec = apply_transfer(
+    rec = apply_transfer(
         accounts, dag, beneficiary="payer", contributor="A",
         x=100.0, mode=MiningMode.PROGRESSIVE, b=1.0,
     )
-    assert out["payer"].prestige == -90.0  # debit may overdraw
-    assert out["A"].prestige == 110.0
-    assert out["root"].prestige == 110.0
+    assert accounts["payer"].prestige == -90.0  # debit may overdraw
+    assert accounts["A"].prestige == 110.0
+    assert accounts["root"].prestige == 110.0
     assert rec.retained_by == (("A", 50.0), ("root", 50.0))
     assert rec.mode is MiningMode.PROGRESSIVE
 
 
 def test_apply_transfer_self_payment_is_neutral_in_simple_mode():
     accounts = {"solo": Account(id="solo", prestige=80.0)}
-    out, _ = apply_transfer(
+    apply_transfer(
         accounts, MiningDag(), beneficiary="solo", contributor="solo",
         x=25.0, mode="simple",
     )
-    assert out["solo"].prestige == 80.0
+    assert accounts["solo"].prestige == 80.0
 
 
 def test_apply_transfer_errors():
-    dag = chain_dag("root")
-    accounts = accounts_for(["root", "u"], {"root": 1.0, "u": 1.0})
-    with pytest.raises(UnknownAccount):
-        apply_transfer(accounts, dag, beneficiary="ghost", contributor="u", x=1.0, mode="simple")
-    with pytest.raises(UnknownAccount):
-        apply_transfer(accounts, dag, beneficiary="u", contributor="ghost", x=1.0, mode="simple")
-    with pytest.raises(NotInDag):
-        apply_transfer(accounts, dag, beneficiary="root", contributor="u", x=1.0,
-                       mode="progressive")
+    # root -> u and ghost -> w, where ghost has no account; payer is off the DAG
+    dag = chain_dag("root", "u")
+    dag.add_root("ghost").attach("ghost", "w")
+    accounts = accounts_for(["root", "u", "w", "payer"],
+                            {"root": 40.0, "u": 10.0, "w": 3.0, "payer": 7.0})
+    before = dict(accounts)
+    for beneficiary, contributor, x, mode, error in [
+        ("ghost", "u", 1.0, "simple", UnknownAccount),
+        ("u", "ghost", 1.0, "simple", UnknownAccount),
+        ("root", "payer", 1.0, "progressive", NotInDag),
+        ("payer", "w", 1.0, "progressive", UnknownAccount),
+        ("payer", "u", -1.0, "simple", ValueError),
+        ("payer", "u", -1.0, "progressive", ValueError),
+    ]:
+        with pytest.raises(error):
+            apply_transfer(accounts, dag, beneficiary=beneficiary, contributor=contributor,
+                           x=x, mode=mode, b=1.0)
+        assert accounts == before  # every check runs before any account changes
 
 
 def test_progressive_transfer_rejects_ancestor_without_account():
@@ -253,6 +236,33 @@ def test_progressive_transfer_rejects_ancestor_without_account():
     with pytest.raises(UnknownAccount, match="ghost"):
         apply_transfer(accounts, dag, beneficiary="a", contributor="a", x=1.0,
                        mode="progressive", b=1.0)
+
+
+@settings(max_examples=200)
+@given(
+    parents=st.lists(st.integers(min_value=0), min_size=1, max_size=8),
+    prestiges=st.lists(st.sampled_from([-20.0, 0.0, 5.0, 80.0]), min_size=10, max_size=10),
+    x=st.sampled_from([0.0, 1.0, 37.5]),
+    b=st.sampled_from([0.0, 0.5, 2.0]),
+    mode=st.sampled_from(["simple", "progressive"]),
+    data=st.data(),
+)
+def test_apply_transfer_replaces_only_the_accounts_it_pays(parents, prestiges, x, b, mode, data):
+    # node i + 1 hangs under node parents[i] % (i + 1); "out" is off the DAG
+    ids = [f"n{i}" for i in range(len(parents) + 1)]
+    dag = MiningDag().add_root(ids[0])
+    for i, p in enumerate(parents):
+        dag.attach(ids[p % (i + 1)], ids[i + 1])
+    accounts = accounts_for(ids + ["out"], dict(zip(ids + ["out"], prestiges)))
+    before = dict(accounts)
+    beneficiary = data.draw(st.sampled_from(ids + ["out"]))
+    contributor = data.draw(st.sampled_from(ids))
+    rec = apply_transfer(accounts, dag, beneficiary=beneficiary, contributor=contributor,
+                         x=x, mode=mode, b=b)
+    paid = {n for n, a in rec.retained_by if a != 0.0}
+    replaced = {u for u in accounts if accounts[u] is not before[u]}
+    assert replaced == {beneficiary} | paid
+    assert accounts.keys() == before.keys()
 
 
 @settings(max_examples=200)
@@ -266,11 +276,11 @@ def test_transfer_conserves_total_prestige(x, b, prestiges):
     dag = chain_dag(*ids)
     accounts = accounts_for(ids, dict(zip(ids, prestiges)))
     total0 = sum(a.prestige for a in accounts.values())
-    out, _ = apply_transfer(
+    apply_transfer(
         accounts, dag, beneficiary=ids[0], contributor=ids[-1],
         x=x, mode="progressive", b=b,
     )
-    total1 = sum(a.prestige for a in out.values())
+    total1 = sum(a.prestige for a in accounts.values())
     assert math.isclose(total0, total1, rel_tol=1e-9, abs_tol=1e-6)
 
 
