@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="KEY=VALUE", help="override one runner argument")
     run.add_argument("--scale", type=int, help="population divisor (file_distribution)")
     run.add_argument("--mode", choices=("simple", "progressive"),
-                     help="retention mode (dag_study, global)")
+                     help="retention mode (global)")
 
     check = sub.add_parser("check", help="randomized fairness-property verification")
     check.add_argument("--trials", type=int, default=10_000)

@@ -20,7 +20,7 @@ upstream; ancestors with negative prestige contribute zero to branch power.
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping, MutableMapping
+from collections.abc import Mapping, MutableMapping, Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -57,11 +57,10 @@ class MiningDag:
     node ids can be attached.
     """
 
-    __slots__ = ("_parent", "_children")
+    __slots__ = ("_parent",)
 
     def __init__(self) -> None:
         self._parent: dict[str, str | None] = {}
-        self._children: dict[str, list[str]] = {}
 
     # -- growth --------------------------------------------------------------
 
@@ -69,7 +68,6 @@ class MiningDag:
         if node in self._parent:
             raise DuplicateNode(node)
         self._parent[node] = None
-        self._children[node] = []
         return self
 
     def attach(self, parent: str, child: str) -> "MiningDag":
@@ -78,8 +76,6 @@ class MiningDag:
         if child in self._parent:
             raise DuplicateNode(child)
         self._parent[child] = parent
-        self._children[child] = []
-        self._children[parent].append(child)
         return self
 
     # -- queries ---------------------------------------------------------------
@@ -104,11 +100,6 @@ class MiningDag:
         except KeyError:
             raise UnknownNode(node) from None
 
-    def children(self, node: str) -> tuple[str, ...]:
-        if node not in self._parent:
-            raise UnknownNode(node)
-        return tuple(self._children[node])
-
     def path_to_root(self, node: str) -> list[str]:
         """Node first, root last."""
         path = [node]
@@ -118,14 +109,9 @@ class MiningDag:
             current = self._parent[current]
         return path
 
-    def depth(self, node: str) -> int:
-        """Edges between node and its root; roots have depth 0."""
-        return len(self.path_to_root(node)) - 1
-
     def copy(self) -> "MiningDag":
         dup = MiningDag()
         dup._parent = dict(self._parent)
-        dup._children = {k: list(v) for k, v in self._children.items()}
         return dup
 
 
@@ -162,35 +148,30 @@ def retain_progressive(x: float, prestige: float, branch_power_value: float) -> 
 
 
 def propagate_upstream(
-    dag: MiningDag,
-    contributor: str,
+    path: Sequence[str],
     x: float,
     prestige_of: Mapping[str, float],
     b: float,
 ) -> list[tuple[str, float]]:
-    """Split a fee x along the contributor's path to the root.
+    """Split a fee x along a contributor's path to the root.
 
-    *prestige_of* is any mapping that holds the prestige of every id on that
-    path; ids off the path are never read. Returns (node, amount) pairs in
-    walk order, contributor first and root last. Every intermediate node
+    *path* is the contributor's ``MiningDag.path_to_root``: contributor
+    first, root last, never empty. *prestige_of* is any mapping that holds
+    the prestige of every id on that path; ids off the path are never read.
+    Returns (node, amount) pairs in path order. Every node before the root
     keeps its progressive fraction of the residual reaching it; the root
-    absorbs the final residual outright, so the amounts are non-negative and
-    sum to exactly x (up to float rounding).
+    absorbs the final residual outright, so the amounts are non-negative
+    and sum to exactly x (up to float rounding).
     """
     if x < 0:
         raise ValueError(f"transfer amount must be >= 0, got {x}")
-    if contributor not in dag:
-        raise UnknownNode(contributor)
 
-    path = dag.path_to_root(contributor)
-    clamped = [max(prestige_of[n], 0.0) for n in path]
-
-    # Suffix sums give each node's ancestor prestige mass in one pass.
+    # Suffix sums, root first, give each node's ancestor prestige mass.
     above = [0.0] * len(path)
     running = 0.0
     for i in range(len(path) - 1, -1, -1):
         above[i] = running
-        running += clamped[i]
+        running += max(prestige_of[path[i]], 0.0)
 
     shares: list[tuple[str, float]] = []
     residual = x
@@ -244,7 +225,7 @@ def apply_transfer(
         for node in path:
             if node not in accounts:
                 raise UnknownAccount(node)
-        shares = propagate_upstream(dag, contributor, x, {n: accounts[n].prestige for n in path}, b)
+        shares = propagate_upstream(path, x, {n: accounts[n].prestige for n in path}, b)
 
     accounts[beneficiary] = inject_prestige(accounts[beneficiary], -x)
     for node, amount in shares:

@@ -111,58 +111,51 @@ def _grow_forest(
     node_ids: Sequence[str],
     n_roots: int,
     fanout: int,
-) -> tuple[MiningDag, dict[str, int], list[tuple[str, str]]]:
+) -> tuple[MiningDag, list[int], list[int], list[tuple[str, str]], int]:
     """Attach nodes one by one to uniformly chosen open parents.
 
     The first *n_roots* ids become tree roots; every later node picks a
     tree uniformly at random, then a parent uniformly among that tree's
     nodes that still have an open child slot (strictly fewer than
-    *fanout* children).  Returns the forest, a node->tree-index map and
-    the list of (parent, child) edges in attachment order.
+    *fanout* children).  Returns the forest; each node's tree index and
+    depth (edges to its root), as lists aligned with *node_ids*; the
+    (parent, child) edges in attachment order; and the path-receipt
+    bytes.  Path receipts are composed along root-to-leaf chains, so
+    only each leaf's final upload counts: 33 bytes of composite
+    signature plus 69 per node on its path (root included).
     """
     if not 1 <= n_roots <= len(node_ids):
         raise ValueError("n_roots must be between 1 and the number of nodes")
     if fanout < 1:
         raise ValueError("fanout must be at least 1")
     dag = MiningDag()
-    tree_of: dict[str, int] = {}
-    open_slots: list[list[str]] = [[] for _ in range(n_roots)]
-    for k in range(n_roots):
-        root = node_ids[k]
+    for root in node_ids[:n_roots]:
         dag.add_root(root)
-        tree_of[root] = k
-        open_slots[k].append(root)
+    tree_of = list(range(n_roots))
+    depth = [0] * n_roots
+    n_children = [0] * len(node_ids)
+    # open slots hold positions in node_ids
+    open_slots = [[k] for k in range(n_roots)]
     edges: list[tuple[str, str]] = []
-    for node in node_ids[n_roots:]:
+    for pos in range(n_roots, len(node_ids)):
         tree = int(rng.integers(n_roots)) if n_roots > 1 else 0
         slots = open_slots[tree]
         idx = int(rng.integers(len(slots)))
         parent = slots[idx]
-        dag.attach(parent, node)
-        tree_of[node] = tree
-        edges.append((parent, node))
-        if len(dag.children(parent)) >= fanout:
+        dag.attach(node_ids[parent], node_ids[pos])
+        tree_of.append(tree)
+        depth.append(depth[parent] + 1)
+        edges.append((node_ids[parent], node_ids[pos]))
+        n_children[parent] += 1
+        if n_children[parent] >= fanout:
             slots[idx] = slots[-1]
             slots.pop()
-        slots.append(node)
-    return dag, tree_of, edges
-
-
-def _ack_volumes(dag: MiningDag, n_edges: int) -> tuple[int, int]:
-    """Bytes that would cross the wire to acknowledge every edge.
-
-    Per-task receipts cost a fixed 102 bytes each.  Path receipts are
-    composed along root-to-leaf chains, so only each leaf's final upload
-    counts: 33 bytes of composite signature plus 69 per node on its
-    path (root included).
-    """
-    simple_bytes = SIMPLE_ACK_BYTES * n_edges
-    path_bytes = 0
-    for node in dag.nodes:
-        if not dag.children(node):
-            n_nodes_on_path = dag.depth(node) + 1
-            path_bytes += PATH_ACK_BASE_BYTES + PATH_HOP_BYTES * n_nodes_on_path
-    return simple_bytes, path_bytes
+        slots.append(pos)
+    path_bytes = sum(
+        PATH_ACK_BASE_BYTES + PATH_HOP_BYTES * (d + 1)
+        for d, c in zip(depth, n_children) if c == 0
+    )
+    return dag, tree_of, depth, edges, path_bytes
 
 
 def _weighted_r2(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
@@ -333,7 +326,7 @@ def run_dag_study(
     width = len(str(n_users - 1))
     ids = [f"u{str(i).zfill(width)}" for i in range(n_users)]
     rng = np.random.default_rng(seed)
-    dag, tree_of, _ = _grow_forest(rng, ids, n_trees, fanout)
+    dag, tree_of, depth, _, path_bytes = _grow_forest(rng, ids, n_trees, fanout)
     base = {u: float(rng.integers(base_range[0], base_range[1] + 1)) for u in ids}
     task_count = {u: int(rng.integers(tasks_range[0], tasks_range[1] + 1)) for u in ids}
     servers = [u for u in ids for _ in range(task_count[u])]
@@ -361,22 +354,22 @@ def run_dag_study(
                 retained[server] += fee
             else:
                 shares = mining.propagate_upstream(
-                    dag, server, fee, base, branch_power
+                    dag.path_to_root(server), fee, base, branch_power
                 )
                 for i, (node, amount) in enumerate(shares):
                     if i == len(shares) - 1:
                         absorbed[node] += amount
                     else:
                         retained[node] += amount
-        for u in ids:
+        for i, u in enumerate(ids):
             result.rows.append((
-                mode.value, u, tree_of[u], dag.depth(u), base[u],
+                mode.value, u, tree_of[i], depth[i], base[u],
                 task_count[u], paid[u], retained[u], absorbed[u],
                 retained[u] + absorbed[u],
             ))
         per_mode[mode.value] = {"retained": retained, "absorbed": absorbed}
 
-    distance = np.array([dag.depth(u) for u in ids], dtype=np.float64)
+    distance = np.array(depth, dtype=np.float64)
     tasks = np.array([task_count[u] for u in ids], dtype=np.float64)
     bases = np.array([base[u] for u in ids], dtype=np.float64)
 
@@ -408,11 +401,10 @@ def run_dag_study(
             zero_retained = 0.0
         result.summary[f"{key}.max_retained_at_zero_base"] = zero_retained
 
-    simple_bytes, path_bytes = _ack_volumes(dag, len(servers))
     result.summary["n_users"] = n_users
     result.summary["n_trees"] = n_trees
     result.summary["n_tasks"] = len(servers)
-    result.summary["ack_bytes_per_task"] = simple_bytes
+    result.summary["ack_bytes_per_task"] = SIMPLE_ACK_BYTES * len(servers)
     result.summary["ack_bytes_per_path"] = path_bytes
     return result
 
@@ -455,6 +447,10 @@ def run_global(
     differences, not ripple noise, dominate the cohort signal.
     """
     mining_mode = MiningMode.parse(mode)
+    if window is None:
+        window = max(1, blocks // 5)
+    if not 1 <= window <= blocks:
+        raise ValueError(f"window must be between 1 and blocks ({blocks}), got {window}")
     rng = np.random.default_rng(seed)
     pools: list[list[tuple[str, int, float]]] = [
         [(label, coins, work_p)] * count for label, coins, work_p, count in cohorts
@@ -467,7 +463,7 @@ def run_global(
     n = len(roster)
     width = len(str(n - 1))
     ids = [f"u{str(i).zfill(width)}" for i in range(n)]
-    dag, _, _ = _grow_forest(rng, ids, 1, fanout)
+    dag, *_ = _grow_forest(rng, ids, 1, fanout)
 
     params = SystemParams(decay=decay, branch_power=branch_power)
     coins_of = {uid: roster[i][1] for i, uid in enumerate(ids)}
@@ -476,8 +472,6 @@ def run_global(
     statics = {uid: static_value(coins_of[uid], params) for uid in ids}
     prestige = {uid: 0.0 for uid in ids}
 
-    if window is None:
-        window = max(1, blocks // 5)
     result = ScenarioResult(
         name="global",
         columns=("block", "user_id", "prestige", "coins"),
@@ -494,7 +488,9 @@ def run_global(
             if mining_mode is MiningMode.SIMPLE:
                 prestige[uid] += fee
             else:
-                shares = mining.propagate_upstream(dag, uid, fee, prestige, branch_power)
+                shares = mining.propagate_upstream(
+                    dag.path_to_root(uid), fee, prestige, branch_power
+                )
                 for node, amount in shares:
                     prestige[node] += amount
         for uid in ids:
@@ -556,6 +552,8 @@ def run_tradeoff(
     and the grid's crossover point.
     """
     labels = [c[0] for c in cohorts]
+    if not {"poor_active", "rich_lazy"} <= set(labels):
+        raise ValueError("tradeoff cohorts must include 'poor_active' and 'rich_lazy'")
     coins = np.concatenate([np.full(c[3], c[1], dtype=np.float64) for c in cohorts])
     work_p = np.concatenate([np.full(c[3], c[2], dtype=np.float64) for c in cohorts])
     members = np.concatenate([np.full(c[3], i, dtype=np.int64) for i, c in enumerate(cohorts)])
@@ -565,7 +563,6 @@ def run_tradeoff(
         columns=("decay", "cohort", "coins", "work_probability",
                  "members", "prestige_sum", "prestige_mean_per_block"),
     )
-    winners: dict[float, str] = {}
     for k, d in enumerate(decay_grid):
         sub = np.random.default_rng([seed, k])
         keep = 1.0 - float(d)
@@ -582,13 +579,13 @@ def run_tradeoff(
                 float(d), cohort[0], cohort[1], cohort[2], cohort[3],
                 tot, tot / (blocks * cohort[3]),
             ))
-            if cohort[0] == "poor_active":
-                poor_active = tot
-            elif cohort[0] == "rich_lazy":
-                rich_lazy = tot
-        winners[float(d)] = "poor_active" if poor_active > rich_lazy else "rich_lazy"
 
     grid = [float(d) for d in decay_grid]
+    by_key = {(r[0], r[1]): r[5] for r in result.rows}
+    winners = {
+        d: "poor_active" if by_key[(d, "poor_active")] > by_key[(d, "rich_lazy")] else "rich_lazy"
+        for d in grid
+    }
     for d in grid:
         result.summary[f"winner.d{d}"] = winners[d]
     crossover = next((d for d in grid if winners[d] == "rich_lazy"), None)
@@ -596,7 +593,6 @@ def run_tradeoff(
     result.summary["small_decay_rewards_work"] = winners[grid[0]] == "poor_active"
     result.summary["large_decay_rewards_wealth"] = winners[grid[-1]] == "rich_lazy"
 
-    by_key = {(r[0], r[1]): r[5] for r in result.rows}
     same_work_ok = True
     if {"rich_lazy", "poor_lazy", "rich_active", "poor_active"} <= set(labels):
         for d in grid:
@@ -697,18 +693,19 @@ def run_file_distribution(
         for _ in range(episodes):
             audience = int(rng.integers(viewers_low, viewers_high + 1))
             joiners = [pool[int(i)] for i in rng.permutation(len(pool))[:audience]]
-            dag, _, edges = _grow_forest(rng, [creator, *joiners], 1, fanout)
+            dag, _, _, edges, episode_path = _grow_forest(rng, [creator, *joiners], 1, fanout)
             # Settle joins in attachment order: a later join never changes an earlier path.
             for parent, uid in edges:
                 episodes_joined[uid] += 1
                 tasks_served[parent] = tasks_served.get(parent, 0) + 1
                 prestige[uid] -= fee_value
-                shares = mining.propagate_upstream(dag, parent, fee_value, prestige, branch_value)
+                shares = mining.propagate_upstream(
+                    dag.path_to_root(parent), fee_value, prestige, branch_value
+                )
                 for node, amount in shares:
                     prestige[node] += amount
             n_tasks += len(edges)
-            episode_simple, episode_path = _ack_volumes(dag, audience)
-            simple_bytes += episode_simple
+            simple_bytes += SIMPLE_ACK_BYTES * audience
             path_bytes += episode_path
         weights = np.array([max(prestige[u], 0.0) for u in pool])
         rewards = _largest_remainder(weights, budget)
@@ -910,14 +907,11 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
     for _ in range(trials):
         n = int(rng.integers(1, 12))
         ids = [f"p{i}" for i in range(n)]
-        dag = MiningDag()
-        dag.add_root(ids[0])
-        for i in range(1, n):
-            dag.attach(ids[i - 1], ids[i])
         prestige = {u: float(rng.uniform(-50, 300)) for u in ids}
         x = float(rng.uniform(0.01, 1000.0))
         b = float(rng.uniform(0.0, 2.0))
-        shares = mining.propagate_upstream(dag, ids[-1], x, prestige, b)
+        # the path of the chain p0 <- p1 <- ... from its deepest node
+        shares = mining.propagate_upstream(list(reversed(ids)), x, prestige, b)
         total = sum(a for _, a in shares)
         worst_prop = max(worst_prop, abs(total - x) / x)
         if any(a < 0.0 for _, a in shares):

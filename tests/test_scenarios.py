@@ -18,7 +18,7 @@ from prestigesim import (
     run_tradeoff,
     scenario_names,
 )
-from prestigesim.acks import SIMPLE_ACK_BYTES
+from prestigesim.acks import PATH_ACK_BASE_BYTES, PATH_HOP_BYTES, SIMPLE_ACK_BYTES
 from prestigesim.scenarios import _grow_forest
 
 
@@ -133,14 +133,27 @@ def test_gain_vs_decay_verdicts():
                          [(1, 1, 1), (40, 1, 1), (200, 1, 3), (200, 5, 2), (500, 3, 8)])
 def test_grow_forest_attaches_every_id_once_within_fanout(seed, n_nodes, n_roots, fanout):
     ids = [f"n{i}" for i in range(n_nodes)]
-    dag, tree_of, edges = _grow_forest(np.random.default_rng(seed), ids, n_roots, fanout)
+    dag, tree_of, depth, edges, path_bytes = _grow_forest(
+        np.random.default_rng(seed), ids, n_roots, fanout
+    )
+    pos = {node: i for i, node in enumerate(ids)}
     assert list(dag.nodes) == ids
     assert dag.roots == tuple(ids[:n_roots])
     assert [child for _, child in edges] == ids[n_roots:]
     for parent, child in edges:
         assert dag.parent(child) == parent
-        assert tree_of[child] == tree_of[parent]
-    assert all(len(dag.children(node)) <= fanout for node in ids)
+        assert tree_of[pos[child]] == tree_of[pos[parent]]
+    n_children = {node: 0 for node in ids}
+    for parent, _ in edges:
+        n_children[parent] += 1
+    assert max(n_children.values()) <= fanout
+    for i, node in enumerate(ids):
+        assert depth[i] == len(dag.path_to_root(node)) - 1
+    leaf_walk = sum(
+        PATH_ACK_BASE_BYTES + PATH_HOP_BYTES * len(dag.path_to_root(node))
+        for node in ids if n_children[node] == 0
+    )
+    assert path_bytes == leaf_walk
 
 
 # --- dag study -------------------------------------------------------------------
@@ -231,6 +244,11 @@ def test_global_validation():
         run_global(mode="warp")
     with pytest.raises(ValueError):
         run_global(cohorts=())
+    # the surplus is averaged over the trailing window, which must fit in the run
+    with pytest.raises(ValueError):
+        run_global(blocks=50, window=100)
+    with pytest.raises(ValueError):
+        run_global(blocks=50, window=0)
 
 
 # --- decay tradeoff ------------------------------------------------------------------
@@ -253,6 +271,14 @@ def test_tradeoff_crossover_inside_grid(tradeoff_result):
     assert s["crossover_decay"] in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
     assert 0.01 < s["crossover_decay"] <= 0.9
     assert s["richer_never_behind_at_same_work"] is True
+
+
+def test_tradeoff_rejects_cohorts_without_verdict_labels():
+    # the winner verdicts compare poor_active against rich_lazy
+    with pytest.raises(ValueError, match="poor_active.*rich_lazy"):
+        run_tradeoff(blocks=5, cohorts=(("rich_lazy", 50, 0.05, 3), ("idle", 10, 0.0, 3)))
+    with pytest.raises(ValueError, match="poor_active.*rich_lazy"):
+        run_tradeoff(blocks=5, cohorts=(("poor_active", 10, 0.25, 3),))
 
 
 def test_tradeoff_rows_consistent(tradeoff_result):
