@@ -20,7 +20,7 @@ upstream; ancestors with negative prestige contribute zero to branch power.
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping, MutableMapping, Sequence
+from collections.abc import Hashable, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -148,16 +148,18 @@ def retain_progressive(x: float, prestige: float, branch_power_value: float) -> 
 
 
 def propagate_upstream(
-    path: Sequence[str],
+    path: Sequence[Hashable],
     x: float,
-    prestige_of: Mapping[str, float],
+    prestige_of: Mapping[Hashable, float] | Sequence[float],
     b: float,
-) -> list[tuple[str, float]]:
+) -> list[tuple[Hashable, float]]:
     """Split a fee x along a contributor's path to the root.
 
     *path* is the contributor's ``MiningDag.path_to_root``: contributor
-    first, root last, never empty. *prestige_of* is any mapping that holds
-    the prestige of every id on that path; ids off the path are never read.
+    first, root last, never empty. Its ids may be account ids or, as in
+    the tree scenarios, positions. *prestige_of* maps each id on the path
+    to its prestige: a mapping, or a list indexed by position when the
+    ids are positions; ids off the path are never read.
     Returns (node, amount) pairs in path order. Every node before the root
     keeps its progressive fraction of the residual reaching it; the root
     absorbs the final residual outright, so the amounts are non-negative

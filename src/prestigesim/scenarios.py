@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 from scipy import stats as sstats
@@ -88,17 +88,25 @@ class ScenarioResult:
         return "\n".join(lines) + "\n"
 
     def summary_text(self) -> str:
-        lines = [f"{key}: {json.dumps(_scalar(value))}" for key, value in self.summary.items()]
+        lines = [
+            f"{key}: {json.dumps(_scalar(value), allow_nan=False)}"
+            for key, value in self.summary.items()
+        ]
         return "\n".join(lines) + "\n"
 
     def write(self, outdir: str | Path) -> tuple[Path, Path]:
-        """Write ``<name>.csv`` and ``<name>_summary.txt`` into *outdir*."""
+        """Write ``<name>.csv`` and ``<name>_summary.txt`` into *outdir*.
+
+        Both texts are rendered before either file is written, so a summary
+        that cannot render (a NaN statistic) leaves no CSV behind.
+        """
+        csv_text, summary_text = self.csv_text(), self.summary_text()
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / f"{self.name}.csv"
         summary_path = out / f"{self.name}_summary.txt"
-        csv_path.write_text(self.csv_text(), encoding="utf-8", newline="")
-        summary_path.write_text(self.summary_text(), encoding="utf-8", newline="")
+        csv_path.write_text(csv_text, encoding="utf-8", newline="")
+        summary_path.write_text(summary_text, encoding="utf-8", newline="")
         return csv_path, summary_path
 
 
@@ -108,12 +116,14 @@ class ScenarioResult:
 
 def _grow_forest(
     rng: np.random.Generator,
-    node_ids: Sequence[str],
+    node_ids: Sequence[Hashable],
     n_roots: int,
     fanout: int,
-) -> tuple[MiningDag, list[int], list[int], list[tuple[str, str]], int]:
+) -> tuple[MiningDag, list[int], list[int], list[tuple[Hashable, Hashable]], int]:
     """Attach nodes one by one to uniformly chosen open parents.
 
+    Ids may be any distinct hashables; the tree scenarios pass positions
+    (``range(n)``) so that the forest and edges index per-user lists.
     The first *n_roots* ids become tree roots; every later node picks a
     tree uniformly at random, then a parent uniformly among that tree's
     nodes that still have an open child slot (strictly fewer than
@@ -136,7 +146,7 @@ def _grow_forest(
     n_children = [0] * len(node_ids)
     # open slots hold positions in node_ids
     open_slots = [[k] for k in range(n_roots)]
-    edges: list[tuple[str, str]] = []
+    edges: list[tuple[Hashable, Hashable]] = []
     for pos in range(n_roots, len(node_ids)):
         tree = int(rng.integers(n_roots)) if n_roots > 1 else 0
         slots = open_slots[tree]
@@ -156,6 +166,15 @@ def _grow_forest(
         for d, c in zip(depth, n_children) if c == 0
     )
     return dag, tree_of, depth, edges, path_bytes
+
+
+def _check_cohorts(cohorts: Sequence[tuple[str, int, float, int]]) -> None:
+    """Reject an empty cohort list or a cohort without members."""
+    if not cohorts:
+        raise ValueError("cohorts must not be empty")
+    for label, _, _, count in cohorts:
+        if count < 1:
+            raise ValueError(f"cohort {label!r} needs at least one member, got {count}")
 
 
 def _weighted_r2(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
@@ -252,6 +271,8 @@ def run_gain_vs_decay(
     over the whole run: large decay rates bleed the drip away almost
     immediately, small ones let it pile up.
     """
+    if blocks < 1:
+        raise ValueError(f"blocks must be at least 1, got {blocks}")
     result = ScenarioResult(
         name="gain_vs_decay",
         columns=("decay", "injection", "surplus_total", "surplus_final", "surplus_mean"),
@@ -323,62 +344,56 @@ def run_dag_study(
     accrue to separate tallies: ``retained`` via the retention rule,
     ``absorbed`` as a root's unconditional residual, ``gain`` their sum.
     """
+    if n_users < 2:
+        raise ValueError(f"n_users must be at least 2 (payers are other users), got {n_users}")
     width = len(str(n_users - 1))
     ids = [f"u{str(i).zfill(width)}" for i in range(n_users)]
     rng = np.random.default_rng(seed)
-    dag, tree_of, depth, _, path_bytes = _grow_forest(rng, ids, n_trees, fanout)
-    base = {u: float(rng.integers(base_range[0], base_range[1] + 1)) for u in ids}
-    task_count = {u: int(rng.integers(tasks_range[0], tasks_range[1] + 1)) for u in ids}
-    servers = [u for u in ids for _ in range(task_count[u])]
-    servers = [servers[int(i)] for i in rng.permutation(len(servers))]
+    dag, tree_of, depth, _, path_bytes = _grow_forest(rng, range(n_users), n_trees, fanout)
+    base = [float(rng.integers(base_range[0], base_range[1] + 1)) for _ in ids]
+    task_count = [int(rng.integers(tasks_range[0], tasks_range[1] + 1)) for _ in ids]
+    servers = [i for i in range(n_users) for _ in range(task_count[i])]
+    if not servers:
+        raise ValueError(f"no user was drawn a task from tasks_range {tasks_range}")
+    servers = [servers[int(k)] for k in rng.permutation(len(servers))]
     payer_picks = rng.integers(0, n_users - 1, size=len(servers))
+    distance = np.array(depth, dtype=np.float64)
+    tasks = np.array(task_count, dtype=np.float64)
+    bases = np.array(base, dtype=np.float64)
 
     result = ScenarioResult(
         name="dag_study",
         columns=("mode", "user_id", "tree", "distance", "base_prestige",
                  "tasks", "paid", "retained", "absorbed", "gain"),
     )
-    per_mode: dict[str, dict[str, dict[str, float]]] = {}
-    index = {u: i for i, u in enumerate(ids)}
     for mode_label in modes:
         mode = MiningMode.parse(mode_label)
-        paid = {u: 0.0 for u in ids}
-        retained = {u: 0.0 for u in ids}
-        absorbed = {u: 0.0 for u in ids}
+        paid = [0.0] * n_users
+        retained = [0.0] * n_users
+        absorbed = [0.0] * n_users
         for k, server in enumerate(servers):
             j = int(payer_picks[k])
-            if j >= index[server]:
+            if j >= server:
                 j += 1
-            paid[ids[j]] += fee
+            paid[j] += fee
             if mode is MiningMode.SIMPLE:
                 retained[server] += fee
             else:
                 shares = mining.propagate_upstream(
                     dag.path_to_root(server), fee, base, branch_power
                 )
-                for i, (node, amount) in enumerate(shares):
-                    if i == len(shares) - 1:
-                        absorbed[node] += amount
-                    else:
-                        retained[node] += amount
+                *kept, (root, rest) = shares
+                for node, amount in kept:
+                    retained[node] += amount
+                absorbed[root] += rest
         for i, u in enumerate(ids):
             result.rows.append((
-                mode.value, u, tree_of[i], depth[i], base[u],
-                task_count[u], paid[u], retained[u], absorbed[u],
-                retained[u] + absorbed[u],
+                mode.value, u, tree_of[i], depth[i], base[i],
+                task_count[i], paid[i], retained[i], absorbed[i],
+                retained[i] + absorbed[i],
             ))
-        per_mode[mode.value] = {"retained": retained, "absorbed": absorbed}
-
-    distance = np.array(depth, dtype=np.float64)
-    tasks = np.array([task_count[u] for u in ids], dtype=np.float64)
-    bases = np.array([base[u] for u in ids], dtype=np.float64)
-
-    for mode_label in modes:
-        key = MiningMode.parse(mode_label).value
-        m = per_mode[key]
-        gain = np.array(
-            [m["retained"][u] + m["absorbed"][u] for u in ids], dtype=np.float64
-        )
+        key = mode.value
+        gain = np.add(retained, absorbed)
         inner = distance >= 1.0
         fit = sstats.linregress(distance[inner], gain[inner])
         result.summary[f"{key}.gain_vs_distance_slope"] = float(fit.slope)
@@ -394,11 +409,7 @@ def run_dag_study(
         result.summary[f"{key}.gain_vs_tasks_r2"] = _weighted_r2(bin_x, bin_y, bin_w)
         base_rho = sstats.spearmanr(bases, gain)
         result.summary[f"{key}.gain_vs_base_spearman"] = float(base_rho.statistic)
-        zero_mask = bases == 0.0
-        if zero_mask.any():
-            zero_retained = max(m["retained"][u] for u, z in zip(ids, zero_mask) if z)
-        else:
-            zero_retained = 0.0
+        zero_retained = max((r for r, p in zip(retained, base) if p == 0.0), default=0.0)
         result.summary[f"{key}.max_retained_at_zero_base"] = zero_retained
 
     result.summary["n_users"] = n_users
@@ -447,6 +458,7 @@ def run_global(
     differences, not ripple noise, dominate the cohort signal.
     """
     mining_mode = MiningMode.parse(mode)
+    _check_cohorts(cohorts)
     if window is None:
         window = max(1, blocks // 5)
     if not 1 <= window <= blocks:
@@ -463,51 +475,48 @@ def run_global(
     n = len(roster)
     width = len(str(n - 1))
     ids = [f"u{str(i).zfill(width)}" for i in range(n)]
-    dag, *_ = _grow_forest(rng, ids, 1, fanout)
+    dag, *_ = _grow_forest(rng, range(n), 1, fanout)
 
     params = SystemParams(decay=decay, branch_power=branch_power)
-    coins_of = {uid: roster[i][1] for i, uid in enumerate(ids)}
-    cohort_of = {uid: roster[i][0] for i, uid in enumerate(ids)}
-    work_p = np.array([roster[i][2] for i in range(n)], dtype=np.float64)
-    statics = {uid: static_value(coins_of[uid], params) for uid in ids}
-    prestige = {uid: 0.0 for uid in ids}
+    coins = [c for _, c, _ in roster]
+    work_p = np.array([w for _, _, w in roster], dtype=np.float64)
+    statics = [static_value(c, params) for c in coins]
+    prestige = [0.0] * n
 
     result = ScenarioResult(
         name="global",
         columns=("block", "user_id", "prestige", "coins"),
     )
     keep = 1.0 - decay
-    tail: dict[str, float] = {uid: 0.0 for uid in ids}
+    tail = [0.0] * n
     for t in range(1, blocks + 1):
-        for uid in ids:
-            prestige[uid] = coins_of[uid] + keep * prestige[uid]
+        prestige = [c + keep * p for c, p in zip(coins, prestige)]
         draws = rng.random(n)
-        for i, uid in enumerate(ids):
+        for i in range(n):
             if draws[i] >= work_p[i]:
                 continue
             if mining_mode is MiningMode.SIMPLE:
-                prestige[uid] += fee
+                prestige[i] += fee
             else:
                 shares = mining.propagate_upstream(
-                    dag.path_to_root(uid), fee, prestige, branch_power
+                    dag.path_to_root(i), fee, prestige, branch_power
                 )
                 for node, amount in shares:
                     prestige[node] += amount
-        for uid in ids:
-            result.rows.append((t, uid, prestige[uid], coins_of[uid]))
+        for i, uid in enumerate(ids):
+            result.rows.append((t, uid, prestige[i], coins[i]))
             if t > blocks - window:
-                tail[uid] += (prestige[uid] - statics[uid]) / window
+                tail[i] += (prestige[i] - statics[i]) / window
 
     labels = [c[0] for c in cohorts]
     surplus: dict[str, float] = {}
     for label in labels:
-        values = np.array([tail[uid] for uid in ids if cohort_of[uid] == label])
+        members = [i for i in range(n) if roster[i][0] == label]
+        values = np.array([tail[i] for i in members])
         surplus[label] = float(sstats.trim_mean(values, 0.1))
         result.summary[f"{label}.surplus_trimmed"] = surplus[label]
         result.summary[f"{label}.surplus_mean"] = float(np.mean(values))
-        result.summary[f"{label}.static_value"] = float(
-            np.mean([statics[uid] for uid in ids if cohort_of[uid] == label])
-        )
+        result.summary[f"{label}.static_value"] = float(np.mean([statics[i] for i in members]))
     result.summary["mode"] = mining_mode.value
     result.summary["blocks"] = blocks
     result.summary["window"] = window
@@ -551,6 +560,11 @@ def run_tradeoff(
     poor-but-active and rich-but-lazy cohorts accumulated more prestige,
     and the grid's crossover point.
     """
+    _check_cohorts(cohorts)
+    if not decay_grid:
+        raise ValueError("decay_grid must not be empty")
+    if blocks < 1:
+        raise ValueError(f"blocks must be at least 1, got {blocks}")
     labels = [c[0] for c in cohorts]
     if not {"poor_active", "rich_lazy"} <= set(labels):
         raise ValueError("tradeoff cohorts must include 'poor_active' and 'rich_lazy'")
@@ -680,25 +694,24 @@ def run_file_distribution(
     pool_size = viewers_high
     width = len(str(pool_size - 1))
     pool = [f"u{str(i).zfill(width)}" for i in range(pool_size)]
-    creator = "creator"
+    creator = pool_size  # position after the pool in prestige and tasks_served
 
     def one_run(fee_value: float, branch_value: float, stream: int):
         rng = np.random.default_rng([seed, stream])
-        base = {u: float(rng.integers(base_range[0], base_range[1] + 1)) for u in pool}
-        prestige = dict(base)
-        prestige[creator] = float(rng.integers(base_range[0], base_range[1] + 1))
-        tasks_served: dict[str, int] = {}
-        episodes_joined = {u: 0 for u in pool}
+        base = [float(rng.integers(base_range[0], base_range[1] + 1)) for _ in pool]
+        prestige = [*base, float(rng.integers(base_range[0], base_range[1] + 1))]
+        tasks_served = [0] * (pool_size + 1)
+        episodes_joined = [0] * pool_size
         n_tasks = simple_bytes = path_bytes = 0
         for _ in range(episodes):
             audience = int(rng.integers(viewers_low, viewers_high + 1))
-            joiners = [pool[int(i)] for i in rng.permutation(len(pool))[:audience]]
+            joiners = rng.permutation(pool_size)[:audience].tolist()
             dag, _, _, edges, episode_path = _grow_forest(rng, [creator, *joiners], 1, fanout)
             # Settle joins in attachment order: a later join never changes an earlier path.
-            for parent, uid in edges:
-                episodes_joined[uid] += 1
-                tasks_served[parent] = tasks_served.get(parent, 0) + 1
-                prestige[uid] -= fee_value
+            for parent, child in edges:
+                episodes_joined[child] += 1
+                tasks_served[parent] += 1
+                prestige[child] -= fee_value
                 shares = mining.propagate_upstream(
                     dag.path_to_root(parent), fee_value, prestige, branch_value
                 )
@@ -707,7 +720,7 @@ def run_file_distribution(
             n_tasks += len(edges)
             simple_bytes += SIMPLE_ACK_BYTES * audience
             path_bytes += episode_path
-        weights = np.array([max(prestige[u], 0.0) for u in pool])
+        weights = np.array([max(p, 0.0) for p in prestige[:pool_size]])
         rewards = _largest_remainder(weights, budget)
         return base, prestige, tasks_served, episodes_joined, rewards, n_tasks, simple_bytes, path_bytes
 
@@ -722,8 +735,8 @@ def run_file_distribution(
     )
     for i, u in enumerate(pool):
         result.rows.append((
-            u, base[u], episodes_joined[u], tasks_served.get(u, 0),
-            prestige[u], int(rewards[i]),
+            u, base[i], episodes_joined[i], tasks_served[i],
+            prestige[i], int(rewards[i]),
         ))
 
     paid = rewards[rewards > 0]
@@ -906,12 +919,11 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
     worst_prop = 0.0
     for _ in range(trials):
         n = int(rng.integers(1, 12))
-        ids = [f"p{i}" for i in range(n)]
-        prestige = {u: float(rng.uniform(-50, 300)) for u in ids}
+        prestige = [float(rng.uniform(-50, 300)) for _ in range(n)]
         x = float(rng.uniform(0.01, 1000.0))
         b = float(rng.uniform(0.0, 2.0))
-        # the path of the chain p0 <- p1 <- ... from its deepest node
-        shares = mining.propagate_upstream(list(reversed(ids)), x, prestige, b)
+        # the path of the chain 0 <- 1 <- ... from its deepest node
+        shares = mining.propagate_upstream(range(n - 1, -1, -1), x, prestige, b)
         total = sum(a for _, a in shares)
         worst_prop = max(worst_prop, abs(total - x) / x)
         if any(a < 0.0 for _, a in shares):

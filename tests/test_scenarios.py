@@ -8,6 +8,7 @@ import pytest
 import prestigesim.mining
 from prestigesim import (
     SCENARIOS,
+    ScenarioResult,
     run_dag_study,
     run_decay_study,
     run_file_distribution,
@@ -119,6 +120,12 @@ def test_gain_vs_decay_matches_closed_form():
             assert row[4] == pytest.approx(total / blocks, rel=1e-9, abs=1e-12)
 
 
+def test_gain_vs_decay_rejects_empty_run():
+    # the mean surplus divides by the block count
+    with pytest.raises(ValueError, match="blocks"):
+        run_gain_vs_decay(blocks=0)
+
+
 def test_gain_vs_decay_verdicts():
     result = run_gain_vs_decay()
     assert result.summary["zero_injection_zero_surplus"] is True
@@ -202,6 +209,15 @@ def s_users(result):
     return result.summary["n_users"]
 
 
+def test_dag_study_rejects_degenerate_draws():
+    # every task's payer is another user, so one user cannot pay anyone
+    with pytest.raises(ValueError, match="n_users"):
+        run_dag_study(n_users=1, n_trees=1)
+    # with no task served there is nothing to fit gain against
+    with pytest.raises(ValueError, match="no user was drawn a task"):
+        run_dag_study(n_users=50, n_trees=5, modes=("progressive",), tasks_range=(0, 0))
+
+
 def test_dag_study_gain_decomposition(dag_result):
     cols = dag_result.columns
     i_ret, i_abs, i_gain = cols.index("retained"), cols.index("absorbed"), cols.index("gain")
@@ -249,6 +265,11 @@ def test_global_validation():
         run_global(blocks=50, window=100)
     with pytest.raises(ValueError):
         run_global(blocks=50, window=0)
+    # an empty cohort has no surplus to average
+    with pytest.raises(ValueError, match="'poor_lazy' needs at least one member"):
+        run_global(blocks=20, cohorts=(("poor_lazy", 50, 0.05, 0), ("x", 10, 0.1, 3)))
+    with pytest.raises(ValueError, match="cohorts must not be empty"):
+        run_global(blocks=20, cohorts=())
 
 
 # --- decay tradeoff ------------------------------------------------------------------
@@ -279,6 +300,18 @@ def test_tradeoff_rejects_cohorts_without_verdict_labels():
         run_tradeoff(blocks=5, cohorts=(("rich_lazy", 50, 0.05, 3), ("idle", 10, 0.0, 3)))
     with pytest.raises(ValueError, match="poor_active.*rich_lazy"):
         run_tradeoff(blocks=5, cohorts=(("poor_active", 10, 0.25, 3),))
+
+
+def test_tradeoff_validation():
+    cohorts = (("rich_lazy", 50, 0.05, 0), ("poor_active", 10, 0.25, 3))
+    with pytest.raises(ValueError, match="'rich_lazy' needs at least one member"):
+        run_tradeoff(blocks=5, cohorts=cohorts)
+    with pytest.raises(ValueError, match="cohorts must not be empty"):
+        run_tradeoff(blocks=5, cohorts=())
+    with pytest.raises(ValueError, match="decay_grid"):
+        run_tradeoff(blocks=5, decay_grid=())
+    with pytest.raises(ValueError, match="blocks"):
+        run_tradeoff(blocks=0)
 
 
 def test_tradeoff_rows_consistent(tradeoff_result):
@@ -381,6 +414,17 @@ def test_result_write_and_formats(tmp_path):
         key, _, value = line.partition(": ")
         assert key and value
         json.loads(value)  # every value is a JSON scalar
+
+
+def test_summary_rejects_non_json_floats(tmp_path):
+    # NaN is not JSON; a NaN statistic fails loudly instead of writing it,
+    # and leaves no CSV without its summary
+    result = ScenarioResult(name="x", columns=("a",), summary={"stat": float("nan")})
+    with pytest.raises(ValueError):
+        result.summary_text()
+    with pytest.raises(ValueError):
+        result.write(tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_summary_scalar_formatting():
