@@ -23,31 +23,18 @@ import argparse
 import configparser
 import inspect
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import scenarios
 from .chain import advance_block, load_snapshot, save_snapshot
 from .errors import PrestigeError, SnapshotError
 
-__all__ = ["CliConfig", "main", "cmd_run", "cmd_check", "cmd_step", "cmd_list"]
+__all__ = ["main", "cmd_run", "cmd_check", "cmd_step", "cmd_list"]
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
-
-
-@dataclass
-class CliConfig:
-    """Everything a subcommand needs, assembled from flags and config file."""
-
-    command: str
-    scenario_name: str | None = None
-    config_path: str | None = None
-    seed: int | None = None
-    output_dir: str = "."
-    overrides: dict[str, object] = field(default_factory=dict)
 
 
 def _coerce(text: str) -> object:
@@ -110,16 +97,6 @@ def _load_config(path: str) -> dict[str, object]:
     return kwargs
 
 
-def _scenario_kwargs(cfg: CliConfig) -> dict[str, object]:
-    kwargs: dict[str, object] = {}
-    if cfg.config_path is not None:
-        kwargs.update(_load_config(cfg.config_path))
-    kwargs.update(cfg.overrides)
-    if cfg.seed is not None:
-        kwargs["seed"] = cfg.seed
-    return kwargs
-
-
 def _reject_unknown(runner, kwargs: dict[str, object], name: str) -> str | None:
     """Return an error message if kwargs contains keys the runner lacks."""
     accepted = set(inspect.signature(runner).parameters)
@@ -140,34 +117,40 @@ def _scenario_listing() -> str:
     return "\n".join(lines)
 
 
-def cmd_run(cfg: CliConfig) -> int:
-    if cfg.scenario_name == "--all" or cfg.scenario_name is None:
+def cmd_run(scenario_name: str | None, config_path: str | None, seed: int | None,
+            overrides: dict[str, object], output_dir: str) -> int:
+    """Run one scenario, or every scenario when *scenario_name* is None."""
+    if scenario_name is None:
         names = scenarios.scenario_names()
-        if cfg.overrides:
+        if overrides:
             print("run --all accepts only --seed/--out, not --set/--scale/--mode",
                   file=sys.stderr)
             return EXIT_USAGE
+    elif scenario_name not in scenarios.SCENARIOS:
+        print(f"unknown scenario {scenario_name!r}; available:\n"
+              f"{_scenario_listing()}", file=sys.stderr)
+        return EXIT_USAGE
     else:
-        names = (cfg.scenario_name,)
-        if cfg.scenario_name not in scenarios.SCENARIOS:
-            print(f"unknown scenario {cfg.scenario_name!r}; available:\n"
-                  f"{_scenario_listing()}", file=sys.stderr)
-            return EXIT_USAGE
+        names = (scenario_name,)
+
+    try:
+        kwargs = _load_config(config_path) if config_path is not None else {}
+    except (FileNotFoundError, ValueError, configparser.Error) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    kwargs.update(overrides)
+    if seed is not None:
+        kwargs["seed"] = seed
 
     for name in names:
         runner = scenarios.SCENARIOS[name]
-        try:
-            kwargs = _scenario_kwargs(cfg)
-        except (FileNotFoundError, ValueError, configparser.Error) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         message = _reject_unknown(runner, kwargs, name)
         if message:
             print(message, file=sys.stderr)
             return EXIT_USAGE
         try:
             result = runner(**kwargs)
-            csv_path, summary_path = result.write(cfg.output_dir)
+            csv_path, summary_path = result.write(output_dir)
         except Exception as exc:  # scenario blew up: report, don't traceback
             print(f"scenario {name!r} failed: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
@@ -175,12 +158,10 @@ def cmd_run(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_check(cfg: CliConfig) -> int:
-    trials = cfg.overrides.get("trials", 10_000)
-    if not isinstance(trials, int) or trials < 1:
+def cmd_check(seed: int, trials: int) -> int:
+    if trials < 1:
         print(f"--trials must be a positive integer, got {trials}", file=sys.stderr)
         return EXIT_USAGE
-    seed = cfg.seed if cfg.seed is not None else 0
     try:
         report = scenarios.run_theorem_checks(seed=seed, trials=trials)
     except Exception as exc:
@@ -197,7 +178,7 @@ def cmd_check(cfg: CliConfig) -> int:
     return EXIT_VIOLATION
 
 
-def cmd_step(cfg: CliConfig, state_file: str, n_blocks: int) -> int:
+def cmd_step(state_file: str, n_blocks: int, output_dir: str) -> int:
     if n_blocks < 0:
         print("--blocks must be >= 0", file=sys.stderr)
         return EXIT_USAGE
@@ -224,7 +205,7 @@ def cmd_step(cfg: CliConfig, state_file: str, n_blocks: int) -> int:
         print(f"advance failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    outdir = Path(cfg.output_dir)
+    outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = path.stem
     snap_path = outdir / f"{stem}_h{state.height}{path.suffix or '.txt'}"
@@ -290,8 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_list()
 
     if args.command == "step":
-        cfg = CliConfig(command="step", output_dir=args.out)
-        return cmd_step(cfg, args.state_file, args.blocks)
+        return cmd_step(args.state_file, args.blocks, args.out)
 
     # run and check both take --seed
     if args.seed is not None and not 0 <= args.seed < 2**64:
@@ -299,9 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     if args.command == "check":
-        cfg = CliConfig(command="check", seed=args.seed,
-                        overrides={"trials": args.trials})
-        return cmd_check(cfg)
+        return cmd_check(args.seed, args.trials)
 
     try:
         overrides = _parse_overrides(args.sets)
@@ -312,14 +290,12 @@ def main(argv: list[str] | None = None) -> int:
         overrides["scale"] = args.scale
     if args.mode is not None:
         overrides["mode"] = args.mode
-    name = None if args.all else args.scenario
-    if name is None and not args.all:
+    if args.scenario is None and not args.all:
         print("run: give a scenario name or --all\navailable:\n"
               f"{_scenario_listing()}", file=sys.stderr)
         return EXIT_USAGE
-    cfg = CliConfig(command="run", scenario_name=name, config_path=args.config,
-                    seed=args.seed, output_dir=args.out, overrides=overrides)
-    return cmd_run(cfg)
+    name = None if args.all else args.scenario
+    return cmd_run(name, args.config, args.seed, overrides, args.out)
 
 
 if __name__ == "__main__":  # pragma: no cover

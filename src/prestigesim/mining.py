@@ -155,11 +155,13 @@ def propagate_upstream(
 ) -> list[tuple[Hashable, float]]:
     """Split a fee x along a contributor's path to the root.
 
-    *path* is the contributor's ``MiningDag.path_to_root``: contributor
-    first, root last, never empty. Its ids may be account ids or, as in
-    the tree scenarios, positions. *prestige_of* maps each id on the path
-    to its prestige: a mapping, or a list indexed by position when the
-    ids are positions; ids off the path are never read.
+    *path* is any root path of the contributor, contributor first and root
+    last, never empty: ``MiningDag.path_to_root`` in the chain, a tuple
+    stored when the node attached in the tree scenarios. Its ids may be
+    account ids or, as in the tree scenarios, positions. *prestige_of*
+    maps each id on the path to its prestige: a mapping, or a list
+    indexed by position when the ids are positions; ids off the path are
+    never read.
     Returns (node, amount) pairs in path order. Every node before the root
     keeps its progressive fraction of the residual reaching it; the root
     absorbs the final residual outright, so the amounts are non-negative

@@ -119,53 +119,54 @@ def _grow_forest(
     node_ids: Sequence[Hashable],
     n_roots: int,
     fanout: int,
-) -> tuple[MiningDag, list[int], list[int], list[tuple[Hashable, Hashable]], int]:
+) -> tuple[list[tuple[Hashable, ...]], int]:
     """Attach nodes one by one to uniformly chosen open parents.
 
     Ids may be any distinct hashables; the tree scenarios pass positions
-    (``range(n)``) so that the forest and edges index per-user lists.
+    (``range(n)``) so that each path indexes per-user lists.
     The first *n_roots* ids become tree roots; every later node picks a
     tree uniformly at random, then a parent uniformly among that tree's
     nodes that still have an open child slot (strictly fewer than
-    *fanout* children).  Returns the forest; each node's tree index and
-    depth (edges to its root), as lists aligned with *node_ids*; the
-    (parent, child) edges in attachment order; and the path-receipt
-    bytes.  Path receipts are composed along root-to-leaf chains, so
-    only each leaf's final upload counts: 33 bytes of composite
-    signature plus 69 per node on its path (root included).
+    *fanout* children).  Returns ``(paths, path_bytes)``.  ``paths[k]``
+    is the root path of ``node_ids[k]``, node first and root last, built
+    once when the node attaches as its own id followed by its parent's
+    path; so a path's length less one is the node's depth, its last id
+    names its tree, and ``paths[n_roots:]`` lists the attachments in
+    order.  Path receipts are composed along root-to-leaf chains, so
+    only each leaf's final upload counts: *path_bytes* sums 33 bytes of
+    composite signature plus 69 per node on each leaf's path (root
+    included).
     """
     if not 1 <= n_roots <= len(node_ids):
         raise ValueError("n_roots must be between 1 and the number of nodes")
     if fanout < 1:
         raise ValueError("fanout must be at least 1")
-    dag = MiningDag()
-    for root in node_ids[:n_roots]:
-        dag.add_root(root)
-    tree_of = list(range(n_roots))
-    depth = [0] * n_roots
+    paths = [(root,) for root in node_ids[:n_roots]]
     n_children = [0] * len(node_ids)
     # open slots hold positions in node_ids
     open_slots = [[k] for k in range(n_roots)]
-    edges: list[tuple[Hashable, Hashable]] = []
     for pos in range(n_roots, len(node_ids)):
         tree = int(rng.integers(n_roots)) if n_roots > 1 else 0
         slots = open_slots[tree]
         idx = int(rng.integers(len(slots)))
         parent = slots[idx]
-        dag.attach(node_ids[parent], node_ids[pos])
-        tree_of.append(tree)
-        depth.append(depth[parent] + 1)
-        edges.append((node_ids[parent], node_ids[pos]))
+        paths.append((node_ids[pos],) + paths[parent])
         n_children[parent] += 1
         if n_children[parent] >= fanout:
             slots[idx] = slots[-1]
             slots.pop()
         slots.append(pos)
     path_bytes = sum(
-        PATH_ACK_BASE_BYTES + PATH_HOP_BYTES * (d + 1)
-        for d, c in zip(depth, n_children) if c == 0
+        PATH_ACK_BASE_BYTES + PATH_HOP_BYTES * len(path)
+        for path, c in zip(paths, n_children) if c == 0
     )
-    return dag, tree_of, depth, edges, path_bytes
+    return paths, path_bytes
+
+
+def _user_ids(n: int) -> list[str]:
+    """CSV ids ``u0``..``u{n-1}``, zero-padded to one width."""
+    width = len(str(n - 1))
+    return [f"u{str(i).zfill(width)}" for i in range(n)]
 
 
 def _check_cohorts(cohorts: Sequence[tuple[str, int, float, int]]) -> None:
@@ -346,10 +347,25 @@ def run_dag_study(
     """
     if n_users < 2:
         raise ValueError(f"n_users must be at least 2 (payers are other users), got {n_users}")
-    width = len(str(n_users - 1))
-    ids = [f"u{str(i).zfill(width)}" for i in range(n_users)]
+    # Each statistic below is undefined when what it ranks is constant.
+    if not 1 <= n_trees < n_users:
+        raise ValueError(f"n_trees must be between 1 and n_users - 1 ({n_users - 1}) "
+                         f"so some user sits below a root, got {n_trees}")
+    if fee <= 0.0:
+        raise ValueError(f"fee must be positive, got {fee}")
+    if base_range[0] >= base_range[1]:
+        raise ValueError(f"base_range must span at least two values, got {base_range}")
+    modes = [MiningMode.parse(m) for m in modes]
+    if MiningMode.SIMPLE in modes and tasks_range[0] >= tasks_range[1]:
+        raise ValueError("tasks_range must span at least two values in simple mode, "
+                         f"where gain is fee times tasks, got {tasks_range}")
+    ids = _user_ids(n_users)
     rng = np.random.default_rng(seed)
-    dag, tree_of, depth, _, path_bytes = _grow_forest(rng, range(n_users), n_trees, fanout)
+    paths, path_bytes = _grow_forest(rng, range(n_users), n_trees, fanout)
+    depth = [len(path) - 1 for path in paths]
+    if len(set(depth)) < 3:
+        raise ValueError(f"n_trees={n_trees} left no two users below a root at different "
+                         "distances, so the gain-vs-distance slope is undefined")
     base = [float(rng.integers(base_range[0], base_range[1] + 1)) for _ in ids]
     task_count = [int(rng.integers(tasks_range[0], tasks_range[1] + 1)) for _ in ids]
     servers = [i for i in range(n_users) for _ in range(task_count[i])]
@@ -366,8 +382,7 @@ def run_dag_study(
         columns=("mode", "user_id", "tree", "distance", "base_prestige",
                  "tasks", "paid", "retained", "absorbed", "gain"),
     )
-    for mode_label in modes:
-        mode = MiningMode.parse(mode_label)
+    for mode in modes:
         paid = [0.0] * n_users
         retained = [0.0] * n_users
         absorbed = [0.0] * n_users
@@ -379,16 +394,14 @@ def run_dag_study(
             if mode is MiningMode.SIMPLE:
                 retained[server] += fee
             else:
-                shares = mining.propagate_upstream(
-                    dag.path_to_root(server), fee, base, branch_power
-                )
+                shares = mining.propagate_upstream(paths[server], fee, base, branch_power)
                 *kept, (root, rest) = shares
                 for node, amount in kept:
                     retained[node] += amount
                 absorbed[root] += rest
         for i, u in enumerate(ids):
             result.rows.append((
-                mode.value, u, tree_of[i], depth[i], base[i],
+                mode.value, u, paths[i][-1], depth[i], base[i],
                 task_count[i], paid[i], retained[i], absorbed[i],
                 retained[i] + absorbed[i],
             ))
@@ -473,9 +486,8 @@ def run_global(
             if pool:
                 roster.append(pool.pop())
     n = len(roster)
-    width = len(str(n - 1))
-    ids = [f"u{str(i).zfill(width)}" for i in range(n)]
-    dag, *_ = _grow_forest(rng, range(n), 1, fanout)
+    ids = _user_ids(n)
+    paths, _ = _grow_forest(rng, range(n), 1, fanout)
 
     params = SystemParams(decay=decay, branch_power=branch_power)
     coins = [c for _, c, _ in roster]
@@ -498,9 +510,7 @@ def run_global(
             if mining_mode is MiningMode.SIMPLE:
                 prestige[i] += fee
             else:
-                shares = mining.propagate_upstream(
-                    dag.path_to_root(i), fee, prestige, branch_power
-                )
+                shares = mining.propagate_upstream(paths[i], fee, prestige, branch_power)
                 for node, amount in shares:
                     prestige[node] += amount
         for i, uid in enumerate(ids):
@@ -692,13 +702,11 @@ def run_file_distribution(
         raise ValueError("scale too aggressive: zero viewers per episode")
     budget = budget_cents // scale
     pool_size = viewers_high
-    width = len(str(pool_size - 1))
-    pool = [f"u{str(i).zfill(width)}" for i in range(pool_size)]
     creator = pool_size  # position after the pool in prestige and tasks_served
 
     def one_run(fee_value: float, branch_value: float, stream: int):
         rng = np.random.default_rng([seed, stream])
-        base = [float(rng.integers(base_range[0], base_range[1] + 1)) for _ in pool]
+        base = [float(rng.integers(base_range[0], base_range[1] + 1)) for _ in range(pool_size)]
         prestige = [*base, float(rng.integers(base_range[0], base_range[1] + 1))]
         tasks_served = [0] * (pool_size + 1)
         episodes_joined = [0] * pool_size
@@ -706,18 +714,18 @@ def run_file_distribution(
         for _ in range(episodes):
             audience = int(rng.integers(viewers_low, viewers_high + 1))
             joiners = rng.permutation(pool_size)[:audience].tolist()
-            dag, _, _, edges, episode_path = _grow_forest(rng, [creator, *joiners], 1, fanout)
+            paths, episode_path = _grow_forest(rng, [creator, *joiners], 1, fanout)
             # Settle joins in attachment order: a later join never changes an earlier path.
-            for parent, child in edges:
+            # Each joiner pays its parent, whose path is the joiner's less its first id.
+            for path in paths[1:]:
+                child, parent = path[0], path[1]
                 episodes_joined[child] += 1
                 tasks_served[parent] += 1
                 prestige[child] -= fee_value
-                shares = mining.propagate_upstream(
-                    dag.path_to_root(parent), fee_value, prestige, branch_value
-                )
+                shares = mining.propagate_upstream(path[1:], fee_value, prestige, branch_value)
                 for node, amount in shares:
                     prestige[node] += amount
-            n_tasks += len(edges)
+            n_tasks += len(paths) - 1
             simple_bytes += SIMPLE_ACK_BYTES * audience
             path_bytes += episode_path
         weights = np.array([max(p, 0.0) for p in prestige[:pool_size]])
@@ -733,7 +741,7 @@ def run_file_distribution(
         columns=("user_id", "base_prestige", "episodes_joined", "tasks_served",
                  "final_prestige", "reward_cents"),
     )
-    for i, u in enumerate(pool):
+    for i, u in enumerate(_user_ids(pool_size)):
         result.rows.append((
             u, base[i], episodes_joined[i], tasks_served[i],
             prestige[i], int(rewards[i]),
@@ -795,6 +803,9 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
 
     Reports one row per property with the worst observed violation.
     """
+    if trials < 1:
+        # zero trials would check nothing and still report all_passed
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     result = ScenarioResult(
         name="theorem_checks",

@@ -140,27 +140,23 @@ def test_gain_vs_decay_verdicts():
                          [(1, 1, 1), (40, 1, 1), (200, 1, 3), (200, 5, 2), (500, 3, 8)])
 def test_grow_forest_attaches_every_id_once_within_fanout(seed, n_nodes, n_roots, fanout):
     ids = [f"n{i}" for i in range(n_nodes)]
-    dag, tree_of, depth, edges, path_bytes = _grow_forest(
-        np.random.default_rng(seed), ids, n_roots, fanout
-    )
-    pos = {node: i for i, node in enumerate(ids)}
-    assert list(dag.nodes) == ids
-    assert dag.roots == tuple(ids[:n_roots])
-    assert [child for _, child in edges] == ids[n_roots:]
-    for parent, child in edges:
-        assert dag.parent(child) == parent
-        assert tree_of[pos[child]] == tree_of[pos[parent]]
-    n_children = {node: 0 for node in ids}
-    for parent, _ in edges:
+    paths, path_bytes = _grow_forest(np.random.default_rng(seed), ids, n_roots, fanout)
+    assert len(paths) == n_nodes
+    assert [path[0] for path in paths] == ids
+    assert paths[:n_roots] == [(root,) for root in ids[:n_roots]]
+    placed = {paths[k]: k for k in range(n_roots)}
+    n_children = [0] * n_nodes
+    for k in range(n_roots, n_nodes):
+        # the tail is the whole path of a node placed earlier: its parent
+        parent = placed[paths[k][1:]]
         n_children[parent] += 1
-    assert max(n_children.values()) <= fanout
-    for i, node in enumerate(ids):
-        assert depth[i] == len(dag.path_to_root(node)) - 1
-    leaf_walk = sum(
-        PATH_ACK_BASE_BYTES + PATH_HOP_BYTES * len(dag.path_to_root(node))
-        for node in ids if n_children[node] == 0
+        placed[paths[k]] = k
+    assert max(n_children) <= fanout
+    leaf_sum = sum(
+        PATH_ACK_BASE_BYTES + PATH_HOP_BYTES * len(path)
+        for path, c in zip(paths, n_children) if c == 0
     )
-    assert path_bytes == leaf_walk
+    assert path_bytes == leaf_sum
 
 
 # --- dag study -------------------------------------------------------------------
@@ -216,6 +212,25 @@ def test_dag_study_rejects_degenerate_draws():
     # with no task served there is nothing to fit gain against
     with pytest.raises(ValueError, match="no user was drawn a task"):
         run_dag_study(n_users=50, n_trees=5, modes=("progressive",), tasks_range=(0, 0))
+    # every user a root: no distance to fit gain against
+    with pytest.raises(ValueError, match="n_trees"):
+        run_dag_study(n_users=50, n_trees=50)
+    # one user below the roots, or all of them at one distance: no slope
+    with pytest.raises(ValueError, match="n_trees"):
+        run_dag_study(n_users=51, n_trees=50)
+    with pytest.raises(ValueError, match="n_trees"):
+        run_dag_study(n_users=60, n_trees=50)
+    # one base value: nothing to rank gain against
+    with pytest.raises(ValueError, match="base_range"):
+        run_dag_study(base_range=(5, 5))
+    # one task count: simple-mode gain is fee * tasks, a constant
+    with pytest.raises(ValueError, match="tasks_range"):
+        run_dag_study(n_users=60, n_trees=6, tasks_range=(3, 3))
+    with pytest.raises(ValueError, match="tasks_range"):
+        run_dag_study(n_users=60, n_trees=6, tasks_range=(3, 3), modes=("SIMPLE",))
+    # zero fee: every gain is zero
+    with pytest.raises(ValueError, match="fee"):
+        run_dag_study(n_users=60, n_trees=6, fee=0.0)
 
 
 def test_dag_study_gain_decomposition(dag_result):
@@ -383,6 +398,13 @@ def test_theorem_checks_all_pass():
     for row in result.rows:
         assert row[4] is True  # passed
         assert row[2] <= row[3]  # max_violation within tolerance
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_theorem_checks_reject_empty_run(trials):
+    # checking nothing must not report all_passed
+    with pytest.raises(ValueError, match="trials"):
+        run_theorem_checks(trials=trials)
 
 
 def test_theorem_checks_catch_a_corrupted_retention(monkeypatch):
