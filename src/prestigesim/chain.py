@@ -13,15 +13,18 @@ Coins are integers and conserved exactly: at any time
     sum(account coins) + escrowed motivator coins + pending fees
         == initial coins + height * subsidy
 
-Replay protection is a persisted set of processed task ids. A path ack that
-was partially settled earlier (e.g. an ancestor already uploaded its shorter
-path) settles only its unseen hops.
+Replay protection is the persisted set of accepted task ids. Accepting an
+ack records its task ids there and its path's new placements in the DAG at
+once, and queues the transfers it settles at the next block. A path ack that
+was partially accepted earlier (e.g. an ancestor already uploaded its shorter
+path) transfers only for its unseen hops.
 
 State snapshots serialize to a line-oriented text format, one account per
 line (id, coins, prestige, optional vk hex), with '#'-prefixed header lines
 carrying the metadata needed to resume (params, height, seed, DAG edges,
-reward schedules, seen task ids). The pending queue is not persisted;
-snapshots are taken between blocks.
+reward schedules, seen task ids). The pending queue is not persisted, so
+snapshots are taken between blocks: ``save_snapshot`` refuses a state with
+acks pending.
 """
 
 from __future__ import annotations
@@ -71,16 +74,12 @@ class Block:
 
 
 @dataclass(frozen=True)
-class _PendingSimple:
-    ack: SimpleAck
-    beneficiary: str
-    contributor: str
+class _Pending:
+    """An accepted ack and the (beneficiary, contributor, amount, mode)
+    transfers it settles at the next block."""
 
-
-@dataclass(frozen=True)
-class _PendingPath:
-    ack: PathAck
-    node_ids: tuple[str, ...]
+    ack: SimpleAck | PathAck
+    transfers: tuple[tuple[str, str, float, MiningMode], ...]
 
 
 @dataclass
@@ -92,26 +91,17 @@ class ChainState:
     rng_seed: int
     subsidy: int = 0
     ack_fee: int = 0
-    pending_acks: list = field(default_factory=list)
+    pending_acks: list[_Pending] = field(default_factory=list)
     motivator_rewards: list[RewardSchedule] = field(default_factory=list)
     seen_tasks: set[bytes] = field(default_factory=set)
     initial_coins: int = 0
     fees_pending: int = 0
-    # Lookup indexes, rebuilt from the fields above whenever a state is made.
-    # _vk_index maps each key to the first account in dict order holding it;
-    # _queued_tasks and _queued_at hold the task ids pending_acks will mark
-    # seen and the DAG placements (node -> parent, None for a root) its path
-    # acks will record. submit_ack and advance_block keep the last two.
+    # Lookup index, rebuilt from accounts whenever a state is made: each key
+    # maps to the first account in dict order holding it.
     _vk_index: dict[bytes, str] = field(init=False, repr=False, compare=False)
-    _queued_tasks: set[bytes] = field(init=False, repr=False, compare=False)
-    _queued_at: dict[str, str | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._vk_index = {a.verification_key: a.id for a in reversed(self.accounts.values())}
-        self._queued_tasks = set()
-        self._queued_at = {}
-        for item in self.pending_acks:
-            self._index_queued(item)
 
     @classmethod
     def genesis(
@@ -180,18 +170,6 @@ class ChainState:
 
     def escrowed_coins(self) -> int:
         return sum(s.coins_per_block * s.remaining_blocks for s in self.motivator_rewards)
-
-    def _index_queued(self, item: "_PendingSimple | _PendingPath") -> None:
-        if isinstance(item, _PendingSimple):
-            self._queued_tasks.add(item.ack.task_id)
-            return
-        self._queued_tasks.update(hop.task_id for hop in item.ack.hops)
-        for k, node in enumerate(item.node_ids):
-            self._queued_at.setdefault(node, item.node_ids[k - 1] if k else None)
-
-    def _enqueue(self, item: "_PendingSimple | _PendingPath") -> None:
-        self.pending_acks.append(item)
-        self._index_queued(item)
 
     def copy(self) -> "ChainState":
         dup = ChainState(
@@ -264,18 +242,22 @@ def submit_ack(
     ack: SimpleAck | PathAck,
     beneficiary: str | None = None,
 ) -> ChainState:
-    """Validate an acknowledgment and queue it for the next block.
+    """Validate an acknowledgment, accept it and queue its transfers.
 
     Checks run in order: referenced accounts exist, signatures verify (for a
-    path ack this includes naming no account twice, consistency with the DAG
-    on chain and the placements already queued, and root anchoring), at least
-    one task id is new, and the claiming account can cover the
-    acknowledgment fee. Hop and contributor keys resolve to accounts through
-    the state's key index, and the task-id and placement checks read the
-    queue index this function keeps, so the cost of a submit depends on
-    neither the number of accounts nor the queue length. The one exception
-    is a simple ack without the optional ``beneficiary`` hint, which names
-    the signer: then the signer is resolved by scanning account keys.
+    path ack this includes naming no account twice, consistency with the DAG,
+    and root anchoring), at least one task id is new, and the claiming
+    account can cover the acknowledgment fee. A submit that raises changes
+    nothing. Accepting charges the fee, attaches the path's new nodes to
+    ``dag``, adds the unseen task ids to ``seen_tasks`` and queues the
+    transfers the next block settles: one for a simple ack; for a path ack,
+    one per hop after the genesis hop whose task id was unseen, so a task id
+    repeated within a path settles at its first hop. Hop and contributor
+    keys resolve to accounts through the state's key index, so the cost of a
+    submit depends on neither the number of accounts nor the queue length.
+    The one exception is a simple ack without the optional ``beneficiary``
+    hint, which names the signer: then the signer is resolved by scanning
+    account keys.
     """
     if isinstance(ack, SimpleAck):
         contributor = state.account_by_vk(ack.contributor_vk)
@@ -295,10 +277,12 @@ def submit_ack(
                     break
             if payer is None:
                 raise InvalidSignature("simple ack does not verify against any account key")
-        if ack.task_id in state.seen_tasks or ack.task_id in state._queued_tasks:
+        if ack.task_id in state.seen_tasks:
             raise DuplicateTask(ack.task_id.hex())
         _charge_fee(state, contributor.id)
-        state._enqueue(_PendingSimple(ack=ack, beneficiary=payer.id, contributor=contributor.id))
+        state.seen_tasks.add(ack.task_id)
+        transfer = (payer.id, contributor.id, float(ack.amount), MiningMode.SIMPLE)
+        state.pending_acks.append(_Pending(ack, (transfer,)))
         return state
 
     if isinstance(ack, PathAck):
@@ -312,16 +296,13 @@ def submit_ack(
         if len(set(node_ids)) != len(node_ids):
             raise InvalidSignature("path names an account more than once")
 
-        # Path shape must agree with the DAG on chain and with the placements
-        # already queued, so block boundaries do not change what is accepted.
-        queued_tasks, queued_at = state._queued_tasks, state._queued_at
+        # Path shape must agree with the DAG, which already holds the
+        # placements of acks queued for the next block, so block boundaries
+        # do not change what is accepted.
         for k, node in enumerate(node_ids):
-            if node in state.dag:
-                parent = state.dag.parent(node)
-            elif node in queued_at:
-                parent = queued_at[node]
-            else:
+            if node not in state.dag:
                 continue
+            parent = state.dag.parent(node)
             if k == 0 and parent is not None:
                 raise InvalidSignature(f"path starts at {node!r}, which is not a branch root")
             if k > 0 and parent != node_ids[k - 1]:
@@ -332,10 +313,24 @@ def submit_ack(
         if not verify_path_ack(ack, root_vk):
             raise InvalidSignature("path ack composite does not verify")
 
-        if all(hop.task_id in state.seen_tasks or hop.task_id in queued_tasks for hop in ack.hops):
+        if all(hop.task_id in state.seen_tasks for hop in ack.hops):
             raise DuplicateTask("every hop in the path was already processed")
         _charge_fee(state, node_ids[-1])
-        state._enqueue(_PendingPath(ack=ack, node_ids=tuple(node_ids)))
+        transfers = []
+        for k, (node, hop) in enumerate(zip(node_ids, ack.hops)):
+            if node not in state.dag:
+                if k == 0:
+                    state.dag.add_root(node)
+                else:
+                    state.dag.attach(node_ids[k - 1], node)
+            if hop.task_id in state.seen_tasks:
+                continue
+            state.seen_tasks.add(hop.task_id)
+            if k > 0:  # the genesis hop registers the root; nothing to transfer
+                transfers.append(
+                    (node, node_ids[k - 1], float(hop.amount), MiningMode.PROGRESSIVE)
+                )
+        state.pending_acks.append(_Pending(ack, tuple(transfers)))
         return state
 
     raise TypeError(f"unsupported acknowledgment type {type(ack).__name__}")
@@ -366,7 +361,12 @@ def register_motivator_reward(
 
 
 def advance_block(state: ChainState) -> tuple[ChainState, Block]:
-    """Mint one block: regenerate, settle queued acks, elect, pay rewards."""
+    """Mint one block: regenerate, settle queued transfers, elect, pay rewards.
+
+    The queued transfers apply in submission order. The DAG and the seen
+    task ids are left as they are: ``submit_ack`` recorded them on
+    acceptance.
+    """
     if not state.accounts:
         raise NoAccounts("cannot advance an empty chain")
     new_height = state.height + 1
@@ -378,48 +378,20 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
     records: list[TransferRecord] = []
     hexes: list[str] = []
     for item in state.pending_acks:
-        if isinstance(item, _PendingSimple):
+        for beneficiary, contributor, amount, mode in item.transfers:
             rec = apply_transfer(
                 state.accounts,
                 state.dag,
-                beneficiary=item.beneficiary,
-                contributor=item.contributor,
-                x=float(item.ack.amount),
-                mode=MiningMode.SIMPLE,
+                beneficiary=beneficiary,
+                contributor=contributor,
+                x=amount,
+                mode=mode,
+                b=state.params.branch_power,
                 block=new_height,
             )
             records.append(rec)
-            state.seen_tasks.add(item.ack.task_id)
-            hexes.append(item.ack.to_hex())
-        else:
-            for k, hop in enumerate(item.ack.hops):
-                node = item.node_ids[k]
-                if k == 0:
-                    if node not in state.dag:
-                        state.dag.add_root(node)
-                else:
-                    if node not in state.dag:
-                        state.dag.attach(item.node_ids[k - 1], node)
-                if hop.task_id in state.seen_tasks:
-                    continue
-                state.seen_tasks.add(hop.task_id)
-                if k == 0:
-                    continue  # genesis hop registers the root; nothing to transfer
-                rec = apply_transfer(
-                    state.accounts,
-                    state.dag,
-                    beneficiary=node,
-                    contributor=item.node_ids[k - 1],
-                    x=float(hop.amount),
-                    mode=MiningMode.PROGRESSIVE,
-                    b=state.params.branch_power,
-                    block=new_height,
-                )
-                records.append(rec)
-            hexes.append(item.ack.to_hex())
+        hexes.append(item.ack.to_hex())
     state.pending_acks = []
-    state._queued_tasks.clear()
-    state._queued_at.clear()
 
     rng = np.random.default_rng([state.rng_seed & 0xFFFFFFFFFFFFFFFF, new_height])
     minter = elect_minter(state.accounts, rng)
@@ -454,7 +426,16 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
 # --- snapshots ----------------------------------------------------------------
 
 def save_snapshot(state: ChainState) -> str:
-    """Render the state as line-oriented text; one account per line."""
+    """Render the state as line-oriented text; one account per line.
+
+    Raises ValueError while acks are pending: the queue is not written, and
+    the DAG and seen task ids already hold the accepted acks' effects, so
+    their transfers would be lost on load. Snapshot between blocks.
+    """
+    if state.pending_acks:
+        raise ValueError(
+            f"{len(state.pending_acks)} pending ack(s); snapshot after advance_block"
+        )
     lines = [f"# {SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}"]
     lines.append(f"# height {state.height}")
     lines.append(f"# decay {state.params.decay!r}")

@@ -170,10 +170,14 @@ def _user_ids(n: int) -> list[str]:
 
 
 def _check_cohorts(cohorts: Sequence[tuple[str, int, float, int]]) -> None:
-    """Reject an empty cohort list or a cohort without members."""
+    """Reject an empty cohort list, a repeated label or a cohort without members."""
     if not cohorts:
         raise ValueError("cohorts must not be empty")
+    labels: set[str] = set()
     for label, _, _, count in cohorts:
+        if label in labels:
+            raise ValueError(f"cohort label {label!r} is repeated; each cohort needs its own")
+        labels.add(label)
         if count < 1:
             raise ValueError(f"cohort {label!r} needs at least one member, got {count}")
 
@@ -356,9 +360,6 @@ def run_dag_study(
     if base_range[0] >= base_range[1]:
         raise ValueError(f"base_range must span at least two values, got {base_range}")
     modes = [MiningMode.parse(m) for m in modes]
-    if MiningMode.SIMPLE in modes and tasks_range[0] >= tasks_range[1]:
-        raise ValueError("tasks_range must span at least two values in simple mode, "
-                         f"where gain is fee times tasks, got {tasks_range}")
     ids = _user_ids(n_users)
     rng = np.random.default_rng(seed)
     paths, path_bytes = _grow_forest(rng, range(n_users), n_trees, fanout)
@@ -371,6 +372,9 @@ def run_dag_study(
     servers = [i for i in range(n_users) for _ in range(task_count[i])]
     if not servers:
         raise ValueError(f"no user was drawn a task from tasks_range {tasks_range}")
+    if len(set(task_count)) < 2:
+        raise ValueError(f"every user was drawn {task_count[0]} tasks from tasks_range "
+                         f"{tasks_range}, so there is no line to fit gain against tasks")
     servers = [servers[int(k)] for k in rng.permutation(len(servers))]
     payer_picks = rng.integers(0, n_users - 1, size=len(servers))
     distance = np.array(depth, dtype=np.float64)
@@ -696,6 +700,9 @@ def run_file_distribution(
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")
+    if bool(fee_grid) != bool(branch_grid):
+        raise ValueError("fee_grid and branch_grid must be given together, got "
+                         f"fee_grid={tuple(fee_grid)} and branch_grid={tuple(branch_grid)}")
     viewers_low = viewers_range[0] // scale
     viewers_high = viewers_range[1] // scale
     if viewers_low < 1:

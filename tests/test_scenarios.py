@@ -223,11 +223,13 @@ def test_dag_study_rejects_degenerate_draws():
     # one base value: nothing to rank gain against
     with pytest.raises(ValueError, match="base_range"):
         run_dag_study(base_range=(5, 5))
-    # one task count: simple-mode gain is fee * tasks, a constant
+    # one task count: no line through gain against tasks, in either mode
     with pytest.raises(ValueError, match="tasks_range"):
         run_dag_study(n_users=60, n_trees=6, tasks_range=(3, 3))
     with pytest.raises(ValueError, match="tasks_range"):
         run_dag_study(n_users=60, n_trees=6, tasks_range=(3, 3), modes=("SIMPLE",))
+    with pytest.raises(ValueError, match="tasks_range"):
+        run_dag_study(n_users=60, n_trees=6, tasks_range=(3, 3), modes=("progressive",))
     # zero fee: every gain is zero
     with pytest.raises(ValueError, match="fee"):
         run_dag_study(n_users=60, n_trees=6, fee=0.0)
@@ -285,6 +287,9 @@ def test_global_validation():
         run_global(blocks=20, cohorts=(("poor_lazy", 50, 0.05, 0), ("x", 10, 0.1, 3)))
     with pytest.raises(ValueError, match="cohorts must not be empty"):
         run_global(blocks=20, cohorts=())
+    # one label for two cohorts would merge their members into one row
+    with pytest.raises(ValueError, match="'a' is repeated"):
+        run_global(blocks=20, cohorts=(("a", 50, 0.1, 3), ("a", 100, 0.2, 3)))
 
 
 # --- decay tradeoff ------------------------------------------------------------------
@@ -323,6 +328,9 @@ def test_tradeoff_validation():
         run_tradeoff(blocks=5, cohorts=cohorts)
     with pytest.raises(ValueError, match="cohorts must not be empty"):
         run_tradeoff(blocks=5, cohorts=())
+    with pytest.raises(ValueError, match="'rich_lazy' is repeated"):
+        run_tradeoff(blocks=5, cohorts=(*cohorts[1:], ("rich_lazy", 50, 0.05, 3),
+                                        ("rich_lazy", 80, 0.05, 3)))
     with pytest.raises(ValueError, match="decay_grid"):
         run_tradeoff(blocks=5, decay_grid=())
     with pytest.raises(ValueError, match="blocks"):
@@ -379,6 +387,12 @@ def test_distribution_gentle_parameter_shifts_stay_small():
     for f in (270.0, 330.0):
         for b in (0.4, 0.6):
             assert f"combo_f{f}_b{b}.typical_cents" in result.summary
+
+
+@pytest.mark.parametrize("grids", [dict(fee_grid=(100.0, 300.0)), dict(branch_grid=(0.4,))])
+def test_distribution_rejects_half_a_grid(grids):
+    with pytest.raises(ValueError, match="fee_grid and branch_grid"):
+        run_file_distribution(scale=20000, **grids)
 
 
 # --- theorem checks ---------------------------------------------------------------------
