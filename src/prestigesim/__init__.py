@@ -39,6 +39,7 @@ from .mining import (
     apply_transfer,
     propagate_upstream,
     retain_progressive,
+    settle_upstream,
 )
 from .acks import (
     AMOUNT_MAX,
@@ -102,6 +103,7 @@ __all__ = [
     "TransferRecord",
     "retain_progressive",
     "propagate_upstream",
+    "settle_upstream",
     "apply_transfer",
     "KeyPair",
     "MessageDescriptor",

@@ -15,12 +15,20 @@ contributor side. Two modes are supported:
 
 Nodes with zero or negative prestige retain nothing and pass everything
 upstream; ancestors with negative prestige contribute zero to branch power.
+
+``retain_progressive`` is the one statement of the per-node rule.
+``settle_upstream`` is the propagation kernel: it walks a root path twice
+(ancestor mass up, then the residual down) and adds each node's share into a
+caller's container in place, which may be the prestige container itself; the
+tree scenarios credit their per-position lists this way. ``propagate_upstream``
+runs the same kernel into a fresh tally and returns the shares, for callers
+that keep a record of them (``apply_transfer``, the theorem checks).
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Hashable, Mapping, MutableMapping, Sequence
+from collections.abc import Hashable, Mapping, MutableMapping, MutableSequence, Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -132,19 +140,69 @@ class TransferRecord:
 def retain_progressive(x: float, prestige: float, branch_power_value: float) -> float:
     """Fraction of x kept by a node with the given prestige and branch power.
 
-    Clamps: non-positive prestige keeps nothing; with zero branch power a
-    positive-prestige node keeps everything.
+    Clamps: non-positive prestige keeps nothing; with zero, negative or NaN
+    branch power a positive-prestige node keeps everything.
     """
     if x < 0:
         raise ValueError(f"transfer amount must be >= 0, got {x}")
     if prestige <= 0.0:
         return 0.0
-    bp = max(branch_power_value, 0.0)
-    if bp == 0.0:
+    if not branch_power_value > 0.0:
         return x
-    # multiply-then-divide can overshoot x by an ulp when bp is negligible
-    # next to prestige; never hand back more than came in
-    return min(x, x * prestige / (prestige + bp))
+    kept = x * prestige / (prestige + branch_power_value)
+    # multiply-then-divide can overshoot x by an ulp when the branch power is
+    # negligible next to prestige; never hand back more than came in
+    return kept if kept < x else x
+
+
+def settle_upstream(
+    path: Sequence[Hashable],
+    x: float,
+    prestige_of: Mapping[Hashable, float] | Sequence[float],
+    b: float,
+    credit: MutableMapping[Hashable, float] | MutableSequence[float],
+) -> None:
+    """Split a fee x along a contributor's path to the root, crediting in place.
+
+    *path* is a root path of the contributor, contributor first and root
+    last, never empty, naming each node once: ``MiningDag.path_to_root`` in
+    the chain, a tuple stored when the node attached in the tree scenarios.
+    Its ids may be account ids or, as in the tree scenarios, positions.
+    *prestige_of* maps each id on the path to its prestige: a mapping, or a
+    list indexed by position when the ids are positions; ids off the path
+    are never read.
+
+    Every node before the root keeps ``retain_progressive`` of the residual
+    reaching it, with branch power b times the summed non-negative prestige
+    of its ancestors; the root absorbs the final residual outright. Each
+    node's amount is added to ``credit[node]``, so the amounts credited are
+    non-negative and sum to exactly x (up to float rounding).
+
+    *credit* may be *prestige_of* itself, and the result is the same as
+    crediting a separate container and adding it in afterwards: every
+    ancestor's prestige is read before any credit, each node's own prestige
+    is read before that node is credited, and the path names each node once.
+    """
+    if x < 0:
+        raise ValueError(f"transfer amount must be >= 0, got {x}")
+
+    # Ancestor prestige mass, summed from the root down; above[-1 - i] is
+    # what sits above path[i]. Skipping a negative p leaves the same bits as
+    # adding max(p, 0.0), NaN included (mass starts at +0.0, never -0.0).
+    above = []
+    mass = 0.0
+    for i in range(len(path) - 1, 0, -1):
+        p = prestige_of[path[i]]
+        if not p < 0.0:
+            mass += p
+        above.append(mass)
+
+    residual = x
+    for node, mass_above in zip(path, reversed(above)):
+        kept = retain_progressive(residual, prestige_of[node], b * mass_above)
+        credit[node] += kept
+        residual -= kept
+    credit[path[-1]] += residual
 
 
 def propagate_upstream(
@@ -153,38 +211,14 @@ def propagate_upstream(
     prestige_of: Mapping[Hashable, float] | Sequence[float],
     b: float,
 ) -> list[tuple[Hashable, float]]:
-    """Split a fee x along a contributor's path to the root.
+    """``settle_upstream`` into a fresh tally: the (node, amount) pairs in path order.
 
-    *path* is any root path of the contributor, contributor first and root
-    last, never empty: ``MiningDag.path_to_root`` in the chain, a tuple
-    stored when the node attached in the tree scenarios. Its ids may be
-    account ids or, as in the tree scenarios, positions. *prestige_of*
-    maps each id on the path to its prestige: a mapping, or a list
-    indexed by position when the ids are positions; ids off the path are
-    never read.
-    Returns (node, amount) pairs in path order. Every node before the root
-    keeps its progressive fraction of the residual reaching it; the root
-    absorbs the final residual outright, so the amounts are non-negative
-    and sum to exactly x (up to float rounding).
+    Each tally starts at -0.0, the additive identity, so every amount keeps
+    the exact bits ``settle_upstream`` computes, x = -0.0 included.
     """
-    if x < 0:
-        raise ValueError(f"transfer amount must be >= 0, got {x}")
-
-    # Suffix sums, root first, give each node's ancestor prestige mass.
-    above = [0.0] * len(path)
-    running = 0.0
-    for i in range(len(path) - 1, -1, -1):
-        above[i] = running
-        running += max(prestige_of[path[i]], 0.0)
-
-    shares: list[tuple[str, float]] = []
-    residual = x
-    for i, node in enumerate(path[:-1]):
-        kept = retain_progressive(residual, prestige_of[node], b * above[i])
-        shares.append((node, kept))
-        residual -= kept
-    shares.append((path[-1], residual))
-    return shares
+    credit = dict.fromkeys(path, -0.0)
+    settle_upstream(path, x, prestige_of, b, credit)
+    return list(credit.items())
 
 
 # --- applying transfers ---------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import starmap
 from pathlib import Path
 from typing import Callable, Hashable, Sequence
 
@@ -61,6 +62,14 @@ def _cell(value: object) -> str:
     return str(value)
 
 
+def _plain_columns(rows: Sequence[tuple], ncols: int) -> bool:
+    """Whether each of the *ncols* columns holds exactly one type of float, int or str."""
+    kinds = {tuple(map(type, row)) for row in rows}
+    return len(kinds) <= 1 and all(
+        len(kind) == ncols and set(kind) <= {float, int, str} for kind in kinds
+    )
+
+
 def _scalar(value: object) -> object:
     """Coerce numpy scalars so json.dumps renders them plainly."""
     if isinstance(value, (bool, np.bool_)):
@@ -83,8 +92,12 @@ class ScenarioResult:
 
     def csv_text(self) -> str:
         lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_cell(v) for v in row))
+        if _plain_columns(self.rows, len(self.columns)):
+            # str.format of a float is its repr, of an int or str its str: _cell's text.
+            lines.extend(starmap(",".join(["{}"] * len(self.columns)).format, self.rows))
+        else:
+            for row in self.rows:
+                lines.append(",".join(_cell(v) for v in row))
         return "\n".join(lines) + "\n"
 
     def summary_text(self) -> str:
@@ -398,11 +411,12 @@ def run_dag_study(
             if mode is MiningMode.SIMPLE:
                 retained[server] += fee
             else:
-                shares = mining.propagate_upstream(paths[server], fee, base, branch_power)
-                *kept, (root, rest) = shares
-                for node, amount in kept:
-                    retained[node] += amount
-                absorbed[root] += rest
+                mining.settle_upstream(paths[server], fee, base, branch_power, retained)
+        if mode is MiningMode.PROGRESSIVE:
+            # A root is only ever credited its paths' final residual.
+            for i in range(n_users):
+                if depth[i] == 0:
+                    absorbed[i], retained[i] = retained[i], 0.0
         for i, u in enumerate(ids):
             result.rows.append((
                 mode.value, u, paths[i][-1], depth[i], base[i],
@@ -514,9 +528,7 @@ def run_global(
             if mining_mode is MiningMode.SIMPLE:
                 prestige[i] += fee
             else:
-                shares = mining.propagate_upstream(paths[i], fee, prestige, branch_power)
-                for node, amount in shares:
-                    prestige[node] += amount
+                mining.settle_upstream(paths[i], fee, prestige, branch_power, prestige)
         for i, uid in enumerate(ids):
             result.rows.append((t, uid, prestige[i], coins[i]))
             if t > blocks - window:
@@ -700,6 +712,13 @@ def run_file_distribution(
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {episodes}")
+    if budget_cents < 0:
+        raise ValueError(f"budget_cents must be >= 0, got {budget_cents}")
+    for name, (low, high) in (("viewers_range", viewers_range), ("base_range", base_range)):
+        if low > high:
+            raise ValueError(f"{name} must have low <= high, got {(low, high)}")
     if bool(fee_grid) != bool(branch_grid):
         raise ValueError("fee_grid and branch_grid must be given together, got "
                          f"fee_grid={tuple(fee_grid)} and branch_grid={tuple(branch_grid)}")
@@ -729,9 +748,7 @@ def run_file_distribution(
                 episodes_joined[child] += 1
                 tasks_served[parent] += 1
                 prestige[child] -= fee_value
-                shares = mining.propagate_upstream(path[1:], fee_value, prestige, branch_value)
-                for node, amount in shares:
-                    prestige[node] += amount
+                mining.settle_upstream(path[1:], fee_value, prestige, branch_value, prestige)
             n_tasks += len(paths) - 1
             simple_bytes += SIMPLE_ACK_BYTES * audience
             path_bytes += episode_path

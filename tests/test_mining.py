@@ -1,6 +1,8 @@
 """Distribution DAG, retention rules, and upstream fee propagation."""
 
+import itertools
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from prestigesim import (
     apply_transfer,
     propagate_upstream,
     retain_progressive,
+    settle_upstream,
 )
 
 
@@ -152,6 +155,92 @@ def test_propagation_conserves_and_stays_nonnegative(n, x, b, data):
     assert [u for u, _ in shares] == list(reversed(ids))
     assert all(a >= 0.0 for _, a in shares)
     assert math.isclose(sum(a for _, a in shares), x, rel_tol=1e-12, abs_tol=1e-9)
+
+
+# Reference copies of the rule and the propagation as they stood before
+# settle_upstream; the kernel must reproduce them bit for bit.
+
+def _oracle_retain(x, prestige, branch_power_value):
+    if x < 0:
+        raise ValueError(f"transfer amount must be >= 0, got {x}")
+    if prestige <= 0.0:
+        return 0.0
+    bp = max(branch_power_value, 0.0)
+    if bp == 0.0:
+        return x
+    # multiply-then-divide can overshoot x by an ulp when bp is negligible
+    # next to prestige; never hand back more than came in
+    return min(x, x * prestige / (prestige + bp))
+
+
+def _oracle_propagate(path, x, prestige_of, b):
+    if x < 0:
+        raise ValueError(f"transfer amount must be >= 0, got {x}")
+
+    # Suffix sums, root first, give each node's ancestor prestige mass.
+    above = [0.0] * len(path)
+    running = 0.0
+    for i in range(len(path) - 1, -1, -1):
+        above[i] = running
+        running += max(prestige_of[path[i]], 0.0)
+
+    shares = []
+    residual = x
+    for i, node in enumerate(path[:-1]):
+        kept = _oracle_retain(residual, prestige_of[node], b * above[i])
+        shares.append((node, kept))
+        residual -= kept
+    shares.append((path[-1], residual))
+    return shares
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]
+
+
+def test_retain_progressive_matches_reference_on_special_values():
+    for x, p, bp in itertools.product(SPECIAL, SPECIAL, SPECIAL):
+        if x < 0:
+            continue
+        assert _bits([retain_progressive(x, p, bp)]) == _bits([_oracle_retain(x, p, bp)]), (x, p, bp)
+
+
+_prestige_values = st.one_of(st.sampled_from([0.0, -0.0, -3.0, 2.0, math.inf, math.nan]), st.floats())
+
+
+@settings(max_examples=400)
+@given(
+    prestige=st.lists(_prestige_values, min_size=1, max_size=8),
+    start=st.lists(_prestige_values, min_size=8, max_size=8),
+    x=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=0.0)),
+    b=st.one_of(st.sampled_from([0.0, 0.5]), st.floats()),
+    data=st.data(),
+)
+def test_settle_upstream_matches_reference_bits(prestige, start, x, b, data):
+    n = len(prestige)
+    path = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    shares = _oracle_propagate(path, x, prestige, b)
+
+    got = propagate_upstream(path, x, prestige, b)
+    assert [node for node, _ in got] == path
+    assert _bits(a for _, a in got) == _bits(a for _, a in shares)
+
+    # into a separate list: each credited entry gains exactly its share
+    credit, expected = start[:n], start[:n]
+    for node, amount in shares:
+        expected[node] += amount
+    settle_upstream(path, x, prestige, b, credit)
+    assert _bits(credit) == _bits(expected)
+
+    # into the prestige list itself: the same sums, no read sees a credit
+    expected = list(prestige)
+    for node, amount in shares:
+        expected[node] += amount
+    settle_upstream(path, x, prestige, b, prestige)
+    assert _bits(prestige) == _bits(expected)
 
 
 # --- applying transfers --------------------------------------------------------------

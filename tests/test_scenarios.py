@@ -8,6 +8,7 @@ import pytest
 import prestigesim.mining
 from prestigesim import (
     SCENARIOS,
+    MiningMode,
     ScenarioResult,
     run_dag_study,
     run_decay_study,
@@ -243,6 +244,21 @@ def test_dag_study_gain_decomposition(dag_result):
         assert row[i_ret] >= 0.0 and row[i_abs] >= 0.0
 
 
+def test_dag_study_progressive_split_by_distance(dag_result):
+    # Progressive roots only absorb residuals; every other user only retains.
+    cols = dag_result.columns
+    i_dist, i_ret, i_abs, i_gain = (cols.index(c) for c in ("distance", "retained", "absorbed", "gain"))
+    progressive = [row for row in dag_result.rows if row[0] == "progressive"]
+    assert progressive
+    for row in progressive:
+        if row[i_dist] >= 1:
+            assert row[i_abs] == 0.0
+        else:
+            assert row[i_ret] == 0.0
+    for row in dag_result.rows:
+        assert row[i_gain] == row[i_ret] + row[i_abs]
+
+
 # --- global economy ------------------------------------------------------------------
 
 def test_global_simple_work_beats_wealth():
@@ -395,6 +411,17 @@ def test_distribution_rejects_half_a_grid(grids):
         run_file_distribution(scale=20000, **grids)
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(budget_cents=-5), "budget_cents"),
+    (dict(episodes=0), "episodes"),
+    (dict(viewers_range=(20_000_000, 10_000_000)), "viewers_range"),
+    (dict(base_range=(10, 1)), "base_range"),
+])
+def test_distribution_rejects_bad_inputs(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        run_file_distribution(scale=20000, **kwargs)
+
+
 # --- theorem checks ---------------------------------------------------------------------
 
 def test_theorem_checks_all_pass():
@@ -450,6 +477,21 @@ def test_result_write_and_formats(tmp_path):
         key, _, value = line.partition(": ")
         assert key and value
         json.loads(value)  # every value is a JSON scalar
+
+
+def test_csv_cells_render_alike_on_the_template_and_per_cell_paths():
+    # One plain type per column takes the row template; anything else goes
+    # cell by cell. Both must write repr for floats and str for the rest.
+    plain = ScenarioResult(name="x", columns=("n", "v", "s"),
+                           rows=[(1, 0.1, "a"), (-2, 1e-07, "b"), (3, float("inf"), "c")])
+    assert plain.csv_text() == "n,v,s\n1,0.1,a\n-2,1e-07,b\n3,inf,c\n"
+    mixed = ScenarioResult(name="x", columns=("flag", "v", "s", "n"),
+                           rows=[(True, np.float64(0.1), None, 1), (False, 2.5, "x", 2.0)])
+    assert mixed.csv_text() == "flag,v,s,n\ntrue,0.1,None,1\nfalse,2.5,x,2.0\n"
+    flags = ScenarioResult(name="x", columns=("flag", "n"), rows=[(True, 1), (False, 2)])
+    assert flags.csv_text() == "flag,n\ntrue,1\nfalse,2\n"
+    enum_column = ScenarioResult(name="x", columns=("m",), rows=[(MiningMode.SIMPLE,)])
+    assert enum_column.csv_text() == f"m\n{MiningMode.SIMPLE!s}\n"
 
 
 def test_summary_rejects_non_json_floats(tmp_path):
