@@ -7,8 +7,9 @@ check  randomized verification of the fairness properties
 step   load a chain snapshot, advance blocks, write snapshot + block log
 list   show available scenarios
 
-Exit codes: 0 success, 1 property violation, 2 usage/config error,
-3 runtime failure.  All outputs land under the ``--out`` directory.
+Exit codes: 0 success, 1 property violation, 2 usage/config error
+(a scenario argument value the runner rejects included), 3 runtime
+failure.  All outputs land under the ``--out`` directory.
 
 Config files are INI-style: a ``[scenario]`` section of flat key=value
 pairs passed to the runner, plus optional ``[cohort <label>]`` sections
@@ -150,9 +151,16 @@ def cmd_run(scenario_name: str | None, config_path: str | None, seed: int | None
             return EXIT_USAGE
         try:
             result = runner(**kwargs)
-            csv_path, summary_path = result.write(output_dir)
+        except ValueError as exc:  # the runner rejected an argument value
+            print(f"scenario {name!r} rejected its arguments: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         except Exception as exc:  # scenario blew up: report, don't traceback
             print(f"scenario {name!r} failed: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        try:
+            csv_path, summary_path = result.write(output_dir)
+        except Exception as exc:  # an unwritable --out, a NaN in the summary
+            print(f"scenario {name!r} failed to write: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
         print(f"wrote {csv_path} and {summary_path}")
     return EXIT_OK

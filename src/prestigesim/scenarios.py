@@ -29,8 +29,9 @@ from scipy import stats as sstats
 
 from . import mining
 from .acks import PATH_ACK_BASE_BYTES, PATH_HOP_BYTES, SIMPLE_ACK_BYTES
-from .core import Account, SystemParams, inject_prestige, static_value, step_account
-from .mining import MiningDag, MiningMode, apply_transfer
+# step_account and apply_transfer go unused here: perfbench/tracing.py patches them by name.
+from .core import SystemParams, static_value, step_account  # noqa: F401
+from .mining import MiningMode, apply_transfer  # noqa: F401
 
 __all__ = [
     "ScenarioResult",
@@ -234,40 +235,43 @@ def run_decay_study(
         raise ValueError("spike blocks must satisfy 0 < up < down <= blocks")
     labels = [f"C{coins}_d{decay}" for coins, decay in users]
     params = [SystemParams(decay=decay) for _, decay in users]
-    accounts = [Account(id=labels[i], coins=coins) for i, (coins, _) in enumerate(users)]
+    coins = [c for c, _ in users]
+    for label, c in zip(labels, coins):
+        if c < 0:
+            raise ValueError(f"coins must be >= 0, got {c} for {label!r}")
+    keeps = [1.0 - p.decay for p in params]
+    prestige = [0.0] * len(users)
+    pre_drop = [0.0] * len(users)
 
     result = ScenarioResult(
         name="decay",
         columns=("block", "user_id", "prestige", "coins"),
     )
-    pre_drop: dict[str, float] = {}
     for t in range(1, blocks + 1):
-        for i, acct in enumerate(accounts):
-            acct = step_account(acct, params[i])
+        for i, label in enumerate(labels):
+            p = coins[i] + keeps[i] * prestige[i]
             if t == spike_up_at:
-                acct = inject_prestige(acct, spike)
+                p += spike
             elif t == spike_down_at:
-                acct = inject_prestige(acct, -spike)
-            accounts[i] = acct
+                p -= spike
+            prestige[i] = p
             if t == spike_down_at - 1:
-                pre_drop[acct.id] = acct.prestige
-            result.rows.append((t, acct.id, acct.prestige, acct.coins))
+                pre_drop[i] = p
+            result.rows.append((t, label, p, coins[i]))
 
-    for i, acct in enumerate(accounts):
-        s = static_value(acct.coins, params[i])
-        d = params[i].decay
-        keep = 1.0 - d
+    for i, label in enumerate(labels):
+        s = static_value(coins[i], params[i])
         # Superposed closed form: initial gap from zero plus the spike's echo.
         predicted_pre_drop = (
-            s + (0.0 - s) * keep ** (spike_down_at - 1)
-            + spike * keep ** (spike_down_at - 1 - spike_up_at)
+            s + (0.0 - s) * keeps[i] ** (spike_down_at - 1)
+            + spike * keeps[i] ** (spike_down_at - 1 - spike_up_at)
         )
-        result.summary[f"{acct.id}.static_value"] = s
-        result.summary[f"{acct.id}.final_prestige"] = acct.prestige
-        result.summary[f"{acct.id}.final_gap"] = acct.prestige - s
-        result.summary[f"{acct.id}.pre_drop_prestige"] = pre_drop[acct.id]
-        result.summary[f"{acct.id}.pre_drop_predicted"] = predicted_pre_drop
-        result.summary[f"{acct.id}.pre_drop_surplus"] = pre_drop[acct.id] - s
+        result.summary[f"{label}.static_value"] = s
+        result.summary[f"{label}.final_prestige"] = prestige[i]
+        result.summary[f"{label}.final_gap"] = prestige[i] - s
+        result.summary[f"{label}.pre_drop_prestige"] = pre_drop[i]
+        result.summary[f"{label}.pre_drop_predicted"] = predicted_pre_drop
+        result.summary[f"{label}.pre_drop_surplus"] = pre_drop[i] - s
     result.summary["blocks"] = blocks
     result.summary["n_users"] = len(users)
     result.summary["spike"] = spike
@@ -719,6 +723,9 @@ def run_file_distribution(
     for name, (low, high) in (("viewers_range", viewers_range), ("base_range", base_range)):
         if low > high:
             raise ValueError(f"{name} must have low <= high, got {(low, high)}")
+    for name, value in [("fee", fee), *(("fee_grid", f) for f in fee_grid)]:
+        if not 0.0 <= value < float("inf"):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if bool(fee_grid) != bool(branch_grid):
         raise ValueError("fee_grid and branch_grid must be given together, got "
                          f"fee_grid={tuple(fee_grid)} and branch_grid={tuple(branch_grid)}")
@@ -810,6 +817,22 @@ def run_file_distribution(
 # machine-checked fairness properties
 
 
+def _transfer(prestige: list[float], beneficiary: int, path: tuple[int, ...], x: float,
+              mode: MiningMode) -> None:
+    """Move x from *beneficiary* to the side of contributor ``path[0]`` (b = 0.5), in place.
+
+    Shares are read before the debit: the beneficiary may sit on the path.
+    """
+    if mode is MiningMode.SIMPLE:
+        shares = [(path[0], x)]
+    else:
+        shares = mining.propagate_upstream(path, x, prestige, 0.5)
+    prestige[beneficiary] -= x
+    for node, amount in shares:
+        if amount != 0.0:
+            prestige[node] += amount
+
+
 def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
     """Stress the fairness guarantees with randomized instances.
 
@@ -865,37 +888,22 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
     record("split_trajectory_additive", worst_traj, 1e-9)
     record("split_static_additive", worst_static, 1e-9)
 
-    # Transfer conservation, both modes, on a random chain of accounts.
+    # Transfer conservation, both modes, on a random tree (fanout n: no slot closes).
     worst_cons = 0.0
     for _ in range(max(1, trials // 10)):
         n = int(rng.integers(3, 10))
-        ids = [f"n{i}" for i in range(n)]
-        dag = MiningDag()
-        dag.add_root(ids[0])
-        for i in range(1, n):
-            parent = ids[int(rng.integers(i))]
-            dag.attach(parent, ids[i])
+        paths, _ = _grow_forest(rng, range(n), 1, n)
         for mode in (MiningMode.SIMPLE, MiningMode.PROGRESSIVE):
-            accounts = {
-                u: Account(id=u, coins=int(rng.integers(1, 200)),
-                           prestige=float(rng.uniform(0, 500)))
-                for u in ids
-            }
-            params = SystemParams(decay=0.05, branch_power=0.5)
+            draws = [(int(rng.integers(1, 200)), float(rng.uniform(0, 500))) for _u in range(n)]
+            coins, prestige = [c for c, _ in draws], [p for _, p in draws]
             for _t in range(20):
-                expected = sum(a.prestige for a in accounts.values())
-                expected = sum(a.coins for a in accounts.values()) + 0.95 * expected
-                for u in ids:
-                    accounts[u] = step_account(accounts[u], params)
+                expected = sum(coins) + 0.95 * sum(prestige)
+                prestige = [c + (1.0 - 0.05) * p for c, p in zip(coins, prestige)]
                 k = int(rng.integers(1, n))
-                beneficiary, contributor = ids[int(rng.integers(n))], ids[k]
-                if beneficiary != contributor:
-                    apply_transfer(
-                        accounts, dag, beneficiary=beneficiary,
-                        contributor=contributor, x=float(rng.uniform(1, 300)),
-                        mode=mode, b=0.5,
-                    )
-                got = sum(a.prestige for a in accounts.values())
+                beneficiary = int(rng.integers(n))
+                if beneficiary != k:
+                    _transfer(prestige, beneficiary, paths[k], float(rng.uniform(1, 300)), mode)
+                got = sum(prestige)
                 worst_cons = max(worst_cons, abs(got - expected) / max(abs(expected), 1e-12))
     record("transfer_conservation", worst_cons, 1e-9)
 
@@ -919,34 +927,23 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
     # Cross-acknowledging pair vs an idle twin pair: fair self-pricing
     # (each invoice at least covers what the partner just retained)
     # keeps the colluders at or below the idle baseline.
+    # Positions 0, 1 and 2 are the root, i and j, on the chain root <- i <- j.
     worst_pair = 0.0
     for _ in range(max(1, trials // 10)):
-        dag = MiningDag()
-        dag.add_root("root")
-        dag.attach("root", "i")
-        dag.attach("i", "j")
         d = float(rng.uniform(0.02, 0.3))
-        params = SystemParams(decay=d, branch_power=0.5)
-        active = {u: Account(id=u, coins=int(rng.integers(10, 100))) for u in ("root", "i", "j")}
-        idle = {u: Account(id=u, coins=active[u].coins) for u in ("root", "i", "j")}
+        coins = [int(rng.integers(10, 100)) for _u in range(3)]
+        active, idle = [0.0] * 3, [0.0] * 3
         for _t in range(25):
-            for u in active:
-                active[u] = step_account(active[u], params)
-                idle[u] = step_account(idle[u], params)
+            active = [c + (1.0 - d) * p for c, p in zip(coins, active)]
+            idle = [c + (1.0 - d) * p for c, p in zip(coins, idle)]
             x_ji = float(rng.uniform(1, 50))
-            before = active["i"].prestige
-            apply_transfer(
-                active, dag, beneficiary="j", contributor="i", x=x_ji,
-                mode=MiningMode.PROGRESSIVE, b=0.5,
-            )
-            retained_i = active["i"].prestige - before
+            before = active[1]
+            _transfer(active, 2, (1, 0), x_ji, MiningMode.PROGRESSIVE)
+            retained_i = active[1] - before
             x_ij = max(retained_i, 0.0) + float(rng.uniform(0, 10))
-            apply_transfer(
-                active, dag, beneficiary="i", contributor="j", x=x_ij,
-                mode=MiningMode.PROGRESSIVE, b=0.5,
-            )
-            pair = active["i"].prestige + active["j"].prestige
-            base = idle["i"].prestige + idle["j"].prestige
+            _transfer(active, 1, (2, 1, 0), x_ij, MiningMode.PROGRESSIVE)
+            pair = active[1] + active[2]
+            base = idle[1] + idle[2]
             worst_pair = max(worst_pair, (pair - base) / max(abs(base), 1e-12))
     record("collusion_never_beats_idle", worst_pair, 1e-9)
 

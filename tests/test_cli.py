@@ -86,10 +86,22 @@ def test_run_bad_seed(capsys):
     assert main(["run", "decay", "--seed", str(2**64)]) == EXIT_USAGE
 
 
-def test_run_runtime_failure_exits_3(tmp_path, capsys):
-    # valid kwarg, invalid value: the runner itself raises
+def test_run_rejected_value_exits_2(tmp_path, capsys):
+    # valid kwarg, invalid value: the runner itself rejects it
     code = main(["run", "decay", "--out", str(tmp_path),
                  "--set", "spike_up_at=90", "--set", "spike_down_at=10"])
+    assert code == EXIT_USAGE
+    assert "spike blocks" in capsys.readouterr().err
+    assert main(["run", "theorem_checks", "--set", "trials=0", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "trials" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_runtime_failure_exits_3(tmp_path, capsys):
+    # the run succeeds, but --out names a regular file, so nothing can be written
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("", encoding="utf-8")
+    code = main(["run", "decay", "--out", str(blocker)])
     assert code == EXIT_RUNTIME
     assert "failed" in capsys.readouterr().err
 

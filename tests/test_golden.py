@@ -46,8 +46,10 @@ def test_scenario_output_matches_pinned_digest(name):
 
 
 # Non-default paths the default pins never reach: progressive ``global``,
-# the file-distribution fee/branch grid re-runs, and a single-tree
-# ``dag_study`` with its modes reversed.  Pinned here rather than in
+# the file-distribution fee/branch grid re-runs, a single-tree
+# ``dag_study`` with its modes reversed, ``theorem_checks`` at 200
+# conservation and collusion instances (the default runs 50 of each), and
+# ``decay`` with its own users, spike and length.  Pinned here rather than in
 # ``perfbench/digests.json``, which holds only the benchmark's own runs.
 NON_DEFAULT_PINS = [
     ("global", dict(seed=3, blocks=200, mode="progressive"),
@@ -61,6 +63,13 @@ NON_DEFAULT_PINS = [
      dict(seed=2, n_users=300, n_trees=1, fanout=3, modes=("progressive", "simple")),
      "641676ace6abcabd0cd888b998d6288fb00094055eea44e2fef87fe3543f9442",
      "7b0e48f37978cc1f8700466402c4128f9f9ef81bb55f134f2c592edab16ec527"),
+    ("theorem_checks", dict(seed=1, trials=2000),
+     "ba8ccc2117528347504a3b4ca214f2c811dce9afad3a8f7298f2f7d58c3b53b1",
+     "65ddc721d9bdf2dd8b755d9e5c2ad8ed3642b22d8dc3795ea9b8a776490ab4f9"),
+    ("decay",
+     dict(seed=4, blocks=260, users=((7, 0.5), (120, 0.02), (0, 0.9), (33, 0.25)), spike=37.5),
+     "b66ed4960ed52adfffd233171e9e5acb20226d2ee06fe56345f1fb459e8f8872",
+     "88589db21f820181d31c0d46736117ef40bf85a724f91b5ba48d627ba36549d7"),
 ]
 
 

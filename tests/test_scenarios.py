@@ -101,6 +101,11 @@ def test_decay_study_validation():
         run_decay_study(blocks=50, spike_up_at=40, spike_down_at=30)
     with pytest.raises(ValueError, match="spike blocks"):
         run_decay_study(blocks=50, spike_up_at=0, spike_down_at=30)
+    with pytest.raises(ValueError, match="coins"):
+        run_decay_study(users=((-1, 0.05),))
+    for decay in (1.5, float("nan")):
+        with pytest.raises(ValueError, match="decay"):
+            run_decay_study(users=((100, decay),))
 
 
 # --- gain vs decay ---------------------------------------------------------------
@@ -416,6 +421,11 @@ def test_distribution_rejects_half_a_grid(grids):
     (dict(episodes=0), "episodes"),
     (dict(viewers_range=(20_000_000, 10_000_000)), "viewers_range"),
     (dict(base_range=(10, 1)), "base_range"),
+    (dict(fee=float("nan")), "^fee "),
+    (dict(fee=float("inf")), "^fee "),
+    (dict(fee=-1.0), "^fee "),
+    (dict(fee_grid=(150.0, float("nan")), branch_grid=(0.5,)), "^fee_grid "),
+    (dict(fee_grid=(-2.0,), branch_grid=(0.5,)), "^fee_grid "),
 ])
 def test_distribution_rejects_bad_inputs(kwargs, name):
     with pytest.raises(ValueError, match=name):
@@ -457,6 +467,22 @@ def test_theorem_checks_catch_a_corrupted_retention(monkeypatch):
     )
     result = run_theorem_checks(seed=0, trials=200)
     assert result.summary["all_passed"] is False
+
+
+@pytest.mark.parametrize("factor, check", [
+    (0.99, "transfer_conservation"),  # shares that lose 1% of the fee
+    (1.2, "collusion_never_beats_idle"),  # shares that mint 20% on top of it
+])
+def test_theorem_checks_catch_a_corrupted_propagation(monkeypatch, factor, check):
+    # Negative control: scaled shares must trip the check that would see them.
+    real = prestigesim.mining.propagate_upstream
+    monkeypatch.setattr(
+        prestigesim.mining,
+        "propagate_upstream",
+        lambda *args: [(node, factor * amount) for node, amount in real(*args)],
+    )
+    result = run_theorem_checks(seed=0, trials=200)
+    assert result.summary[f"{check}.passed"] is False
 
 
 # --- output contract ----------------------------------------------------------------------
