@@ -8,6 +8,11 @@ acknowledgment fees, and any active motivator schedules), then the height
 advances. Given the same starting state and seed the whole evolution is
 deterministic; the per-block RNG stream is derived from (seed, height).
 
+Accounts live in arrays behind a mapping view, the ``Ledger``: coins in an
+int64 array and prestige in a float64 array, so regeneration is one array
+expression. ``Account`` rejects coins past 2**63 - 1 with a ValueError naming
+coins, and a reward that would pass the limit raises instead of wrapping.
+
 Coins are integers and conserved exactly: at any time
 
     sum(account coins) + escrowed motivator coins + pending fees
@@ -31,12 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, MutableMapping
 
 import numpy as np
 
 from .acks import PathAck, SimpleAck, keygen, setup, verify_path_ack, verify_simple_ack
-from .core import Account, SystemParams, step_account
+# step_account goes unused here: perfbench/tracing.py patches chain.step_account by name.
+from .core import Account, SystemParams, step_account  # noqa: F401
 from .errors import (
     DuplicateTask,
     InsufficientFunds,
@@ -82,10 +88,71 @@ class _Pending:
     transfers: tuple[tuple[str, str, float, MiningMode], ...]
 
 
+class Ledger(MutableMapping[str, Account]):
+    """Accounts by id, column-wise: position i of ``ids``, ``coins``, ``prestige``
+    and ``keys`` is one account. A read builds an ``Account``, a set writes one
+    through; ``by_vk`` maps each key to the first account in order holding it."""
+
+    def __init__(self, accounts: Iterable[Account] = ()) -> None:
+        rows = list(accounts)
+        self.ids = [a.id for a in rows]
+        self.pos = {acct_id: i for i, acct_id in enumerate(self.ids)}
+        self.coins = np.array([a.coins for a in rows], dtype=np.int64)
+        self.prestige = np.array([a.prestige for a in rows], dtype=np.float64)
+        self.keys = [a.verification_key for a in rows]
+        self._index_keys()
+
+    def _index_keys(self) -> None:
+        self.by_vk = dict(zip(reversed(self.keys), reversed(self.ids)))
+
+    def __getitem__(self, acct_id: str) -> Account:
+        i = self.pos[acct_id]
+        return Account(acct_id, int(self.coins[i]), float(self.prestige[i]), self.keys[i])
+
+    def __setitem__(self, acct_id: str, acct: Account) -> None:
+        if acct.id != acct_id:
+            raise ValueError(f"account {acct.id!r} set under id {acct_id!r}")
+        i = self.pos.get(acct_id)
+        if i is None:
+            self.pos[acct_id] = len(self.ids)
+            self.ids.append(acct_id)
+            self.keys.append(acct.verification_key)
+            self.coins = np.append(self.coins, np.int64(acct.coins))
+            self.prestige = np.append(self.prestige, np.float64(acct.prestige))
+            self.by_vk.setdefault(acct.verification_key, acct_id)
+            return
+        self.coins[i], self.prestige[i] = acct.coins, acct.prestige
+        if self.keys[i] != acct.verification_key:
+            self.keys[i] = acct.verification_key
+            self._index_keys()
+
+    def __delitem__(self, acct_id: str) -> None:
+        i = self.pos[acct_id]
+        del self.ids[i], self.keys[i]
+        self.coins, self.prestige = np.delete(self.coins, i), np.delete(self.prestige, i)
+        self.pos = {uid: k for k, uid in enumerate(self.ids)}
+        self._index_keys()
+
+    def __contains__(self, acct_id: object) -> bool:
+        return acct_id in self.pos
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def copy(self) -> "Ledger":
+        dup = Ledger()
+        dup.ids, dup.pos, dup.keys = list(self.ids), dict(self.pos), list(self.keys)
+        dup.coins, dup.prestige, dup.by_vk = self.coins.copy(), self.prestige.copy(), dict(self.by_vk)
+        return dup
+
+
 @dataclass
 class ChainState:
     height: int
-    accounts: dict[str, Account]
+    accounts: Ledger
     dag: MiningDag
     params: SystemParams
     rng_seed: int
@@ -96,12 +163,10 @@ class ChainState:
     seen_tasks: set[bytes] = field(default_factory=set)
     initial_coins: int = 0
     fees_pending: int = 0
-    # Lookup index, rebuilt from accounts whenever a state is made: each key
-    # maps to the first account in dict order holding it.
-    _vk_index: dict[bytes, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._vk_index = {a.verification_key: a.id for a in reversed(self.accounts.values())}
+        if not isinstance(self.accounts, Ledger):
+            self.accounts = Ledger(self.accounts.values())
 
     @classmethod
     def genesis(
@@ -145,48 +210,25 @@ class ChainState:
     # -- bookkeeping -----------------------------------------------------------
 
     def account_by_vk(self, vk: bytes) -> Account | None:
-        """The first account in dict order holding ``vk``, or None.
-
-        Resolved in O(1) through the key index, then checked against that
-        account's current key. A miss (an unknown key, or an account whose
-        key was changed by editing ``accounts`` directly) falls back to
-        scanning every account. The chain API never changes a key.
-        """
-        acct_id = self._vk_index.get(vk)
-        if acct_id is not None:
-            acct = self.accounts.get(acct_id)
-            if acct is not None and acct.verification_key == vk:
-                return acct
-        for acct in self.accounts.values():
-            if acct.verification_key == vk:
-                return acct
-        return None
+        """The first account in ledger order holding ``vk``, or None, in O(1)."""
+        acct_id = self.accounts.by_vk.get(vk)
+        return None if acct_id is None else self.accounts[acct_id]
 
     def total_coins(self) -> int:
-        return sum(a.coins for a in self.accounts.values())
+        return sum(self.accounts.coins.tolist())
 
     def total_prestige(self) -> float:
-        return sum(a.prestige for a in self.accounts.values())
+        return sum(self.accounts.prestige.tolist())
 
     def escrowed_coins(self) -> int:
         return sum(s.coins_per_block * s.remaining_blocks for s in self.motivator_rewards)
 
     def copy(self) -> "ChainState":
-        dup = ChainState(
-            height=self.height,
-            accounts=dict(self.accounts),
-            dag=self.dag.copy(),
-            params=self.params,
-            rng_seed=self.rng_seed,
-            subsidy=self.subsidy,
-            ack_fee=self.ack_fee,
-            pending_acks=list(self.pending_acks),
+        return replace(
+            self, accounts=self.accounts.copy(), dag=self.dag.copy(),
+            pending_acks=list(self.pending_acks), seen_tasks=set(self.seen_tasks),
             motivator_rewards=[replace(s) for s in self.motivator_rewards],
-            seen_tasks=set(self.seen_tasks),
-            initial_coins=self.initial_coins,
-            fees_pending=self.fees_pending,
         )
-        return dup
 
 
 def elect_minter(accounts: Mapping[str, Account], rng: np.random.Generator) -> str:
@@ -197,18 +239,15 @@ def elect_minter(accounts: Mapping[str, Account], rng: np.random.Generator) -> s
     """
     if not accounts:
         raise NoAccounts("cannot elect a minter with no accounts")
-    ids = list(accounts)
-    weights = np.maximum(
-        np.fromiter((a.prestige for a in accounts.values()), dtype=np.float64, count=len(ids)),
-        0.0,
-    )
+    led = accounts if isinstance(accounts, Ledger) else Ledger(accounts.values())
+    ids = led.ids
+    weights = np.maximum(led.prestige, 0.0)
     total = float(weights.sum())
     if total > 0.0:
         cutoff = rng.random() * total
         idx = int(np.searchsorted(np.cumsum(weights), cutoff, side="right"))
         return ids[min(idx, len(ids) - 1)]
-    funded = [i for i in ids if accounts[i].coins > 0]
-    pool = funded if funded else ids
+    pool = [i for i, coins in zip(ids, led.coins.tolist()) if coins > 0] or ids
     return pool[int(rng.integers(len(pool)))]
 
 
@@ -225,15 +264,19 @@ def _check_snapshot_safe(acct: Account) -> None:
         raise ValueError(f"prestige of {acct.id!r} must be finite, got {acct.prestige!r}")
 
 
+def _debit(led: Ledger, acct_id: str, amount: int, needs: str) -> None:
+    """Take *amount* coins from an account, in Python ints, or raise InsufficientFunds."""
+    i = led.pos[acct_id]
+    coins = int(led.coins[i])
+    if coins < amount:
+        raise InsufficientFunds(f"{acct_id} holds {coins} coins, {needs}")
+    led.coins[i] = coins - amount
+
+
 def _charge_fee(state: ChainState, claimer: str) -> None:
     if state.ack_fee <= 0:
         return
-    acct = state.accounts[claimer]
-    if acct.coins < state.ack_fee:
-        raise InsufficientFunds(
-            f"{claimer} holds {acct.coins} coins, fee is {state.ack_fee}"
-        )
-    state.accounts[claimer] = replace(acct, coins=acct.coins - state.ack_fee)
+    _debit(state.accounts, claimer, state.ack_fee, f"fee is {state.ack_fee}")
     state.fees_pending += state.ack_fee
 
 
@@ -266,22 +309,20 @@ def submit_ack(
         if beneficiary is not None:
             if beneficiary not in state.accounts:
                 raise UnknownAccount(beneficiary)
-            payer = state.accounts[beneficiary]
-            if not verify_simple_ack(ack, payer.verification_key):
+            if not verify_simple_ack(ack, state.accounts[beneficiary].verification_key):
                 raise InvalidSignature("simple ack does not verify against the named beneficiary")
+            payer_id = beneficiary
         else:
-            payer = None
-            for acct in state.accounts.values():
-                if acct.verification_key and verify_simple_ack(ack, acct.verification_key):
-                    payer = acct
-                    break
-            if payer is None:
+            led = state.accounts
+            payer_id = next((acct_id for acct_id, vk in zip(led.ids, led.keys)
+                             if vk and verify_simple_ack(ack, vk)), None)
+            if payer_id is None:
                 raise InvalidSignature("simple ack does not verify against any account key")
         if ack.task_id in state.seen_tasks:
             raise DuplicateTask(ack.task_id.hex())
         _charge_fee(state, contributor.id)
         state.seen_tasks.add(ack.task_id)
-        transfer = (payer.id, contributor.id, float(ack.amount), MiningMode.SIMPLE)
+        transfer = (payer_id, contributor.id, float(ack.amount), MiningMode.SIMPLE)
         state.pending_acks.append(_Pending(ack, (transfer,)))
         return state
 
@@ -350,10 +391,7 @@ def register_motivator_reward(
     total = coins_per_block * duration_blocks
     if total == 0:
         return state
-    acct = state.accounts[funder]
-    if acct.coins < total:
-        raise InsufficientFunds(f"{funder} holds {acct.coins} coins, schedule needs {total}")
-    state.accounts[funder] = replace(acct, coins=acct.coins - total)
+    _debit(state.accounts, funder, total, f"schedule needs {total}")
     state.motivator_rewards.append(
         RewardSchedule(funder=funder, coins_per_block=coins_per_block, remaining_blocks=duration_blocks)
     )
@@ -371,9 +409,9 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
         raise NoAccounts("cannot advance an empty chain")
     new_height = state.height + 1
 
-    accounts, params = state.accounts, state.params
-    for acct_id, acct in list(accounts.items()):
-        accounts[acct_id] = step_account(acct, params)
+    led = state.accounts
+    # step_account for every account at once; int64 -> float64 rounds as int + float does
+    led.prestige = led.coins + (1.0 - state.params.decay) * led.prestige
 
     records: list[TransferRecord] = []
     hexes: list[str] = []
@@ -407,11 +445,11 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
 
     reward = state.subsidy + fees + payout
     if reward:
-        acct = state.accounts[minter]
-        state.accounts[minter] = replace(acct, coins=acct.coins + reward)
+        i = led.pos[minter]
+        led.coins[i] = int(led.coins[i]) + reward
 
     state.height = new_height
-    block = Block(
+    return state, Block(
         height=new_height,
         minter=minter,
         processed_acks=tuple(records),
@@ -420,7 +458,6 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
         motivator_payout=payout,
         ack_hexes=tuple(hexes),
     )
-    return state, block
 
 
 # --- snapshots ----------------------------------------------------------------
@@ -458,9 +495,9 @@ def save_snapshot(state: ChainState) -> str:
         )
     for task in sorted(state.seen_tasks):
         lines.append(f"# seen {task.hex()}")
-    for acct in state.accounts.values():
-        vk = acct.verification_key.hex()
-        lines.append(f"{acct.id},{acct.coins},{acct.prestige!r},{vk}")
+    led = state.accounts
+    for row in zip(led.ids, led.coins.tolist(), led.prestige.tolist(), led.keys):
+        lines.append(f"{row[0]},{row[1]},{row[2]!r},{row[3].hex()}")
     return "\n".join(lines) + "\n"
 
 
@@ -547,7 +584,7 @@ def load_snapshot(text: str) -> ChainState:
             if node not in accounts:
                 raise SnapshotError(f"DAG node {node!r} has no account line")
 
-        state = ChainState(
+        return ChainState(
             height=int(header["height"]),
             accounts=accounts,
             dag=dag,
@@ -560,7 +597,6 @@ def load_snapshot(text: str) -> ChainState:
             initial_coins=int(header["initial-coins"]),
             fees_pending=int(header.get("fees-pending", "0")),
         )
-        return state
     except SnapshotError:
         raise
     except (KeyError, ValueError, IndexError) as exc:

@@ -98,15 +98,22 @@ def _load_config(path: str) -> dict[str, object]:
     return kwargs
 
 
-def _reject_unknown(runner, kwargs: dict[str, object], name: str) -> str | None:
-    """Return an error message if kwargs contains keys the runner lacks."""
-    accepted = set(inspect.signature(runner).parameters)
-    unknown = sorted(set(kwargs) - accepted)
+def _reject_kwargs(runner, kwargs: dict[str, object], name: str) -> str | None:
+    """Return an error message if kwargs contains keys the runner lacks, or a
+    value that is not a number where the runner's default is one."""
+    params = inspect.signature(runner).parameters
+    unknown = sorted(set(kwargs) - set(params))
     if unknown:
         return (
             f"scenario {name!r} does not accept: {', '.join(unknown)}\n"
-            f"valid keys: {', '.join(sorted(accepted))}"
+            f"valid keys: {', '.join(sorted(params))}"
         )
+    number = (int, float)
+    for key, value in kwargs.items():
+        default = params[key].default
+        if isinstance(default, number) and not isinstance(default, bool) and (
+                isinstance(value, bool) or not isinstance(value, number)):
+            return f"scenario {name!r}: {key} must be a number, got {value!r}"
     return None
 
 
@@ -145,7 +152,7 @@ def cmd_run(scenario_name: str | None, config_path: str | None, seed: int | None
 
     for name in names:
         runner = scenarios.SCENARIOS[name]
-        message = _reject_unknown(runner, kwargs, name)
+        message = _reject_kwargs(runner, kwargs, name)
         if message:
             print(message, file=sys.stderr)
             return EXIT_USAGE

@@ -9,7 +9,8 @@ The unique fixed point of that recurrence is the static value S = C / d;
 every trajectory converges to it geometrically, with the remaining gap
 after t blocks equal to (P(0) - S) * (1 - d)^t.
 
-Coins are non-negative integers; prestige is a float64 and may go negative
+Coins are integers in [0, 2**63 - 1], the range the chain's int64 ledger
+holds; prestige is a float64 and may go negative
 when an account spends more than it holds (downstream consumers clamp at
 zero where a non-negative weight is required).
 """
@@ -56,8 +57,8 @@ class Account:
     verification_key: bytes = b""
 
     def __post_init__(self) -> None:
-        if self.coins < 0:
-            raise ValueError(f"coins must be >= 0, got {self.coins} for {self.id!r}")
+        if not 0 <= self.coins <= 2**63 - 1:
+            raise ValueError(f"coins must be in [0, 2**63 - 1], got {self.coins} for {self.id!r}")
         if self.verification_key and len(self.verification_key) != 33:
             raise ValueError("verification_key must be empty or 33 bytes")
 

@@ -19,6 +19,7 @@ Summaries are ``key: value`` lines with JSON-encoded scalars.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import starmap
 from pathlib import Path
@@ -183,6 +184,14 @@ def _user_ids(n: int) -> list[str]:
     return [f"u{str(i).zfill(width)}" for i in range(n)]
 
 
+def _check_finite(**values: float | Sequence[float]) -> None:
+    """Raise ValueError naming the first argument, or grid, holding a NaN or infinity."""
+    for name, value in values.items():
+        for v in value if isinstance(value, (tuple, list)) else (value,):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+
+
 def _check_cohorts(cohorts: Sequence[tuple[str, int, float, int]]) -> None:
     """Reject an empty cohort list, a repeated label or a cohort without members."""
     if not cohorts:
@@ -229,6 +238,7 @@ def run_decay_study(
     *spike_down_at* the same amount is removed, exposing how quickly
     each decay rate forgets transient gains.
     """
+    _check_finite(spike=spike)
     if len(set(users)) != len(users):
         raise ValueError("user configurations must be distinct (coins, decay) pairs")
     if not 0 < spike_up_at < spike_down_at <= blocks:
@@ -293,6 +303,7 @@ def run_gain_vs_decay(
     over the whole run: large decay rates bleed the drip away almost
     immediately, small ones let it pile up.
     """
+    _check_finite(decay_grid=decay_grid, injections=injections)
     if blocks < 1:
         raise ValueError(f"blocks must be at least 1, got {blocks}")
     result = ScenarioResult(
@@ -366,6 +377,7 @@ def run_dag_study(
     accrue to separate tallies: ``retained`` via the retention rule,
     ``absorbed`` as a root's unconditional residual, ``gain`` their sum.
     """
+    _check_finite(branch_power=branch_power, fee=fee)
     if n_users < 2:
         raise ValueError(f"n_users must be at least 2 (payers are other users), got {n_users}")
     # Each statistic below is undefined when what it ranks is constant.
@@ -493,6 +505,7 @@ def run_global(
     differences, not ripple noise, dominate the cohort signal.
     """
     mining_mode = MiningMode.parse(mode)
+    _check_finite(fee=fee, decay=decay, branch_power=branch_power)
     _check_cohorts(cohorts)
     if window is None:
         window = max(1, blocks // 5)
@@ -590,6 +603,7 @@ def run_tradeoff(
     poor-but-active and rich-but-lazy cohorts accumulated more prestige,
     and the grid's crossover point.
     """
+    _check_finite(work_value=work_value, decay_grid=decay_grid)
     _check_cohorts(cohorts)
     if not decay_grid:
         raise ValueError("decay_grid must not be empty")
@@ -714,6 +728,7 @@ def run_file_distribution(
     the top of the payout table while the typical participant's reward
     barely moves.
     """
+    _check_finite(branch_power=branch_power, branch_grid=branch_grid)
     if scale < 1:
         raise ValueError("scale must be a positive integer")
     if episodes < 1:

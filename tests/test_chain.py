@@ -89,6 +89,36 @@ def test_genesis_rejects_non_finite_prestige(prestige):
         )
 
 
+# --- coin limit: the ledger keeps coins in an int64 array -----------------------------
+
+def test_genesis_rejects_coins_past_int64():
+    ChainState.genesis([("a", 2**63 - 1)], SystemParams(decay=0.5), rng_seed=1)
+    with pytest.raises(ValueError, match="coins"):
+        ChainState.genesis([("a", 2**63)], SystemParams(decay=0.5), rng_seed=1)
+
+
+def test_setting_an_account_rejects_coins_past_int64():
+    state = ChainState.genesis([("a", 1)], SystemParams(decay=0.5), rng_seed=1)
+    with pytest.raises(ValueError, match="coins"):
+        state.accounts["a"] = Account(id="a", coins=2**63)
+    with pytest.raises(ValueError, match="coins"):
+        state.accounts["new"] = Account(id="new", coins=2**64)
+    assert list(state.accounts) == ["a"] and state.accounts["a"].coins == 1
+
+
+def test_snapshot_rejects_coins_past_int64():
+    text = save_snapshot(ChainState.genesis([("a", 2**63 - 1)], SystemParams(decay=0.5), rng_seed=1))
+    assert save_snapshot(load_snapshot(text)) == text
+    with pytest.raises(SnapshotError, match="coins"):
+        load_snapshot(text.replace(f"a,{2**63 - 1},", f"a,{2**63},"))
+
+
+def test_minter_reward_past_int64_raises_instead_of_wrapping():
+    state = ChainState.genesis([("a", 2**63 - 2)], SystemParams(decay=0.5), rng_seed=1, subsidy=2)
+    with pytest.raises(OverflowError):
+        advance_block(state)
+
+
 # --- key index -------------------------------------------------------------------
 
 def scan_by_vk(state: ChainState, vk: bytes):

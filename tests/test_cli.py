@@ -3,7 +3,7 @@
 import pytest
 
 import prestigesim.mining
-from prestigesim import ChainState, SystemParams, save_snapshot
+from prestigesim import ChainState, SystemParams, run_scenario, save_snapshot
 from prestigesim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -94,6 +94,36 @@ def test_run_rejected_value_exits_2(tmp_path, capsys):
     assert "spike blocks" in capsys.readouterr().err
     assert main(["run", "theorem_checks", "--set", "trials=0", "--out", str(tmp_path)]) == EXIT_USAGE
     assert "trials" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_mistyped_set_exits_2(tmp_path, capsys):
+    # blocks defaults to an int, so a value that parses as no number is a usage error
+    for value in ("abc", "true"):
+        assert main(["run", "decay", "--set", f"blocks={value}", "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "blocks must be a number" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("decay", "spike", NAN),
+    ("dag_study", "fee", NAN),
+    ("global", "fee", NAN),
+    ("tradeoff", "work_value", NAN),
+    ("dag_study", "branch_power", NAN),
+    ("global", "branch_power", float("inf")),
+    ("gain_vs_decay", "decay_grid", (NAN, 0.5)),
+    ("file_distribution", "branch_power", NAN),
+])
+def test_non_finite_argument_is_rejected_up_front(tmp_path, capsys, name, key, value):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        run_scenario(name, **{key: value})
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    assert main(["run", name, "--set", f"{key}={text}", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert f"{key} must be finite" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
