@@ -107,7 +107,7 @@ class Ledger(MutableMapping[str, Account]):
 
     def __getitem__(self, acct_id: str) -> Account:
         i = self.pos[acct_id]
-        return Account(acct_id, int(self.coins[i]), float(self.prestige[i]), self.keys[i])
+        return Account(acct_id, self.coins.item(i), self.prestige.item(i), self.keys[i])
 
     def __setitem__(self, acct_id: str, acct: Account) -> None:
         if acct.id != acct_id:
@@ -253,9 +253,8 @@ def elect_minter(accounts: Mapping[str, Account], rng: np.random.Generator) -> s
 
 def _check_snapshot_safe(acct: Account) -> None:
     """Raise ValueError for an account whose snapshot line would not load back."""
-    if not acct.id or acct.id.startswith("#") or "," in acct.id or any(
-        ch.isspace() for ch in acct.id
-    ):
+    # split() != [id] exactly when the id is empty or holds whitespace (str.isspace)
+    if acct.id.split() != [acct.id] or acct.id.startswith("#") or "," in acct.id:
         raise ValueError(
             f"account id {acct.id!r} must be non-empty, start with no '#' and "
             "contain no ',' or whitespace"
@@ -267,7 +266,7 @@ def _check_snapshot_safe(acct: Account) -> None:
 def _debit(led: Ledger, acct_id: str, amount: int, needs: str) -> None:
     """Take *amount* coins from an account, in Python ints, or raise InsufficientFunds."""
     i = led.pos[acct_id]
-    coins = int(led.coins[i])
+    coins = led.coins.item(i)
     if coins < amount:
         raise InsufficientFunds(f"{acct_id} holds {coins} coins, {needs}")
     led.coins[i] = coins - amount
@@ -446,7 +445,7 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
     reward = state.subsidy + fees + payout
     if reward:
         i = led.pos[minter]
-        led.coins[i] = int(led.coins[i]) + reward
+        led.coins[i] = led.coins.item(i) + reward
 
     state.height = new_height
     return state, Block(
@@ -496,8 +495,8 @@ def save_snapshot(state: ChainState) -> str:
     for task in sorted(state.seen_tasks):
         lines.append(f"# seen {task.hex()}")
     led = state.accounts
-    for row in zip(led.ids, led.coins.tolist(), led.prestige.tolist(), led.keys):
-        lines.append(f"{row[0]},{row[1]},{row[2]!r},{row[3].hex()}")
+    columns = zip(led.ids, led.coins.tolist(), led.prestige.tolist(), led.keys)
+    lines += [f"{acct_id},{coins},{p!r},{vk.hex()}" for acct_id, coins, p, vk in columns]
     return "\n".join(lines) + "\n"
 
 

@@ -10,9 +10,9 @@ every trajectory converges to it geometrically, with the remaining gap
 after t blocks equal to (P(0) - S) * (1 - d)^t.
 
 Coins are integers in [0, 2**63 - 1], the range the chain's int64 ledger
-holds; prestige is a float64 and may go negative
-when an account spends more than it holds (downstream consumers clamp at
-zero where a non-negative weight is required).
+holds; prestige is a float64 and may go negative when an account spends
+more than it holds (downstream consumers clamp at zero where a
+non-negative weight is required).
 """
 
 from __future__ import annotations
