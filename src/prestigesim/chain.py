@@ -448,7 +448,7 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
         led.coins[i] = led.coins.item(i) + reward
 
     state.height = new_height
-    return state, Block(
+    block = Block(
         height=new_height,
         minter=minter,
         processed_acks=tuple(records),
@@ -457,6 +457,7 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
         motivator_payout=payout,
         ack_hexes=tuple(hexes),
     )
+    return state, block
 
 
 # --- snapshots ----------------------------------------------------------------
@@ -583,7 +584,7 @@ def load_snapshot(text: str) -> ChainState:
             if node not in accounts:
                 raise SnapshotError(f"DAG node {node!r} has no account line")
 
-        return ChainState(
+        state = ChainState(
             height=int(header["height"]),
             accounts=accounts,
             dag=dag,
@@ -596,6 +597,7 @@ def load_snapshot(text: str) -> ChainState:
             initial_coins=int(header["initial-coins"]),
             fees_pending=int(header.get("fees-pending", "0")),
         )
+        return state
     except SnapshotError:
         raise
     except (KeyError, ValueError, IndexError) as exc:
