@@ -777,6 +777,24 @@ def test_snapshot_rejects_accounts_genesis_rejects(line):
         load_snapshot(good + line + "\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("c,-1,0.0,", "malformed snapshot: coins must be in [0, 2**63 - 1], got -1 for 'c'"),
+    (f"c,{2**63},0.0,", f"malformed snapshot: coins must be in [0, 2**63 - 1], got {2**63} for 'c'"),
+    ("c,1,0.0," + "ab" * 32, "malformed snapshot: verification_key must be empty or 33 bytes"),
+    ("c d,1,0.0,", "line 13: account id 'c d' must be non-empty, start with no '#' and contain "
+                   "no ',' or whitespace"),
+    ("#c,1,0.0,", "malformed snapshot: list index out of range"),
+    ("c,1,nan,", "line 13: prestige of 'c' must be finite, got nan"),
+    ("a,1,0.0,", "line 13: duplicate account 'a'"),
+])
+def test_snapshot_account_line_errors(line, message):
+    good = save_snapshot(ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5), rng_seed=1))
+    assert len(good.splitlines()) == 12
+    with pytest.raises(SnapshotError) as err:
+        load_snapshot(good + line + "\n")
+    assert str(err.value) == message
+
+
 @st.composite
 def chain_states(draw):
     """Any state genesis accepts, with a forest, history and reward schedules.

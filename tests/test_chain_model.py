@@ -1,7 +1,7 @@
 """Long mixed operation sequences on the chain, compared with ``chain_model``.
 
-A hypothesis state machine submits honest, replayed and misplaced acks,
-registers motivators, mints blocks, round-trips snapshots and copies the
+A hypothesis state machine submits honest, replayed, misplaced and badly
+signed acks, registers motivators, mints blocks, round-trips snapshots and copies the
 state, doing each to the real chain and to the plain-dict model. After
 every step the two must hold the same accounts (prestige to the bit), DAG,
 seen task ids, fees, schedules and snapshot bytes, and coins must be
@@ -15,6 +15,7 @@ from chain_model import ChainModel
 from prestigesim import (
     Account,
     ChainState,
+    PathAck,
     PrestigeError,
     SystemParams,
     advance_block,
@@ -32,6 +33,7 @@ from prestigesim import (
 
 NAMES = [f"n{i}" for i in range(5)]
 KP = {n: keygen(setup(128), n) for n in NAMES}  # the keys genesis derives
+OUTSIDER = keygen(setup(128), "outsider")  # a key no account holds
 NODE = st.integers(0, len(NAMES) - 1)
 AMOUNT = st.integers(1, 60)
 
@@ -68,13 +70,14 @@ class ChainVersusModel(RuleBasedStateMachine):
         self.tasks += 1
         return self.tasks.to_bytes(32, "big")
 
-    def submit(self, ack, hint=None):
+    def submit(self, ack, hint=None) -> str:
         got = outcome(lambda: submit_ack(self.state, ack, hint))
         assert got == outcome(lambda: self.model.submit(ack, hint))
         if got == "accepted":
             task_ids = [h.task_id for h in ack.hops] if hasattr(ack, "hops") else [ack.task_id]
             assert set(task_ids) <= self.state.seen_tasks
         self.submitted.append((ack, hint))
+        return got
 
     @rule(node=NODE)
     def root(self, node):
@@ -99,6 +102,21 @@ class ChainVersusModel(RuleBasedStateMachine):
     @rule(k=st.integers(0, 99))
     def replay(self, k):
         self.submit(*self.submitted[k % len(self.submitted)])
+
+    @precondition(lambda self: self.paths)
+    @rule(k=st.integers(0, 99), node=NODE, amount=AMOUNT, bit=st.integers(0, 8 * 33 - 1))
+    def flipped_composite(self, k, node, amount, bit):
+        """A join whose composite signature has one bit flipped."""
+        kp = KP[NAMES[node]]
+        ack = extend_path_ack(self.paths[k % len(self.paths)], kp, self.task(), kp.vk, amount)
+        composite = (int.from_bytes(ack.composite, "big") ^ (1 << bit)).to_bytes(33, "big")
+        assert self.submit(PathAck(ack.hops, composite)) != "accepted"
+
+    @rule(payee=NODE, amount=AMOUNT, hint=st.none() | st.sampled_from(NAMES))
+    def wrong_signer(self, payee, amount, hint):
+        """A simple ack signed by a key no account holds, with or without a hint."""
+        ack = make_simple_ack(OUTSIDER, self.task(), KP[NAMES[payee]].vk, amount)
+        assert self.submit(ack, hint) == "InvalidSignature"
 
     @rule(order=st.permutations(range(len(NAMES))), length=st.integers(2, 4), amount=AMOUNT)
     def fresh_path(self, order, length, amount):
