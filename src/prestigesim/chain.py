@@ -8,10 +8,11 @@ acknowledgment fees, and any active motivator schedules), then the height
 advances. Given the same starting state and seed the whole evolution is
 deterministic; the per-block RNG stream is derived from (seed, height).
 
-Accounts live in arrays behind a mapping view, the ``Ledger``: coins in an
-int64 array and prestige in a float64 array, so regeneration is one array
-expression. ``Account`` rejects coins past 2**63 - 1 with a ValueError naming
-coins, and a reward that would pass the limit raises instead of wrapping.
+Accounts live in columns, the ``Ledger`` (coins int64, prestige float64), so
+regeneration is one array expression; submit, settle and load work on them by
+position, and an ``Account`` is built only when the ledger is read as a mapping.
+Coins past 2**63 - 1 raise a ValueError naming coins, or for a block's reward
+an OverflowError that leaves the state as it was.
 
 Coins are integers and conserved exactly: at any time
 
@@ -34,6 +35,7 @@ acks pending.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, MutableMapping
@@ -41,8 +43,9 @@ from typing import Iterable, Iterator, Mapping, MutableMapping
 import numpy as np
 
 from .acks import PathAck, SimpleAck, keygen, setup, verify_path_ack, verify_simple_ack
-# step_account goes unused here: perfbench/tracing.py patches chain.step_account by name.
-from .core import Account, SystemParams, step_account  # noqa: F401
+# step_account and apply_transfer go unused here: perfbench/tracing.py patches
+# chain.step_account and chain.apply_transfer by name.
+from .core import Account, SystemParams, check_account, step_account  # noqa: F401
 from .errors import (
     DuplicateTask,
     InsufficientFunds,
@@ -51,7 +54,7 @@ from .errors import (
     SnapshotError,
     UnknownAccount,
 )
-from .mining import MiningDag, MiningMode, TransferRecord, apply_transfer
+from .mining import MiningDag, MiningMode, TransferRecord, apply_transfer, settle_transfer  # noqa: F401
 
 SNAPSHOT_MAGIC = "prestigesim-state"
 SNAPSHOT_VERSION = 1
@@ -90,20 +93,24 @@ class _Pending:
 
 class Ledger(MutableMapping[str, Account]):
     """Accounts by id, column-wise: position i of ``ids``, ``coins``, ``prestige``
-    and ``keys`` is one account. A read builds an ``Account``, a set writes one
-    through; ``by_vk`` maps each key to the first account in order holding it."""
+    and ``keys`` is one account, at ``pos[id]``. Only the mapping interface
+    builds an ``Account`` (on read) or takes one apart (on set); ``by_vk`` maps
+    each key to the first account in order holding it."""
 
     def __init__(self, accounts: Iterable[Account] = ()) -> None:
         rows = list(accounts)
-        self.ids = [a.id for a in rows]
-        self.pos = {acct_id: i for i, acct_id in enumerate(self.ids)}
-        self.coins = np.array([a.coins for a in rows], dtype=np.int64)
-        self.prestige = np.array([a.prestige for a in rows], dtype=np.float64)
-        self.keys = [a.verification_key for a in rows]
-        self._index_keys()
+        self._fill([a.id for a in rows], [a.coins for a in rows],
+                   [a.prestige for a in rows], [a.verification_key for a in rows])
 
-    def _index_keys(self) -> None:
-        self.by_vk = dict(zip(reversed(self.keys), reversed(self.ids)))
+    def _fill(self, ids: list[str], coins: list[int], prestige: list[float],
+              keys: list[bytes]) -> "Ledger":
+        """Hold these columns, already checked as ``Account`` checks them."""
+        self.ids, self.keys = ids, keys
+        self.pos = {acct_id: i for i, acct_id in enumerate(ids)}
+        self.coins = np.array(coins, dtype=np.int64)
+        self.prestige = np.array(prestige, dtype=np.float64)
+        self.by_vk = dict(zip(reversed(keys), reversed(ids)))
+        return self
 
     def __getitem__(self, acct_id: str) -> Account:
         i = self.pos[acct_id]
@@ -124,14 +131,12 @@ class Ledger(MutableMapping[str, Account]):
         self.coins[i], self.prestige[i] = acct.coins, acct.prestige
         if self.keys[i] != acct.verification_key:
             self.keys[i] = acct.verification_key
-            self._index_keys()
+            self._fill(self.ids, self.coins, self.prestige, self.keys)
 
     def __delitem__(self, acct_id: str) -> None:
         i = self.pos[acct_id]
         del self.ids[i], self.keys[i]
-        self.coins, self.prestige = np.delete(self.coins, i), np.delete(self.prestige, i)
-        self.pos = {uid: k for k, uid in enumerate(self.ids)}
-        self._index_keys()
+        self._fill(self.ids, np.delete(self.coins, i), np.delete(self.prestige, i), self.keys)
 
     def __contains__(self, acct_id: object) -> bool:
         return acct_id in self.pos
@@ -190,7 +195,7 @@ class ChainState:
         table: dict[str, Account] = {}
         for entry in accounts:
             acct = entry if isinstance(entry, Account) else Account(id=entry[0], coins=entry[1])
-            _check_snapshot_safe(acct)
+            _check_snapshot_safe(acct.id, acct.prestige)
             if not acct.verification_key:
                 acct = replace(acct, verification_key=keygen(key_params, acct.id).vk)
             if acct.id in table:
@@ -251,16 +256,16 @@ def elect_minter(accounts: Mapping[str, Account], rng: np.random.Generator) -> s
     return pool[int(rng.integers(len(pool)))]
 
 
-def _check_snapshot_safe(acct: Account) -> None:
+def _check_snapshot_safe(acct_id: str, prestige: float) -> None:
     """Raise ValueError for an account whose snapshot line would not load back."""
     # split() != [id] exactly when the id is empty or holds whitespace (str.isspace)
-    if acct.id.split() != [acct.id] or acct.id.startswith("#") or "," in acct.id:
+    if acct_id.split() != [acct_id] or acct_id.startswith("#") or "," in acct_id:
         raise ValueError(
-            f"account id {acct.id!r} must be non-empty, start with no '#' and "
+            f"account id {acct_id!r} must be non-empty, start with no '#' and "
             "contain no ',' or whitespace"
         )
-    if not math.isfinite(acct.prestige):
-        raise ValueError(f"prestige of {acct.id!r} must be finite, got {acct.prestige!r}")
+    if not math.isfinite(prestige):
+        raise ValueError(f"prestige of {acct_id!r} must be finite, got {prestige!r}")
 
 
 def _debit(led: Ledger, acct_id: str, amount: int, needs: str) -> None:
@@ -295,43 +300,44 @@ def submit_ack(
     transfers the next block settles: one for a simple ack; for a path ack,
     one per hop after the genesis hop whose task id was unseen, so a task id
     repeated within a path settles at its first hop. Hop and contributor
-    keys resolve to accounts through the state's key index, so the cost of a
-    submit depends on neither the number of accounts nor the queue length.
-    The one exception is a simple ack without the optional ``beneficiary``
-    hint, which names the signer: then the signer is resolved by scanning
-    account keys.
+    keys resolve to account ids through the ledger's key index (``by_vk``)
+    and keys are read from its key column, so the cost of a submit depends
+    on neither the number of accounts nor the queue length, and no
+    ``Account`` is built. The one exception is a simple ack without the
+    optional ``beneficiary`` hint, which names the signer: then the signer
+    is resolved by scanning account keys.
     """
+    led = state.accounts
     if isinstance(ack, SimpleAck):
-        contributor = state.account_by_vk(ack.contributor_vk)
+        contributor = led.by_vk.get(ack.contributor_vk)
         if contributor is None:
             raise UnknownAccount("no account holds the contributor key")
         if beneficiary is not None:
-            if beneficiary not in state.accounts:
+            if beneficiary not in led.pos:
                 raise UnknownAccount(beneficiary)
-            if not verify_simple_ack(ack, state.accounts[beneficiary].verification_key):
+            if not verify_simple_ack(ack, led.keys[led.pos[beneficiary]]):
                 raise InvalidSignature("simple ack does not verify against the named beneficiary")
             payer_id = beneficiary
         else:
-            led = state.accounts
             payer_id = next((acct_id for acct_id, vk in zip(led.ids, led.keys)
                              if vk and verify_simple_ack(ack, vk)), None)
             if payer_id is None:
                 raise InvalidSignature("simple ack does not verify against any account key")
         if ack.task_id in state.seen_tasks:
             raise DuplicateTask(ack.task_id.hex())
-        _charge_fee(state, contributor.id)
+        _charge_fee(state, contributor)
         state.seen_tasks.add(ack.task_id)
-        transfer = (payer_id, contributor.id, float(ack.amount), MiningMode.SIMPLE)
+        transfer = (payer_id, contributor, float(ack.amount), MiningMode.SIMPLE)
         state.pending_acks.append(_Pending(ack, (transfer,)))
         return state
 
     if isinstance(ack, PathAck):
         node_ids: list[str] = []
         for hop in ack.hops:
-            acct = state.account_by_vk(hop.vk)
-            if acct is None:
+            acct_id = led.by_vk.get(hop.vk)
+            if acct_id is None:
                 raise UnknownAccount(f"no account holds the key of hop {len(node_ids)}")
-            node_ids.append(acct.id)
+            node_ids.append(acct_id)
 
         if len(set(node_ids)) != len(node_ids):
             raise InvalidSignature("path names an account more than once")
@@ -349,8 +355,7 @@ def submit_ack(
                 raise InvalidSignature(
                     f"path places {node!r} under {node_ids[k-1]!r} but it is attached elsewhere"
                 )
-        root_vk = state.accounts[node_ids[0]].verification_key
-        if not verify_path_ack(ack, root_vk):
+        if not verify_path_ack(ack, led.keys[led.pos[node_ids[0]]]):
             raise InvalidSignature("path ack composite does not verify")
 
         if all(hop.task_id in state.seen_tasks for hop in ack.hops):
@@ -400,64 +405,55 @@ def register_motivator_reward(
 def advance_block(state: ChainState) -> tuple[ChainState, Block]:
     """Mint one block: regenerate, settle queued transfers, elect, pay rewards.
 
-    The queued transfers apply in submission order. The DAG and the seen
-    task ids are left as they are: ``submit_ack`` recorded them on
-    acceptance.
+    The queued transfers apply in submission order, on a per-position list
+    of this block's prestige. The DAG and the seen task ids are left as they
+    are: ``submit_ack`` recorded them on acceptance. Every step works on
+    locals and the state is written once at the end, so a call that raises
+    changes nothing: OverflowError, naming coins, when the reward would take
+    the minter past 2**63 - 1 coins.
     """
     if not state.accounts:
         raise NoAccounts("cannot advance an empty chain")
     new_height = state.height + 1
-
     led = state.accounts
-    # step_account for every account at once; int64 -> float64 rounds as int + float does
-    led.prestige = led.coins + (1.0 - state.params.decay) * led.prestige
+    ids, pos, b = led.ids, led.pos, state.params.branch_power
 
+    # step_account for every account at once; int64 -> float64 rounds as int + float does
+    prestige = (led.coins + (1.0 - state.params.decay) * led.prestige).tolist()
     records: list[TransferRecord] = []
-    hexes: list[str] = []
     for item in state.pending_acks:
         for beneficiary, contributor, amount, mode in item.transfers:
-            rec = apply_transfer(
-                state.accounts,
-                state.dag,
-                beneficiary=beneficiary,
-                contributor=contributor,
-                x=amount,
-                mode=mode,
-                b=state.params.branch_power,
-                block=new_height,
-            )
-            records.append(rec)
-        hexes.append(item.ack.to_hex())
-    state.pending_acks = []
+            path = (None if mode is MiningMode.SIMPLE
+                    else [pos[n] for n in state.dag.path_to_root(contributor)])
+            shares = settle_transfer(prestige, pos[beneficiary], pos[contributor], amount, path, b)
+            records.append(TransferRecord(beneficiary, contributor, amount, new_height, mode,
+                                          tuple((ids[i], a) for i, a in shares)))
 
+    staged = copy.copy(led)  # shares every column but prestige, for the election
+    staged.prestige = np.array(prestige, dtype=np.float64)
     rng = np.random.default_rng([state.rng_seed & 0xFFFFFFFFFFFFFFFF, new_height])
-    minter = elect_minter(state.accounts, rng)
+    minter = elect_minter(staged, rng)
 
+    paying = [s for s in state.motivator_rewards if s.remaining_blocks > 0]
+    payout = sum(s.coins_per_block for s in paying)
     fees = state.fees_pending
+    i = pos[minter]
+    coins = led.coins.item(i) + state.subsidy + fees + payout
+    if coins > 2**63 - 1:
+        raise OverflowError(f"the reward would give minter {minter!r} {coins} coins, past 2**63 - 1")
+
+    led.prestige = staged.prestige
+    led.coins[i] = coins
+    for schedule in paying:
+        schedule.remaining_blocks -= 1
+    state.motivator_rewards = [s for s in paying if s.remaining_blocks > 0]
     state.fees_pending = 0
-    payout = 0
-    for schedule in state.motivator_rewards:
-        if schedule.remaining_blocks > 0:
-            payout += schedule.coins_per_block
-            schedule.remaining_blocks -= 1
-    state.motivator_rewards = [s for s in state.motivator_rewards if s.remaining_blocks > 0]
-
-    reward = state.subsidy + fees + payout
-    if reward:
-        i = led.pos[minter]
-        led.coins[i] = led.coins.item(i) + reward
-
+    hexes = tuple(item.ack.to_hex() for item in state.pending_acks)
+    state.pending_acks = []
     state.height = new_height
-    block = Block(
-        height=new_height,
-        minter=minter,
-        processed_acks=tuple(records),
-        fees_collected=fees,
-        subsidy=state.subsidy,
-        motivator_payout=payout,
-        ack_hexes=tuple(hexes),
-    )
-    return state, block
+    return state, Block(height=new_height, minter=minter, processed_acks=tuple(records),
+                        fees_collected=fees, subsidy=state.subsidy, motivator_payout=payout,
+                        ack_hexes=hexes)
 
 
 # --- snapshots ----------------------------------------------------------------
@@ -502,60 +498,62 @@ def save_snapshot(state: ChainState) -> str:
 
 
 def load_snapshot(text: str) -> ChainState:
-    """Parse ``save_snapshot`` output back into a ChainState."""
+    """Parse ``save_snapshot`` output back into a ChainState.
+
+    Account lines fill the ledger's columns, checked as ``Account`` and
+    ``genesis`` check an account; a line that does not parse raises
+    SnapshotError naming its number.
+    """
     header: dict[str, str] = {}
     roots: list[str] = []
     edges: list[tuple[str, str]] = []
     rewards: list[RewardSchedule] = []
     seen: set[bytes] = set()
-    accounts: dict[str, Account] = {}
+    ids, coins, prestige, keys = [], [], [], []  # the ledger's columns
+    pos: dict[str, int] = {}
 
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if not parts:
-                    continue
-                key = parts[0]
-                if key == SNAPSHOT_MAGIC:
-                    header["version"] = parts[1]
-                elif key == "root":
-                    roots.append(parts[1])
-                elif key == "edge":
-                    edges.append((parts[1], parts[2]))
-                elif key == "reward":
-                    rewards.append(
-                        RewardSchedule(
-                            funder=parts[1],
-                            coins_per_block=int(parts[2]),
-                            remaining_blocks=int(parts[3]),
-                        )
-                    )
-                elif key == "seen":
-                    seen.add(bytes.fromhex(parts[1]))
-                else:
-                    header[key] = parts[1]
-                continue
-            fields = line.split(",")
-            if len(fields) not in (3, 4):
-                raise SnapshotError(f"line {lineno}: expected id,coins,prestige[,vk]")
-            vk = bytes.fromhex(fields[3]) if len(fields) == 4 and fields[3] else b""
-            acct = Account(
-                id=fields[0],
-                coins=int(fields[1]),
-                prestige=float(fields[2]),
-                verification_key=vk,
-            )
             try:
-                _check_snapshot_safe(acct)
-            except ValueError as exc:
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if not parts:
+                        continue
+                    key = parts[0]
+                    if len(parts) < 2:
+                        raise ValueError(f"header {key!r} has no value")
+                    if key == SNAPSHOT_MAGIC:
+                        header["version"] = parts[1]
+                    elif key == "root":
+                        roots.append(parts[1])
+                    elif key == "edge":
+                        edges.append((parts[1], parts[2]))
+                    elif key == "reward":
+                        rewards.append(RewardSchedule(parts[1], int(parts[2]), int(parts[3])))
+                    elif key == "seen":
+                        seen.add(bytes.fromhex(parts[1]))
+                    else:
+                        header[key] = parts[1]
+                    continue
+                fields = line.split(",")
+                if len(fields) not in (3, 4):
+                    raise ValueError("expected id,coins,prestige[,vk]")
+                vk = bytes.fromhex(fields[3]) if len(fields) == 4 else b""
+                acct_id, n, p = fields[0], int(fields[1]), float(fields[2])
+                check_account(acct_id, n, vk)
+                _check_snapshot_safe(acct_id, p)
+                if acct_id in pos:
+                    raise ValueError(f"duplicate account {acct_id!r}")
+            except (ValueError, IndexError) as exc:
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
-            if acct.id in accounts:
-                raise SnapshotError(f"line {lineno}: duplicate account {acct.id!r}")
-            accounts[acct.id] = acct
+            pos[acct_id] = len(ids)
+            ids.append(acct_id)
+            coins.append(n)
+            prestige.append(p)
+            keys.append(vk)
 
         if header.get("version") != str(SNAPSHOT_VERSION):
             raise SnapshotError("missing or unsupported snapshot header")
@@ -581,12 +579,12 @@ def load_snapshot(text: str) -> ChainState:
                 raise SnapshotError(f"dangling DAG edges: {rest[:3]}")
             pending_edges = rest
         for node in dag.nodes:
-            if node not in accounts:
+            if node not in pos:
                 raise SnapshotError(f"DAG node {node!r} has no account line")
 
         state = ChainState(
             height=int(header["height"]),
-            accounts=accounts,
+            accounts=Ledger()._fill(ids, coins, prestige, keys),
             dag=dag,
             params=params,
             rng_seed=int(header["seed"]),

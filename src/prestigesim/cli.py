@@ -216,7 +216,7 @@ def cmd_step(state_file: str, n_blocks: int, output_dir: str) -> int:
                 block.subsidy, block.motivator_payout,
                 ";".join(block.ack_hexes),
             ))
-    except PrestigeError as exc:
+    except (PrestigeError, OverflowError) as exc:  # OverflowError: a reward past 2**63 - 1 coins
         print(f"advance failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

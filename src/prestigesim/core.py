@@ -57,10 +57,15 @@ class Account:
     verification_key: bytes = b""
 
     def __post_init__(self) -> None:
-        if not 0 <= self.coins <= 2**63 - 1:
-            raise ValueError(f"coins must be in [0, 2**63 - 1], got {self.coins} for {self.id!r}")
-        if self.verification_key and len(self.verification_key) != 33:
-            raise ValueError("verification_key must be empty or 33 bytes")
+        check_account(self.id, self.coins, self.verification_key)
+
+
+def check_account(acct_id: str, coins: int, verification_key: bytes) -> None:
+    """Raise ValueError for coins outside [0, 2**63 - 1] or a key not 0 or 33 bytes."""
+    if not 0 <= coins <= 2**63 - 1:
+        raise ValueError(f"coins must be in [0, 2**63 - 1], got {coins} for {acct_id!r}")
+    if verification_key and len(verification_key) != 33:
+        raise ValueError("verification_key must be empty or 33 bytes")
 
 
 def step_account(account: Account, params: SystemParams) -> Account:

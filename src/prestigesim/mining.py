@@ -22,17 +22,19 @@ upstream; ancestors with negative prestige contribute zero to branch power.
 caller's container in place, which may be the prestige container itself; the
 tree scenarios credit their per-position lists this way. ``propagate_upstream``
 runs the same kernel into a fresh tally and returns the shares, for callers
-that keep a record of them (``apply_transfer``, the theorem checks).
+that keep a record of them. ``settle_transfer`` is a whole transfer on a
+prestige container (the chain's per-position list); ``apply_transfer`` maps
+it onto ``Account``s.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Hashable, Mapping, MutableMapping, MutableSequence, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .core import Account, inject_prestige
+from .core import Account
 from .errors import (
     DuplicateNode,
     NotInDag,
@@ -223,6 +225,34 @@ def propagate_upstream(
 
 # --- applying transfers ---------------------------------------------------------
 
+def settle_transfer(
+    prestige: MutableMapping[Hashable, float] | MutableSequence[float],
+    beneficiary: Hashable,
+    contributor: Hashable,
+    x: float,
+    path: Sequence[Hashable] | None = None,
+    b: float = 0.0,
+) -> list[tuple[Hashable, float]]:
+    """Debit the beneficiary by x and credit the contributor side in *prestige*.
+
+    With no *path* (simple mining) the contributor gets all of x; with the
+    contributor's root path ``propagate_upstream`` splits x from the prestige
+    before the debit. Then the beneficiary is debited and each non-zero
+    share credited, in path order; the (node, amount) shares are returned.
+    """
+    if path is None:
+        if x < 0:
+            raise ValueError(f"transfer amount must be >= 0, got {x}")
+        shares = [(contributor, x)]
+    else:
+        shares = propagate_upstream(path, x, prestige, b)
+    prestige[beneficiary] += -x  # p + (-x), as inject_prestige debits
+    for node, amount in shares:
+        if amount != 0.0:
+            prestige[node] += amount
+    return shares
+
+
 def apply_transfer(
     accounts: MutableMapping[str, Account],
     dag: MiningDag,
@@ -234,7 +264,7 @@ def apply_transfer(
     b: float = 0.0,
     block: int = 0,
 ) -> TransferRecord:
-    """Debit the beneficiary by x and credit the contributor side, in place.
+    """``settle_transfer`` on a mapping of ``Account``s, with an audit record.
 
     Simple mode credits the contributor in full; progressive mode splits x
     along the contributor's branch (requires the contributor to be in the
@@ -243,38 +273,24 @@ def apply_transfer(
     ValueError for x < 0 included, runs before any account changes, so a
     call that raises leaves *accounts* as it found it. On success the
     beneficiary and every node with a non-zero share are replaced in
-    *accounts* and an audit record is returned; the beneficiary may be
-    driven below zero prestige.
+    *accounts*; the beneficiary may be driven below zero prestige.
     """
     mode = MiningMode.parse(mode)
-    if beneficiary not in accounts:
-        raise UnknownAccount(beneficiary)
-    if contributor not in accounts:
-        raise UnknownAccount(contributor)
-
-    if mode is MiningMode.SIMPLE:
-        if x < 0:
-            raise ValueError(f"transfer amount must be >= 0, got {x}")
-        shares = [(contributor, x)]
-    else:
+    for acct_id in (beneficiary, contributor):
+        if acct_id not in accounts:
+            raise UnknownAccount(acct_id)
+    path = None
+    if mode is MiningMode.PROGRESSIVE:
         if contributor not in dag:
             raise NotInDag(contributor)
         path = dag.path_to_root(contributor)
         for node in path:
             if node not in accounts:
                 raise UnknownAccount(node)
-        shares = propagate_upstream(path, x, {n: accounts[n].prestige for n in path}, b)
 
-    accounts[beneficiary] = inject_prestige(accounts[beneficiary], -x)
-    for node, amount in shares:
-        if amount != 0.0:
-            accounts[node] = inject_prestige(accounts[node], amount)
-
-    return TransferRecord(
-        beneficiary=beneficiary,
-        contributor=contributor,
-        amount=float(x),
-        block=block,
-        mode=mode,
-        retained_by=tuple((n, float(a)) for n, a in shares),
-    )
+    prestige = {n: accounts[n].prestige for n in (beneficiary, contributor, *(path or ()))}
+    shares = settle_transfer(prestige, beneficiary, contributor, x, path, b)
+    for node in (beneficiary, *(n for n, a in shares if a != 0.0)):
+        accounts[node] = replace(accounts[node], prestige=prestige[node])
+    return TransferRecord(beneficiary, contributor, float(x), block, mode,
+                          tuple((n, float(a)) for n, a in shares))

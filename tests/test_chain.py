@@ -119,6 +119,25 @@ def test_minter_reward_past_int64_raises_instead_of_wrapping():
         advance_block(state)
 
 
+def test_minter_reward_past_int64_leaves_the_state_unchanged():
+    state = ChainState.genesis(
+        [("a", 2**63 - 2), ("b", 100)], SystemParams(decay=0.5), rng_seed=1, subsidy=2, ack_fee=1
+    )
+    register_motivator_reward(state, "b", 1, 3)
+    submit_ack(state, make_simple_ack(kp_for("b"), tid(1), kp_for("a").vk, 7))  # a pays the fee
+
+    def snapshot_and_queue(s):
+        unqueued = s.copy()
+        unqueued.pending_acks = []
+        return save_snapshot(unqueued), list(s.pending_acks)
+
+    before = snapshot_and_queue(state)
+    with pytest.raises(OverflowError, match=r"'a' .* coins, past 2\*\*63 - 1"):
+        advance_block(state)
+    assert snapshot_and_queue(state) == before
+    assert state.height == 0 and len(state.pending_acks) == 1
+
+
 # --- key index -------------------------------------------------------------------
 
 def scan_by_vk(state: ChainState, vk: bytes):
@@ -778,16 +797,16 @@ def test_snapshot_rejects_accounts_genesis_rejects(line):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("c,-1,0.0,", "malformed snapshot: coins must be in [0, 2**63 - 1], got -1 for 'c'"),
-    (f"c,{2**63},0.0,", f"malformed snapshot: coins must be in [0, 2**63 - 1], got {2**63} for 'c'"),
-    ("c,1,0.0," + "ab" * 32, "malformed snapshot: verification_key must be empty or 33 bytes"),
+    ("c,-1,0.0,", "line 13: coins must be in [0, 2**63 - 1], got -1 for 'c'"),
+    (f"c,{2**63},0.0,", f"line 13: coins must be in [0, 2**63 - 1], got {2**63} for 'c'"),
+    ("c,1,0.0," + "ab" * 32, "line 13: verification_key must be empty or 33 bytes"),
     ("c d,1,0.0,", "line 13: account id 'c d' must be non-empty, start with no '#' and contain "
                    "no ',' or whitespace"),
-    ("#c,1,0.0,", "malformed snapshot: list index out of range"),
+    ("#c,1,0.0,", "line 13: header 'c,1,0.0,' has no value"),  # a leading '#' makes a header
     ("c,1,nan,", "line 13: prestige of 'c' must be finite, got nan"),
     ("a,1,0.0,", "line 13: duplicate account 'a'"),
 ])
-def test_snapshot_account_line_errors(line, message):
+def test_snapshot_account_line_errors_name_the_line(line, message):
     good = save_snapshot(ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5), rng_seed=1))
     assert len(good.splitlines()) == 12
     with pytest.raises(SnapshotError) as err:

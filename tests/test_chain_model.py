@@ -15,21 +15,27 @@ from chain_model import ChainModel
 from prestigesim import (
     Account,
     ChainState,
+    MiningMode,
     PathAck,
     PrestigeError,
     SystemParams,
+    TransferRecord,
     advance_block,
+    apply_transfer,
     extend_path_ack,
+    inject_prestige,
     keygen,
     load_snapshot,
     make_root_ack,
     make_simple_ack,
+    propagate_upstream,
     register_motivator_reward,
     save_snapshot,
     setup,
     step_account,
     submit_ack,
 )
+from prestigesim.chain import _Pending
 
 NAMES = [f"n{i}" for i in range(5)]
 KP = {n: keygen(setup(128), n) for n in NAMES}  # the keys genesis derives
@@ -195,3 +201,66 @@ def test_block_regeneration_matches_step_account_bit_for_bit(cells, decay):
         got = state.accounts[acct.id].prestige
         want = step_account(acct, params).prestige
         assert got.hex() == want.hex()  # tells -0.0 from 0.0
+
+
+# --- settlement, bit for bit ---------------------------------------------------------
+
+AMOUNTS = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(0, 2**32 - 1).map(float),
+                    st.floats(0.0, 1e6))
+
+
+def restated_transfer(accounts, dag, beneficiary, contributor, x, mode, b):
+    """The settlement rule restated on ``Account``s, sharing no code with ``settle_transfer``:
+    shares from the prestige before the debit, the debit, then each non-zero share."""
+    shares = [(contributor, x)]
+    if mode is MiningMode.PROGRESSIVE:
+        path = dag.path_to_root(contributor)
+        shares = propagate_upstream(path, x, {n: accounts[n].prestige for n in path}, b)
+    accounts[beneficiary] = inject_prestige(accounts[beneficiary], -x)
+    for node, amount in shares:
+        if amount != 0.0:
+            accounts[node] = inject_prestige(accounts[node], amount)
+    return TransferRecord(beneficiary, contributor, x, 1, mode, tuple(shares))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(0, 1000), PRESTIGE), min_size=1, max_size=6),
+       parents=st.lists(st.integers(-1, 5), max_size=6),
+       decay=st.sampled_from([0.05, 0.5]), branch_power=st.sampled_from([0.0, 0.5, 2.0]),
+       data=st.data())
+def test_block_settlement_matches_apply_transfer_bit_for_bit(cells, parents, decay,
+                                                             branch_power, data):
+    """``advance_block`` settles its queue as ``apply_transfer`` over ``Account``s,
+    and both settle as the restated rule.
+
+    Transfers are queued directly, so any pair can be settled: a beneficiary
+    on the contributor's own root path, self-payment, zero amounts of either
+    sign, negative prestige and ±0.0 prestige.
+    """
+    params = SystemParams(decay=decay, branch_power=branch_power)
+    ids = [f"a{i}" for i in range(len(cells))]
+    accounts = [Account(id=uid, coins=c, prestige=p) for uid, (c, p) in zip(ids, cells)]
+    state = ChainState.genesis(accounts, params, rng_seed=7)
+    for i, parent in enumerate(parents[: len(ids)]):  # node i hangs under an earlier node or roots
+        if parent < 0 or i == 0:
+            state.dag.add_root(ids[i])
+        else:
+            state.dag.attach(ids[parent % i], ids[i])
+    nodes = list(state.dag.nodes)
+    simple = st.tuples(st.sampled_from(ids), st.sampled_from(ids), AMOUNTS, st.just(MiningMode.SIMPLE))
+    progressive = st.tuples(st.sampled_from(ids), st.sampled_from(nodes or ids), AMOUNTS,
+                            st.just(MiningMode.PROGRESSIVE)) if nodes else simple
+    transfers = data.draw(st.lists(st.one_of(simple, progressive), max_size=8))
+    carrier = make_simple_ack(KP["n0"], b"\x00" * 32, KP["n1"].vk, 0)
+    state.pending_acks = [_Pending(carrier, (t,)) for t in transfers]
+
+    expected = {a.id: step_account(a, params) for a in accounts}
+    restated = dict(expected)
+    records = [apply_transfer(expected, state.dag, *t, b=branch_power, block=1) for t in transfers]
+    assert repr(records) == repr([restated_transfer(restated, state.dag, *t, branch_power)
+                                  for t in transfers])
+    state, block = advance_block(state)
+    assert repr(block.processed_acks) == repr(tuple(records))
+    got = [p.hex() for p in state.accounts.prestige.tolist()]
+    assert got == [expected[uid].prestige.hex() for uid in ids]
+    assert got == [restated[uid].prestige.hex() for uid in ids]

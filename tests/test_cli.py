@@ -298,3 +298,11 @@ def test_step_malformed_snapshot(tmp_path, capsys):
     bad.write_text("this is not a snapshot\n")
     assert main(["step", str(bad)]) == EXIT_USAGE
     assert "malformed snapshot" in capsys.readouterr().err
+
+
+def test_step_reward_past_coin_limit_is_a_runtime_failure(tmp_path, capsys):
+    state = ChainState.genesis([("a", 2**63 - 2)], SystemParams(decay=0.5), rng_seed=1, subsidy=2)
+    path = tmp_path / "full.txt"
+    path.write_text(save_snapshot(state))
+    assert main(["step", str(path), "--blocks", "1", "--out", str(tmp_path)]) == EXIT_RUNTIME
+    assert "coins, past 2**63 - 1" in capsys.readouterr().err
