@@ -246,7 +246,7 @@ def settle_transfer(
         shares = [(contributor, x)]
     else:
         shares = propagate_upstream(path, x, prestige, b)
-    prestige[beneficiary] += -x  # p + (-x), as inject_prestige debits
+    prestige[beneficiary] += -x  # inject_prestige's p + (-x): same bits as p - x, NaN sign too
     for node, amount in shares:
         if amount != 0.0:
             prestige[node] += amount
