@@ -419,8 +419,7 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
     ids, pos, b = led.ids, led.pos, state.params.branch_power
 
     # step_account for every account at once; int64 -> float64 rounds as int + float does
-    fresh = led.coins + (1.0 - state.params.decay) * led.prestige
-    prestige = fresh.tolist() if state.pending_acks else fresh  # settle on Python floats
+    prestige = (led.coins + (1.0 - state.params.decay) * led.prestige).tolist()
     records: list[TransferRecord] = []
     for item in state.pending_acks:
         for beneficiary, contributor, amount, mode in item.transfers:
@@ -431,7 +430,7 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
                                           tuple((ids[i], a) for i, a in shares)))
 
     staged = copy.copy(led)  # shares every column but prestige, for the election
-    staged.prestige = np.asarray(prestige, dtype=np.float64)
+    staged.prestige = np.array(prestige, dtype=np.float64)
     rng = np.random.default_rng([state.rng_seed & 0xFFFFFFFFFFFFFFFF, new_height])
     minter = elect_minter(staged, rng)
 
@@ -524,8 +523,6 @@ def load_snapshot(text: str) -> ChainState:
                     if not parts:
                         continue
                     key = parts[0]
-                    if len(parts) < 2:
-                        raise ValueError(f"header {key!r} has no value")
                     if key == SNAPSHOT_MAGIC:
                         header["version"] = parts[1]
                     elif key == "root":

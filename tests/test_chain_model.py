@@ -248,7 +248,7 @@ def test_block_settlement_matches_apply_transfer_bit_for_bit(cells, parents, dec
             state.dag.attach(ids[parent % i], ids[i])
     nodes = list(state.dag.nodes)
     simple = st.tuples(st.sampled_from(ids), st.sampled_from(ids), AMOUNTS, st.just(MiningMode.SIMPLE))
-    progressive = st.tuples(st.sampled_from(ids), st.sampled_from(nodes or ids), AMOUNTS,
+    progressive = st.tuples(st.sampled_from(ids), st.sampled_from(nodes), AMOUNTS,
                             st.just(MiningMode.PROGRESSIVE)) if nodes else simple
     transfers = data.draw(st.lists(st.one_of(simple, progressive), max_size=8))
     carrier = make_simple_ack(KP["n0"], b"\x00" * 32, KP["n1"].vk, 0)
