@@ -49,8 +49,11 @@ def test_scenario_output_matches_pinned_digest(name):
 # the file-distribution fee/branch grid re-runs, a single-tree
 # ``dag_study`` with its modes reversed, ``theorem_checks`` at 200
 # conservation and collusion instances (the default runs 50 of each), and
-# ``decay`` with its own users, spike and length.  Pinned here rather than in
-# ``perfbench/digests.json``, which holds only the benchmark's own runs.
+# ``decay`` with its own users, spike and length, and the batched grid and
+# trial paths at sizes the defaults miss: ``gain_vs_decay`` and ``tradeoff``
+# on unsorted grids, ``theorem_checks`` at 10000 trials (many 8-part
+# splits).  Pinned here rather than in ``perfbench/digests.json``, which
+# holds only the benchmark's own runs.
 NON_DEFAULT_PINS = [
     ("global", dict(seed=3, blocks=200, mode="progressive"),
      "b3009b827649e75385ded8284cc09be57c47acb648938bf9aa20b4e07096c524",
@@ -70,12 +73,31 @@ NON_DEFAULT_PINS = [
      dict(seed=4, blocks=260, users=((7, 0.5), (120, 0.02), (0, 0.9), (33, 0.25)), spike=37.5),
      "b66ed4960ed52adfffd233171e9e5acb20226d2ee06fe56345f1fb459e8f8872",
      "88589db21f820181d31c0d46736117ef40bf85a724f91b5ba48d627ba36549d7"),
+    ("gain_vs_decay", dict(decay_grid=(0.5, 0.02), injections=(3.0, 0.0, 7.5), blocks=500),
+     "1e0358740ea8d0febda74c06805e1143b0577eaa1b6e6854f62cb1b2cb7f9e42",
+     "87f289a84957088e28b87ee61dbeaf78ac05ae238b1dd5cbfbc636d6c7217b50"),
+    ("tradeoff", dict(seed=2, blocks=150, decay_grid=(0.7, 0.05, 0.3)),
+     "e291620b31d11aa97c79d521b3c0e912567e33ada011571a46fda62ed205c47e",
+     "558742bd14e3f6e635ec12222da1eaa75a64a9fd3f3d6538c92c3e33ca26b25b"),
+    ("theorem_checks", dict(seed=0, trials=10000),
+     "945f64a82df414d73a41875befb65a1dcbe673b695465d6552ec2e4ce2e9fba8",
+     "1624fdac12b9f8a9e5e2f8bee9c0eadb0473e608b705ccdb0e15dda1dc9a2bf3"),
 ]
+
+
+def pin_ids(cases):
+    """Each case's scenario name, with ``-2``, ``-3``, ... on a repeated name."""
+    seen: dict[str, int] = {}
+    ids = []
+    for name, *_ in cases:
+        seen[name] = seen.get(name, 0) + 1
+        ids.append(name if seen[name] == 1 else f"{name}-{seen[name]}")
+    return ids
 
 
 @pytest.mark.parametrize(
     "name, kwargs, csv_digest, summary_digest", NON_DEFAULT_PINS,
-    ids=[case[0] for case in NON_DEFAULT_PINS],
+    ids=pin_ids(NON_DEFAULT_PINS),
 )
 def test_non_default_output_matches_pinned_digest(name, kwargs, csv_digest, summary_digest):
     result = SCENARIOS[name](**kwargs)
