@@ -596,5 +596,7 @@ def load_snapshot(text: str) -> ChainState:
         return state
     except SnapshotError:
         raise
-    except (KeyError, ValueError, IndexError) as exc:
-        raise SnapshotError(f"malformed snapshot: {exc}") from exc
+    except KeyError as exc:
+        raise SnapshotError(f"missing header {exc}") from exc
+    except (ValueError, IndexError) as exc:
+        raise SnapshotError(str(exc)) from exc

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import mining
 from .acks import PATH_ACK_BASE_BYTES, PATH_HOP_BYTES, SIMPLE_ACK_BYTES
@@ -302,8 +301,12 @@ def run_gain_vs_decay(
     each block's regeneration step.  The surplus above static is summed
     over the whole run: large decay rates bleed the drip away almost
     immediately, small ones let it pile up.
+
+    It draws nothing; the grid steps as one (decays x injections) array per block.
     """
     _check_finite(decay_grid=decay_grid, injections=injections)
+    if not decay_grid or not injections:
+        raise ValueError("decay_grid and injections must not be empty")
     if blocks < 1:
         raise ValueError(f"blocks must be at least 1, got {blocks}")
     result = ScenarioResult(
@@ -311,16 +314,15 @@ def run_gain_vs_decay(
         columns=("decay", "injection", "surplus_total", "surplus_final", "surplus_mean"),
     )
     inj = np.asarray(injections, dtype=np.float64)
-    for d in decay_grid:
-        keep = 1.0 - float(d)
-        surplus = np.zeros_like(inj)
-        total = np.zeros_like(inj)
-        for _ in range(blocks):
-            surplus = surplus * keep + inj
-            total += surplus
-        for j, a in enumerate(injections):
-            result.rows.append((float(d), float(a), float(total[j]),
-                                float(surplus[j]), float(total[j]) / blocks))
+    keep = 1.0 - np.asarray(decay_grid, dtype=np.float64)[:, None]
+    surplus = np.zeros((len(decay_grid), len(inj)))
+    total = np.zeros_like(surplus)
+    for _ in range(blocks):
+        surplus = surplus * keep + inj
+        total += surplus
+    for d, totals, finals in zip(decay_grid, total.tolist(), surplus.tolist()):
+        for a, tot, fin in zip(injections, totals, finals):
+            result.rows.append((float(d), float(a), tot, fin, tot / blocks))
 
     # Verdicts: zero drip leaves zero surplus; surplus scales linearly in
     # the drip; and for any fixed positive drip, surplus falls as decay rises.
@@ -377,6 +379,7 @@ def run_dag_study(
     accrue to separate tallies: ``retained`` via the retention rule,
     ``absorbed`` as a root's unconditional residual, ``gain`` their sum.
     """
+    from scipy import stats as sstats  # about a second to import; two runners use it
     _check_finite(branch_power=branch_power, fee=fee)
     if n_users < 2:
         raise ValueError(f"n_users must be at least 2 (payers are other users), got {n_users}")
@@ -504,6 +507,7 @@ def run_global(
     The default branch power is kept moderate (0.2) so that retention
     differences, not ripple noise, dominate the cohort signal.
     """
+    from scipy import stats as sstats
     mining_mode = MiningMode.parse(mode)
     _check_finite(fee=fee, decay=decay, branch_power=branch_power)
     _check_cohorts(cohorts)
@@ -602,6 +606,10 @@ def run_tradeoff(
     favour fresh work; the summary reports, per decay, which of the
     poor-but-active and rich-but-lazy cohorts accumulated more prestige,
     and the grid's crossover point.
+
+    Decay k draws its (blocks, users) uniforms from ``default_rng([seed, k])``,
+    one block's after another, a chunk of about 1 MB per call, which keeps
+    memory flat in *blocks*; all decays step as one (decays x users) array.
     """
     _check_finite(work_value=work_value, decay_grid=decay_grid)
     _check_cohorts(cohorts)
@@ -621,22 +629,21 @@ def run_tradeoff(
         columns=("decay", "cohort", "coins", "work_probability",
                  "members", "prestige_sum", "prestige_mean_per_block"),
     )
-    for k, d in enumerate(decay_grid):
-        sub = np.random.default_rng([seed, k])
-        keep = 1.0 - float(d)
-        prestige = np.zeros(len(coins))
-        totals = np.zeros(len(coins))
-        for _ in range(blocks):
-            worked = sub.random(len(coins)) < work_p
-            prestige = coins + keep * (prestige + worked * work_value)
+    keep = 1.0 - np.asarray(decay_grid, dtype=np.float64)[:, None]
+    prestige = np.zeros((len(decay_grid), len(coins)))
+    totals = np.zeros_like(prestige)
+    streams = [np.random.default_rng([seed, k]) for k in range(len(decay_grid))]
+    step = max(1, 2**17 // prestige.size)  # blocks drawn at once: about 1 MB of uniforms
+    for start in range(0, blocks, step):
+        draws = np.stack([s.random((min(step, blocks - start), len(coins))) for s in streams])
+        work = (draws < work_p) * work_value  # work[k, t]: each user's work in block t under decay k
+        for t in range(work.shape[1]):
+            prestige = coins + keep * (prestige + work[:, t])
             totals += prestige
+    for d, row in zip(decay_grid, totals):
         for i, cohort in enumerate(cohorts):
-            mask = members == i
-            tot = float(np.sum(totals[mask]))
-            result.rows.append((
-                float(d), cohort[0], cohort[1], cohort[2], cohort[3],
-                tot, tot / (blocks * cohort[3]),
-            ))
+            tot = float(np.sum(row[members == i]))
+            result.rows.append((float(d), *cohort, tot, tot / (blocks * cohort[3])))
 
     grid = [float(d) for d in decay_grid]
     by_key = {(r[0], r[1]): r[5] for r in result.rows}
@@ -848,6 +855,16 @@ def _transfer(prestige: list[float], beneficiary: int, path: tuple[int, ...], x:
             prestige[node] += amount
 
 
+def _column_sums(rows: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each column of an (8 x k) array of non-negative floats, bit for bit.
+
+    Left to right, which trailing zeros leave unchanged, except in the
+    columns *full* marks: np.sum adds exactly 8 in its unrolled pairwise order.
+    """
+    pairwise = ((rows[0] + rows[1]) + (rows[2] + rows[3])) + ((rows[4] + rows[5]) + (rows[6] + rows[7]))
+    return np.where(full, pairwise, np.add.accumulate(rows)[-1])
+
+
 def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
     """Stress the fairness guarantees with randomized instances.
 
@@ -864,6 +881,8 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
       produces a negative share.
 
     Reports one row per property with the worst observed violation.
+    Trials draw in turn from ``default_rng(seed)``, each in a fixed order;
+    the split trajectories then step all trials at once.
     """
     if trials < 1:
         # zero trials would check nothing and still report all_passed
@@ -881,25 +900,29 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
         result.summary[f"{name}.passed"] = passed
 
     # Identity splitting: trajectories and static values are additive.
-    worst_traj = 0.0
+    # Trial i's shares sit zero-padded in column i; after the draws all trials step at once.
     worst_static = 0.0
-    for _ in range(trials):
-        coins = int(rng.integers(1, 1_000_000))
+    coins, decays = np.empty(trials), np.empty(trials)
+    full = np.zeros(trials, dtype=bool)
+    shares = np.zeros((8, trials))
+    for i in range(trials):
+        n = int(rng.integers(1, 1_000_000))
         d = float(rng.uniform(0.001, 0.999))
         parts = int(rng.integers(2, 9))
-        cuts = np.sort(rng.integers(0, coins + 1, size=parts - 1))
-        shares = np.diff(np.concatenate(([0], cuts, [coins]))).astype(np.int64)
+        cuts = np.sort(rng.integers(0, n + 1, size=parts - 1))
+        shares[:parts, i] = np.diff(np.concatenate(([0], cuts, [n])))
+        coins[i], decays[i], full[i] = n, d, parts == 8
         params = SystemParams(decay=d)
-        whole = 0.0
-        split = np.zeros(parts)
-        for _t in range(40):
-            whole = coins + (1.0 - d) * whole
-            split = shares + (1.0 - d) * split
-            denom = max(abs(whole), 1e-12)
-            worst_traj = max(worst_traj, abs(float(np.sum(split)) - whole) / denom)
-        s_whole = static_value(coins, params)
-        s_split = sum(static_value(int(c), params) for c in shares)
+        s_whole = static_value(n, params)
+        s_split = sum(static_value(int(c), params) for c in shares[:parts, i])
         worst_static = max(worst_static, abs(s_split - s_whole) / max(abs(s_whole), 1e-12))
+    whole, split = np.zeros(trials), np.zeros_like(shares)
+    worst_traj = 0.0
+    for _t in range(40):
+        whole = coins + (1.0 - decays) * whole
+        split = shares + (1.0 - decays) * split
+        gap = np.abs(_column_sums(split, full) - whole) / np.maximum(np.abs(whole), 1e-12)
+        worst_traj = max(worst_traj, float(gap.max()))
     record("split_trajectory_additive", worst_traj, 1e-9)
     record("split_static_additive", worst_static, 1e-9)
 

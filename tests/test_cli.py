@@ -97,6 +97,14 @@ def test_run_rejected_value_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("key", ["decay_grid", "injections"])
+def test_run_empty_grid_exits_2(tmp_path, capsys, key):
+    # a lone comma sets an empty tuple
+    assert main(["run", "gain_vs_decay", "--set", f"{key}=,", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "must not be empty" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_mistyped_set_exits_2(tmp_path, capsys):
     # blocks defaults to an int, so a value that parses as no number is a usage error
     for value in ("abc", "true"):
@@ -298,6 +306,13 @@ def test_step_malformed_snapshot(tmp_path, capsys):
     bad.write_text("this is not a snapshot\n")
     assert main(["step", str(bad)]) == EXIT_USAGE
     assert "malformed snapshot" in capsys.readouterr().err
+
+
+def test_step_snapshot_missing_a_header_names_it_once(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# prestigesim-state 1\n# height 0\na,5,0.0,\n")
+    assert main(["step", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "malformed snapshot: missing header 'decay'\n"
 
 
 def test_step_reward_past_coin_limit_is_a_runtime_failure(tmp_path, capsys):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import prestigesim.mining
 from prestigesim import (
@@ -21,7 +23,7 @@ from prestigesim import (
     scenario_names,
 )
 from prestigesim.acks import PATH_ACK_BASE_BYTES, PATH_HOP_BYTES, SIMPLE_ACK_BYTES
-from prestigesim.scenarios import _grow_forest
+from prestigesim.scenarios import _column_sums, _grow_forest
 
 
 # --- registry -----------------------------------------------------------------
@@ -130,6 +132,14 @@ def test_gain_vs_decay_rejects_empty_run():
     # the mean surplus divides by the block count
     with pytest.raises(ValueError, match="blocks"):
         run_gain_vs_decay(blocks=0)
+
+
+@pytest.mark.parametrize("grids", [dict(decay_grid=()), dict(injections=()),
+                                   dict(decay_grid=(), injections=())])
+def test_gain_vs_decay_rejects_empty_grids(grids):
+    # no rows would leave both verdicts vacuously true
+    with pytest.raises(ValueError, match="must not be empty"):
+        run_gain_vs_decay(blocks=5, **grids)
 
 
 def test_gain_vs_decay_verdicts():
@@ -456,6 +466,17 @@ def test_theorem_checks_reject_empty_run(trials):
     # checking nothing must not report all_passed
     with pytest.raises(ValueError, match="trials"):
         run_theorem_checks(trials=trials)
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=2, max_size=8))
+@example([1.0, 0.0, 2**-53, 2**-53, 0.0, 0.0, 0.0, 0.0])  # pairwise keeps the two halves
+@example([1.0, 0.0, 2**-53, 2**-53, 0.0, 0.0, 0.0])  # left to right drops both
+def test_column_sums_match_np_sum_bit_for_bit(values):
+    # the split-trajectory check sums 2 to 8 shares per trial, zero-padded to 8
+    rows = np.zeros((8, 1))
+    rows[:len(values), 0] = values
+    total = _column_sums(rows, np.array([len(values) == 8]))[0]
+    assert total.tobytes() == np.sum(np.array(values)).tobytes()
 
 
 def test_theorem_checks_catch_a_corrupted_retention(monkeypatch):
