@@ -781,6 +781,15 @@ def test_snapshot_rejects_malformed_lines():
         load_snapshot(good.replace("# decay 0.5", "# decay banana"))
 
 
+@pytest.mark.xfail(strict=True, reason="the loader retries edges until no more attach")
+def test_snapshot_rejects_an_edge_before_its_parent():
+    lines = save_snapshot(busy_state()).splitlines(keepends=True)
+    assert lines[10:12] == ["# root r\n", "# edge A r\n"]
+    lines[10:12] = lines[11], lines[10]
+    with pytest.raises(SnapshotError, match="^line 11: dangling DAG edge"):
+        load_snapshot("".join(lines))
+
+
 def test_snapshot_rejects_dag_nodes_without_accounts():
     good = save_snapshot(busy_state())
     with pytest.raises(SnapshotError, match="ghost"):

@@ -145,7 +145,7 @@ def test_run_runtime_failure_exits_3(tmp_path, capsys):
 
 
 def test_run_mode_flag_maps_to_kwarg(tmp_path):
-    code = main(["run", "global", "--seed", "1", "--mode", "progressive",
+    code = main(["run", "global", "--seed", "1", "--set", "mode=progressive",
                  "--out", str(tmp_path), "--set", "blocks=40",
                  "--set", "fanout=4"])
     assert code == EXIT_OK
@@ -153,7 +153,7 @@ def test_run_mode_flag_maps_to_kwarg(tmp_path):
 
 
 def test_run_scale_flag_maps_to_kwarg(tmp_path):
-    code = main(["run", "file_distribution", "--seed", "1", "--scale", "2000",
+    code = main(["run", "file_distribution", "--seed", "1", "--set", "scale=2000",
                  "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert "scale: 2000" in (tmp_path / "file_distribution_summary.txt").read_text()
@@ -284,6 +284,15 @@ def test_step_advances_and_logs(tmp_path, snapshot_file, capsys):
     # the written snapshot is itself steppable
     assert main(["step", str(snap), "--blocks", "1", "--out", str(tmp_path)]) == EXIT_OK
     assert (tmp_path / "state_h5_h6.txt").exists()
+
+
+def test_step_block_log_bytes(tmp_path, snapshot_file):
+    assert main(["step", str(snapshot_file), "--blocks", "2", "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "state_h2_blocks.csv").read_bytes() == (
+        b"block,minter,fees_collected,subsidy,motivator_payout,acks\n"
+        b"1,c,0,2,0,\n"
+        b"2,a,0,2,0,\n"
+    )
 
 
 def test_step_zero_blocks_echoes_state(tmp_path, snapshot_file):
