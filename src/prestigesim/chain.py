@@ -501,12 +501,13 @@ def load_snapshot(text: str) -> ChainState:
     """Parse ``save_snapshot`` output back into a ChainState.
 
     Account lines fill the ledger's columns, checked as ``Account`` and
-    ``genesis`` check an account; a line that does not parse raises
+    ``genesis`` check an account; DAG lines attach as they are read, so an
+    edge must follow the line that makes its parent a node, as
+    ``save_snapshot`` writes them. A line that does not parse raises
     SnapshotError naming its number.
     """
     header: dict[str, str] = {}
-    roots: list[str] = []
-    edges: list[tuple[str, str]] = []
+    dag = MiningDag()
     rewards: list[RewardSchedule] = []
     seen: set[bytes] = set()
     ids, coins, prestige, keys = [], [], [], []  # the ledger's columns
@@ -526,9 +527,13 @@ def load_snapshot(text: str) -> ChainState:
                     if key == SNAPSHOT_MAGIC:
                         header["version"] = parts[1]
                     elif key == "root":
-                        roots.append(parts[1])
+                        dag.add_root(parts[1])
                     elif key == "edge":
-                        edges.append((parts[1], parts[2]))
+                        child, parent = parts[1], parts[2]
+                        if parent not in dag:  # attach's KeyError would read as a missing header
+                            raise ValueError(f"dangling DAG edge: parent {parent!r} of {child!r} "
+                                             "is not a node on an earlier line")
+                        dag.attach(parent, child)
                     elif key == "reward":
                         rewards.append(RewardSchedule(parts[1], int(parts[2]), int(parts[3])))
                     elif key == "seen":
@@ -560,22 +565,6 @@ def load_snapshot(text: str) -> ChainState:
             branch_power=float(header["branch-power"]),
             service_fee=float(header["service-fee"]),
         )
-        dag = MiningDag()
-        for root in roots:
-            dag.add_root(root)
-        pending_edges = list(edges)
-        while pending_edges:
-            progressed = False
-            rest: list[tuple[str, str]] = []
-            for child, parent in pending_edges:
-                if parent in dag:
-                    dag.attach(parent, child)
-                    progressed = True
-                else:
-                    rest.append((child, parent))
-            if not progressed:
-                raise SnapshotError(f"dangling DAG edges: {rest[:3]}")
-            pending_edges = rest
         for node in dag.nodes:
             if node not in pos:
                 raise SnapshotError(f"DAG node {node!r} has no account line")

@@ -14,8 +14,8 @@ failure.  All outputs land under the ``--out`` directory.
 Config files are INI-style: a ``[scenario]`` section of flat key=value
 pairs passed to the runner, plus optional ``[cohort <label>]`` sections
 (keys ``coins``, ``work_probability``, ``count``) for the cohort-based
-scenarios.  ``--set key=value`` overrides take precedence, and the
-dedicated flags (``--seed``, ``--scale``, ``--mode``) override those.
+scenarios.  ``--set key=value`` overrides take precedence, and ``--seed``
+overrides those.
 """
 
 from __future__ import annotations
@@ -131,8 +131,7 @@ def cmd_run(scenario_name: str | None, config_path: str | None, seed: int | None
     if scenario_name is None:
         names = scenarios.scenario_names()
         if overrides:
-            print("run --all accepts only --seed/--out, not --set/--scale/--mode",
-                  file=sys.stderr)
+            print("run --all accepts only --seed/--out, not --set", file=sys.stderr)
             return EXIT_USAGE
     elif scenario_name not in scenarios.SCENARIOS:
         print(f"unknown scenario {scenario_name!r}; available:\n"
@@ -207,11 +206,12 @@ def cmd_step(state_file: str, n_blocks: int, output_dir: str) -> int:
         print(f"malformed snapshot: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    log_rows = []
+    columns = ("block", "minter", "fees_collected", "subsidy", "motivator_payout", "acks")
+    log = scenarios.ScenarioResult("blocks", columns)
     try:
         for _ in range(n_blocks):
             state, block = advance_block(state)
-            log_rows.append((
+            log.rows.append((
                 block.height, block.minter, block.fees_collected,
                 block.subsidy, block.motivator_payout,
                 ";".join(block.ack_hexes),
@@ -226,12 +226,7 @@ def cmd_step(state_file: str, n_blocks: int, output_dir: str) -> int:
     snap_path = outdir / f"{stem}_h{state.height}{path.suffix or '.txt'}"
     snap_path.write_text(save_snapshot(state), encoding="utf-8", newline="")
     log_path = outdir / f"{stem}_h{state.height}_blocks.csv"
-    header = "block,minter,fees_collected,subsidy,motivator_payout,acks"
-    lines = [header] + [
-        f"{h},{minter},{fees},{subsidy},{payout},{acks}"
-        for h, minter, fees, subsidy, payout, acks in log_rows
-    ]
-    log_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    log_path.write_text(log.csv_text(), encoding="utf-8", newline="")
     print(f"advanced {n_blocks} block(s) to height {state.height}")
     print(f"wrote {snap_path} and {log_path}")
     return EXIT_OK
@@ -258,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=".", help="output directory (default: .)")
     run.add_argument("--set", dest="sets", action="append", default=[],
                      metavar="KEY=VALUE", help="override one runner argument")
-    run.add_argument("--scale", type=int, help="population divisor (file_distribution)")
-    run.add_argument("--mode", choices=("simple", "progressive"),
-                     help="retention mode (global)")
 
     check = sub.add_parser("check", help="randomized fairness-property verification")
     check.add_argument("--trials", type=int, default=10_000)
@@ -301,10 +293,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    if args.scale is not None:
-        overrides["scale"] = args.scale
-    if args.mode is not None:
-        overrides["mode"] = args.mode
     if args.scenario is None and not args.all:
         print("run: give a scenario name or --all\navailable:\n"
               f"{_scenario_listing()}", file=sys.stderr)

@@ -17,6 +17,7 @@ non-negative weight is required).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -26,8 +27,8 @@ class SystemParams:
 
     decay:        fraction of prestige lost per block (0 < decay < 1)
     branch_power: multiplier b applied to ancestor prestige when computing
-                  branch power in progressive mining (b >= 0)
-    service_fee:  default prestige fee x for one completed task (>= 0)
+                  branch power in progressive mining (finite, b >= 0)
+    service_fee:  default prestige fee x for one completed task (finite, >= 0)
     """
 
     decay: float
@@ -37,10 +38,10 @@ class SystemParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.decay < 1.0):
             raise ValueError(f"decay must be in (0, 1), got {self.decay}")
-        if self.branch_power < 0.0:
-            raise ValueError(f"branch_power must be >= 0, got {self.branch_power}")
-        if self.service_fee < 0.0:
-            raise ValueError(f"service_fee must be >= 0, got {self.service_fee}")
+        if not 0.0 <= self.branch_power < math.inf:  # NaN fails too
+            raise ValueError(f"branch_power must be finite and >= 0, got {self.branch_power}")
+        if not 0.0 <= self.service_fee < math.inf:
+            raise ValueError(f"service_fee must be finite and >= 0, got {self.service_fee}")
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ caller's container in place, which may be the prestige container itself; the
 tree scenarios credit their per-position lists this way. ``propagate_upstream``
 runs the same kernel into a fresh tally and returns the shares, for callers
 that keep a record of them. ``settle_transfer`` is a whole transfer on a
-prestige container (the chain's per-position list); ``apply_transfer`` maps
-it onto ``Account``s.
+prestige container (the chain's and the theorem checks' per-position lists);
+``apply_transfer`` maps it onto ``Account``s.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class MiningDag:
 
     def add_root(self, node: str) -> "MiningDag":
         if node in self._parent:
-            raise DuplicateNode(node)
+            raise DuplicateNode(f"DAG node {node!r} is already present")
         self._parent[node] = None
         return self
 
@@ -84,7 +84,7 @@ class MiningDag:
         if parent not in self._parent:
             raise UnknownParent(parent)
         if child in self._parent:
-            raise DuplicateNode(child)
+            raise DuplicateNode(f"DAG node {child!r} is already present")
         self._parent[child] = parent
         return self
 

@@ -314,7 +314,8 @@ def run_gain_vs_decay(
         columns=("decay", "injection", "surplus_total", "surplus_final", "surplus_mean"),
     )
     inj = np.asarray(injections, dtype=np.float64)
-    keep = 1.0 - np.asarray(decay_grid, dtype=np.float64)[:, None]
+    # SystemParams holds each decay to the one rule, 0 < d < 1
+    keep = 1.0 - np.array([[SystemParams(decay=d).decay] for d in decay_grid], dtype=np.float64)
     surplus = np.zeros((len(decay_grid), len(inj)))
     total = np.zeros_like(surplus)
     for _ in range(blocks):
@@ -629,7 +630,8 @@ def run_tradeoff(
         columns=("decay", "cohort", "coins", "work_probability",
                  "members", "prestige_sum", "prestige_mean_per_block"),
     )
-    keep = 1.0 - np.asarray(decay_grid, dtype=np.float64)[:, None]
+    # SystemParams holds each decay to the one rule, 0 < d < 1
+    keep = 1.0 - np.array([[SystemParams(decay=d).decay] for d in decay_grid], dtype=np.float64)
     prestige = np.zeros((len(decay_grid), len(coins)))
     totals = np.zeros_like(prestige)
     streams = [np.random.default_rng([seed, k]) for k in range(len(decay_grid))]
@@ -839,22 +841,6 @@ def run_file_distribution(
 # machine-checked fairness properties
 
 
-def _transfer(prestige: list[float], beneficiary: int, path: tuple[int, ...], x: float,
-              mode: MiningMode) -> None:
-    """Move x from *beneficiary* to the side of contributor ``path[0]`` (b = 0.5), in place.
-
-    Shares are read before the debit: the beneficiary may sit on the path.
-    """
-    if mode is MiningMode.SIMPLE:
-        shares = [(path[0], x)]
-    else:
-        shares = mining.propagate_upstream(path, x, prestige, 0.5)
-    prestige[beneficiary] -= x
-    for node, amount in shares:
-        if amount != 0.0:
-            prestige[node] += amount
-
-
 def _column_sums(rows: np.ndarray, full: np.ndarray) -> np.ndarray:
     """``np.sum`` of each column of an (8 x k) array of non-negative floats, bit for bit.
 
@@ -931,7 +917,7 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
     for _ in range(max(1, trials // 10)):
         n = int(rng.integers(3, 10))
         paths, _ = _grow_forest(rng, range(n), 1, n)
-        for mode in (MiningMode.SIMPLE, MiningMode.PROGRESSIVE):
+        for contributor_paths in ([None] * n, paths):  # simple mining, then progressive
             draws = [(int(rng.integers(1, 200)), float(rng.uniform(0, 500))) for _u in range(n)]
             coins, prestige = [c for c, _ in draws], [p for _, p in draws]
             for _t in range(20):
@@ -940,7 +926,8 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
                 k = int(rng.integers(1, n))
                 beneficiary = int(rng.integers(n))
                 if beneficiary != k:
-                    _transfer(prestige, beneficiary, paths[k], float(rng.uniform(1, 300)), mode)
+                    x = float(rng.uniform(1, 300))
+                    mining.settle_transfer(prestige, beneficiary, k, x, contributor_paths[k], 0.5)
                 got = sum(prestige)
                 worst_cons = max(worst_cons, abs(got - expected) / max(abs(expected), 1e-12))
     record("transfer_conservation", worst_cons, 1e-9)
@@ -976,10 +963,10 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
             idle = [c + (1.0 - d) * p for c, p in zip(coins, idle)]
             x_ji = float(rng.uniform(1, 50))
             before = active[1]
-            _transfer(active, 2, (1, 0), x_ji, MiningMode.PROGRESSIVE)
+            mining.settle_transfer(active, 2, 1, x_ji, (1, 0), 0.5)
             retained_i = active[1] - before
             x_ij = max(retained_i, 0.0) + float(rng.uniform(0, 10))
-            _transfer(active, 1, (2, 1, 0), x_ij, MiningMode.PROGRESSIVE)
+            mining.settle_transfer(active, 1, 2, x_ij, (2, 1, 0), 0.5)
             pair = active[1] + active[2]
             base = idle[1] + idle[2]
             worst_pair = max(worst_pair, (pair - base) / max(abs(base), 1e-12))

@@ -777,17 +777,28 @@ def test_snapshot_rejects_malformed_lines():
         load_snapshot(good + dup_line + "\n")
     with pytest.raises(SnapshotError, match="dangling"):
         load_snapshot(good + "# edge ghost missing-parent\n")
+    for line in ("# root r", "# edge A r"):
+        with pytest.raises(SnapshotError, match="^line 21: DAG node '[rA]' is already present$"):
+            load_snapshot(good + line + "\n")
     with pytest.raises(SnapshotError):
         load_snapshot(good.replace("# decay 0.5", "# decay banana"))
 
 
-@pytest.mark.xfail(strict=True, reason="the loader retries edges until no more attach")
 def test_snapshot_rejects_an_edge_before_its_parent():
     lines = save_snapshot(busy_state()).splitlines(keepends=True)
     assert lines[10:12] == ["# root r\n", "# edge A r\n"]
     lines[10:12] = lines[11], lines[10]
     with pytest.raises(SnapshotError, match="^line 11: dangling DAG edge"):
         load_snapshot("".join(lines))
+
+
+@pytest.mark.parametrize("header", ["# branch-power nan", "# branch-power inf", "# service-fee nan"])
+def test_snapshot_rejects_non_finite_params(header):
+    good = save_snapshot(busy_state())
+    key = header.split()[1]
+    text = "\n".join(header if line.startswith(f"# {key} ") else line for line in good.splitlines())
+    with pytest.raises(SnapshotError, match="must be finite"):
+        load_snapshot(text)
 
 
 def test_snapshot_rejects_dag_nodes_without_accounts():

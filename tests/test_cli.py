@@ -105,6 +105,13 @@ def test_run_empty_grid_exits_2(tmp_path, capsys, key):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("name", ["gain_vs_decay", "tradeoff"])
+def test_run_decay_grid_outside_the_unit_interval_exits_2(tmp_path, capsys, name):
+    assert main(["run", name, "--set", "decay_grid=0.5,1.5", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "decay must be in (0, 1), got 1.5" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_mistyped_set_exits_2(tmp_path, capsys):
     # blocks defaults to an int, so a value that parses as no number is a usage error
     for value in ("abc", "true"):
@@ -144,12 +151,16 @@ def test_run_runtime_failure_exits_3(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
-def test_run_mode_flag_maps_to_kwarg(tmp_path):
+def test_run_mode_flag_maps_to_kwarg(tmp_path, capsys):
     code = main(["run", "global", "--seed", "1", "--set", "mode=progressive",
                  "--out", str(tmp_path), "--set", "blocks=40",
                  "--set", "fanout=4"])
     assert code == EXIT_OK
     assert 'mode: "progressive"' in (tmp_path / "global_summary.txt").read_text()
+    # the mode is set only through --set, which rejects an unknown one
+    assert main(["run", "global", "--mode", "progressive", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert main(["run", "global", "--set", "mode=sideways", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "unknown mining mode 'sideways'" in capsys.readouterr().err
 
 
 def test_run_scale_flag_maps_to_kwarg(tmp_path):
@@ -170,7 +181,7 @@ def test_run_all_writes_every_pair(tmp_path):
 
 def test_run_all_rejects_overrides(capsys):
     assert main(["run", "--all", "--set", "blocks=2"]) == EXIT_USAGE
-    assert main(["run", "--all", "--mode", "simple"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "run --all accepts only --seed/--out, not --set\n"
 
 
 # --- config files -------------------------------------------------------------------

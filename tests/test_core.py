@@ -113,6 +113,14 @@ def test_params_reject_negative_service_fee():
         SystemParams(decay=0.1, service_fee=-1.0)
 
 
+@pytest.mark.parametrize("field", ["branch_power", "service_fee"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_branch_power_and_fee(field, value):
+    # NaN fails `< 0.0` too, so only a finiteness check catches it
+    with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+        SystemParams(decay=0.1, **{field: value})
+
+
 def test_account_rejects_negative_coins():
     with pytest.raises(ValueError):
         Account(id="u", coins=-1)

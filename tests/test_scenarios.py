@@ -142,6 +142,12 @@ def test_gain_vs_decay_rejects_empty_grids(grids):
         run_gain_vs_decay(blocks=5, **grids)
 
 
+@pytest.mark.parametrize("decay_grid", [(1.5, -0.2), (0.5, 1.0), (0.0,)])
+def test_gain_vs_decay_rejects_decays_outside_the_unit_interval(decay_grid):
+    with pytest.raises(ValueError, match=r"decay must be in \(0, 1\)"):
+        run_gain_vs_decay(blocks=5, decay_grid=decay_grid)
+
+
 def test_gain_vs_decay_verdicts():
     result = run_gain_vs_decay()
     assert result.summary["zero_injection_zero_surplus"] is True
@@ -364,6 +370,9 @@ def test_tradeoff_validation():
                                         ("rich_lazy", 80, 0.05, 3)))
     with pytest.raises(ValueError, match="decay_grid"):
         run_tradeoff(blocks=5, decay_grid=())
+    for decay_grid in ((1.5, 0.0), (0.5, -0.2)):
+        with pytest.raises(ValueError, match=r"decay must be in \(0, 1\), got"):
+            run_tradeoff(blocks=5, decay_grid=decay_grid)
     with pytest.raises(ValueError, match="blocks"):
         run_tradeoff(blocks=0)
 
