@@ -116,7 +116,7 @@ def test_params_reject_negative_service_fee():
 @pytest.mark.parametrize("field", ["branch_power", "service_fee"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite_branch_power_and_fee(field, value):
-    # NaN fails `< 0.0` too, so only a finiteness check catches it
+    # nan < 0.0 is false, so a sign check alone lets NaN through
     with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
         SystemParams(decay=0.1, **{field: value})
 
