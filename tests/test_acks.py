@@ -336,6 +336,17 @@ def test_path_reorder_keeps_composite_but_breaks_root_anchor():
     assert not verify_path_ack(rooted_elsewhere, keys[0].vk)
 
 
+@pytest.mark.xfail(strict=True, reason="the descriptor set merges two identical hops into one entry")
+def test_path_with_two_identical_hops_does_not_verify():
+    # Signed once, the hop would be counted twice; a composite never verifies
+    # against a repeated message, whatever its signature.
+    root = kp("root")
+    ack = make_root_ack(root, tid(1))
+    doubled = PathAck(ack.hops * 2, ack.composite)
+    assert not verify_path_ack(doubled, root.vk)
+    assert not verify_path_ack(PathAck(ack.hops * 2, bytes(33)), root.vk)
+
+
 def test_extend_requires_own_key():
     ack, keys = build_path(2)
     with pytest.raises(ValueError, match="contributor_vk"):

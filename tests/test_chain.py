@@ -13,6 +13,7 @@ from prestigesim import (
     InsufficientFunds,
     InvalidSignature,
     NoAccounts,
+    PathAck,
     PrestigeError,
     RewardSchedule,
     SnapshotError,
@@ -476,8 +477,6 @@ def test_path_ack_must_match_recorded_parents():
 
 
 def test_path_ack_bad_composite():
-    from prestigesim import PathAck
-
     state = path_state()
     root_ack = make_root_ack(kp_for("r"), tid(100))
     path = extend_path_ack(root_ack, kp_for("A"), tid(101), kp_for("A").vk, 6)
@@ -505,6 +504,14 @@ def test_path_ack_rejects_repeated_account():
     with pytest.raises(InvalidSignature, match="more than once"):
         submit_ack(state, path_through(["r", "A", "r"], 100))
     assert state.pending_acks == []
+
+
+def test_path_ack_rejects_identical_hops_by_account():
+    state = path_state()
+    root = make_root_ack(kp_for("r"), tid(100))
+    with pytest.raises(InvalidSignature, match="path names an account more than once"):
+        submit_ack(state, PathAck(root.hops * 2, root.composite))
+    assert state.pending_acks == [] and state.seen_tasks == set()
 
 
 def test_path_ack_must_match_queued_parents():
