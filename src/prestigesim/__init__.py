@@ -44,7 +44,6 @@ from .mining import (
 from .acks import (
     AMOUNT_MAX,
     KeyPair,
-    MessageDescriptor,
     PATH_ACK_BASE_BYTES,
     PATH_HOP_BYTES,
     PathAck,
@@ -106,7 +105,6 @@ __all__ = [
     "settle_upstream",
     "apply_transfer",
     "KeyPair",
-    "MessageDescriptor",
     "SchemeParams",
     "setup",
     "keygen",

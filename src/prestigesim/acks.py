@@ -14,8 +14,9 @@ Two wire formats are exchanged:
   signed over (task_id || its own vk || amount it owes). Each hop verifies
   against the vk stored in that hop, so the whole path checks out from the
   bytes alone plus the expected root key. The composite signature is the
-  composition of all hop signatures; removing, reordering descriptor entries
-  or tampering any field breaks it.
+  composition of all hop signatures. A composite verifies against exactly
+  its (message, key) entries, none repeated: removing or repeating a hop, or
+  tampering any field, breaks it.
 
 The signature scheme is a deterministic keyed-hash construction (sign =
 33-byte hash bound to the signer's public key and message, compose = bytewise
@@ -29,8 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import AmountOverflow, DuplicateHop, InvalidPrev
 
@@ -64,35 +64,6 @@ class KeyPair:
 
 
 Entry = tuple[bytes, bytes]  # (message, verification key)
-
-
-@dataclass(frozen=True)
-class MessageDescriptor:
-    """Set of (message, verification key) pairs a composite signs over."""
-
-    entries: frozenset[Entry]
-
-    @classmethod
-    def of(cls, pairs: Iterable[Entry]) -> "MessageDescriptor":
-        return cls(entries=frozenset((bytes(m), bytes(vk)) for m, vk in pairs))
-
-    def messages(self) -> set[bytes]:
-        return {m for m, _ in self.entries}
-
-    def messages_unique(self) -> bool:
-        return len(self.messages()) == len(self.entries)
-
-    def overlaps(self, other: "MessageDescriptor") -> bool:
-        return bool(self.messages() & other.messages())
-
-    def union(self, other: "MessageDescriptor") -> "MessageDescriptor":
-        return MessageDescriptor(entries=self.entries | other.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __or__(self, other: "MessageDescriptor") -> "MessageDescriptor":
-        return self.union(other)
 
 
 def _seed_bytes(seed: bytes | int | str) -> bytes:
@@ -136,28 +107,29 @@ def sign(sk: bytes, message: bytes) -> bytes:
     return _entry_sig(_derive_vk(sk), message)
 
 
-def verify(descriptor: MessageDescriptor, signature: bytes) -> bool:
-    """A composite verifies exactly against the full entry set it was built from."""
+def verify(entries: Iterable[Entry], signature: bytes) -> bool:
+    """A composite verifies against exactly the entries it was built from.
+
+    False for a signature not 33 bytes, for no entries and for a message
+    listed twice, under the same key or another.
+    """
     if len(signature) != SIG_BYTES:
         return False
-    if len(descriptor) == 0:
-        return False
-    if not descriptor.messages_unique():
-        return False
-    expected = reduce(_xor_bytes, (_entry_sig(vk, m) for m, vk in descriptor.entries))
-    return expected == signature
+    seen: set[bytes] = set()
+    acc = 0
+    for message, vk in entries:
+        if message in seen:
+            return False
+        seen.add(message)
+        acc ^= int.from_bytes(_entry_sig(vk, message), "big")
+    return bool(seen) and acc == int.from_bytes(signature, "big")
 
 
-def compose(
-    l1: MessageDescriptor,
-    s1: bytes,
-    l2: MessageDescriptor,
-    s2: bytes,
-) -> bytes | None:
+def compose(e1: Sequence[Entry], s1: bytes, e2: Sequence[Entry], s2: bytes) -> bytes | None:
     """Merge two valid composites over disjoint messages; None otherwise."""
-    if not verify(l1, s1) or not verify(l2, s2):
+    if not verify(e1, s1) or not verify(e2, s2):
         return None
-    if l1.overlaps(l2):
+    if not {m for m, _ in e1}.isdisjoint(m for m, _ in e2):
         return None
     return _xor_bytes(s1, s2)
 
@@ -228,10 +200,10 @@ def make_simple_ack(
 
 def verify_simple_ack(ack: SimpleAck, beneficiary_vk: bytes) -> bool:
     try:
-        descriptor = MessageDescriptor.of([(ack.message(), beneficiary_vk)])
-    except (ValueError, AmountOverflow):
+        message = ack.message()
+    except ValueError:  # AmountOverflow included
         return False
-    return verify(descriptor, ack.signature)
+    return verify([(message, beneficiary_vk)], ack.signature)
 
 
 @dataclass(frozen=True)
@@ -271,8 +243,9 @@ class PathAck:
         if len(self.composite) != SIG_BYTES:
             raise ValueError(f"composite must be {SIG_BYTES} bytes")
 
-    def descriptor(self) -> MessageDescriptor:
-        return MessageDescriptor.of((hop.message(), hop.vk) for hop in self.hops)
+    def entries(self) -> list[Entry]:
+        """The (message, vk) pair of every hop, root first."""
+        return [(hop.message(), hop.vk) for hop in self.hops]
 
     def to_bytes(self) -> bytes:
         return b"".join(hop.to_bytes() for hop in self.hops) + self.composite
@@ -318,13 +291,13 @@ def extend_path_ack(
     """
     if contributor_vk != beneficiary.vk:
         raise ValueError("extending node records its own key; contributor_vk must match beneficiary.vk")
-    descriptor = prev.descriptor()
-    if not verify(descriptor, prev.composite):
+    entries = prev.entries()
+    if not verify(entries, prev.composite):
         raise InvalidPrev("previous path ack does not verify")
 
     hop = PathHop(task_id=bytes(task_id), vk=bytes(contributor_vk), amount=int(amount))
     message = hop.message()
-    if message in descriptor.messages():
+    if any(m == message for m, _ in entries):
         raise DuplicateHop("hop message already present in the path")
 
     composite = _xor_bytes(prev.composite, sign(beneficiary.sk, message))
@@ -336,7 +309,7 @@ def verify_path_ack(ack: PathAck, expected_root_vk: bytes) -> bool:
     if ack.hops[0].vk != expected_root_vk:
         return False
     try:
-        descriptor = ack.descriptor()
-    except (ValueError, AmountOverflow):
+        entries = ack.entries()
+    except ValueError:  # AmountOverflow included
         return False
-    return verify(descriptor, ack.composite)
+    return verify(entries, ack.composite)

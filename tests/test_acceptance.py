@@ -13,7 +13,6 @@ from scipy import stats
 
 from prestigesim import (
     Account,
-    MessageDescriptor,
     MiningDag,
     SystemParams,
     apply_transfer,
@@ -190,7 +189,7 @@ def test_criterion_06_composite_signature_contract():
         chosen = rng.choice(len(pairs), size=k, replace=False)
         entries = [(f"t{trial}/m{i}".encode(), pairs[i].vk) for i in chosen]
         parts = [
-            (MessageDescriptor.of([e]), sign(pairs[i].sk, e[0]))
+            ([e], sign(pairs[i].sk, e[0]))
             for e, i in zip(entries, chosen)
         ]
         while len(parts) > 1:  # merge in random order
@@ -199,7 +198,7 @@ def test_criterion_06_composite_signature_contract():
             d1, s1 = parts.pop(i)
             merged = compose(d1, s1, d2, s2)
             assert merged is not None
-            parts.append((d1 | d2, merged))
+            parts.append((d1 + d2, merged))
         union, composite = parts[0]
         assert verify(union, composite)
 
@@ -210,13 +209,13 @@ def test_criterion_06_composite_signature_contract():
         assert not verify(union, bytes(bad))
         # subset: drop one entry
         drop = int(rng.integers(k))
-        subset = MessageDescriptor.of(entries[:drop] + entries[drop + 1:])
+        subset = entries[:drop] + entries[drop + 1:]
         assert not verify(subset, composite)
         # duplicate: same message under a second key is ill-formed
         msg, vk0 = entries[0]
         other_vk = pairs[(int(chosen[0]) + 1) % len(pairs)].vk
         assert other_vk != vk0
-        dup = union | MessageDescriptor.of([(msg, other_vk)])
+        dup = union + [(msg, other_vk)]
         assert not verify(dup, composite)
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0

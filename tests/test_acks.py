@@ -1,5 +1,7 @@
 """Composite signatures and the two acknowledgment wire formats."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,6 @@ from prestigesim import (
     DuplicateHop,
     InvalidPrev,
     KeyPair,
-    MessageDescriptor,
     PathAck,
     PathHop,
     SimpleAck,
@@ -28,6 +29,7 @@ from prestigesim.acks import (
     PATH_ACK_BASE_BYTES,
     PATH_HOP_BYTES,
     SIMPLE_ACK_BYTES,
+    _entry_sig,
     _xor_bytes,
 )
 
@@ -79,44 +81,45 @@ def test_single_signature_roundtrip():
     pair = kp("signer")
     sig = sign(pair.sk, b"hello")
     assert len(sig) == 33
-    assert verify(MessageDescriptor.of([(b"hello", pair.vk)]), sig)
-    assert not verify(MessageDescriptor.of([(b"hell0", pair.vk)]), sig)
-    assert not verify(MessageDescriptor.of([(b"hello", kp("other").vk)]), sig)
+    assert verify([(b"hello", pair.vk)], sig)
+    assert not verify([(b"hell0", pair.vk)], sig)
+    assert not verify([(b"hello", kp("other").vk)], sig)
 
 
 def test_verify_rejects_degenerate_inputs():
     pair = kp("signer")
     sig = sign(pair.sk, b"m")
-    assert not verify(MessageDescriptor.of([]), sig)  # empty descriptor
-    assert not verify(MessageDescriptor.of([(b"m", pair.vk)]), sig[:-1])  # short sig
+    assert not verify([], sig)  # no entries
+    assert not verify([(b"m", pair.vk)], sig[:-1])  # short sig
     # two entries carrying the same message are ill-formed by construction
-    dup = MessageDescriptor.of([(b"m", pair.vk), (b"m", kp("other").vk)])
-    assert not dup.messages_unique()
+    dup = [(b"m", pair.vk), (b"m", kp("other").vk)]
     assert not verify(dup, sig)
 
 
-def test_descriptor_set_semantics():
+def test_verify_rejects_a_repeated_message():
     a, b = kp("a"), kp("b")
-    d1 = MessageDescriptor.of([(b"m1", a.vk)])
-    d2 = MessageDescriptor.of([(b"m2", b.vk)])
-    assert not d1.overlaps(d2)
-    assert d1.overlaps(MessageDescriptor.of([(b"m1", b.vk)]))
-    assert len(d1 | d2) == 2
-    assert (d1 | d2) == d1.union(d2)
-    # duplicates collapse
-    assert len(MessageDescriptor.of([(b"m", a.vk), (b"m", a.vk)])) == 1
+    sa, sb = sign(a.sk, b"m"), sign(b.sk, b"m")
+    s2 = sign(b.sk, b"m2")
+    assert verify([(b"m", a.vk), (b"m2", b.vk)], _xor_bytes(sa, s2))
+    # the same pair twice: neither as if listed once, nor as its self-cancelling XOR
+    for sig in (sa, bytes(33)):
+        assert not verify([(b"m", a.vk), (b"m", a.vk)], sig)
+    # the same message under another key, also after another entry
+    assert not verify([(b"m", a.vk), (b"m", b.vk)], _xor_bytes(sa, sb))
+    assert not verify([(b"m", a.vk), (b"m2", b.vk), (b"m", b.vk)],
+                      _xor_bytes(_xor_bytes(sa, s2), sb))
 
 
 # --- composition ----------------------------------------------------------------
 
 def test_compose_verifies_against_union():
     a, b = kp("a"), kp("b")
-    d1 = MessageDescriptor.of([(b"m1", a.vk)])
-    d2 = MessageDescriptor.of([(b"m2", b.vk)])
+    d1 = [(b"m1", a.vk)]
+    d2 = [(b"m2", b.vk)]
     s1, s2 = sign(a.sk, b"m1"), sign(b.sk, b"m2")
     s12 = compose(d1, s1, d2, s2)
     assert s12 is not None
-    assert verify(d1 | d2, s12)
+    assert verify(d1 + d2, s12)
     # but not against either part alone
     assert not verify(d1, s12)
     assert not verify(d2, s12)
@@ -124,22 +127,22 @@ def test_compose_verifies_against_union():
 
 def test_compose_is_order_free():
     a, b, c = kp("a"), kp("b"), kp("c")
-    ds = [MessageDescriptor.of([(m, k.vk)]) for m, k in [(b"1", a), (b"2", b), (b"3", c)]]
+    ds = [[(m, k.vk)] for m, k in [(b"1", a), (b"2", b), (b"3", c)]]
     sigs = [sign(a.sk, b"1"), sign(b.sk, b"2"), sign(c.sk, b"3")]
-    left = compose(ds[0] | ds[1], compose(ds[0], sigs[0], ds[1], sigs[1]), ds[2], sigs[2])
-    right = compose(ds[0], sigs[0], ds[1] | ds[2], compose(ds[1], sigs[1], ds[2], sigs[2]))
-    swapped = compose(ds[2], sigs[2], ds[0] | ds[1], compose(ds[1], sigs[1], ds[0], sigs[0]))
+    left = compose(ds[0] + ds[1], compose(ds[0], sigs[0], ds[1], sigs[1]), ds[2], sigs[2])
+    right = compose(ds[0], sigs[0], ds[1] + ds[2], compose(ds[1], sigs[1], ds[2], sigs[2]))
+    swapped = compose(ds[2], sigs[2], ds[0] + ds[1], compose(ds[1], sigs[1], ds[0], sigs[0]))
     assert left == right == swapped
-    assert verify(ds[0] | ds[1] | ds[2], left)
+    assert verify(ds[0] + ds[1] + ds[2], left)
 
 
 def test_compose_rejects_overlap_and_garbage():
     a, b = kp("a"), kp("b")
-    d1 = MessageDescriptor.of([(b"m", a.vk)])
-    d2 = MessageDescriptor.of([(b"m", b.vk)])  # same message, different key
+    d1 = [(b"m", a.vk)]
+    d2 = [(b"m", b.vk)]  # same message, different key
     s1, s2 = sign(a.sk, b"m"), sign(b.sk, b"m")
     assert compose(d1, s1, d2, s2) is None  # overlapping messages
-    d3 = MessageDescriptor.of([(b"other", b.vk)])
+    d3 = [(b"other", b.vk)]
     assert compose(d1, b"\x00" * 33, d3, sign(b.sk, b"other")) is None  # s1 invalid
 
 
@@ -160,10 +163,24 @@ def test_xor_bytes_rejects_unequal_lengths(a, b):
 
 def test_same_signer_two_messages_composes():
     a = kp("a")
-    d1 = MessageDescriptor.of([(b"m1", a.vk)])
-    d2 = MessageDescriptor.of([(b"m2", a.vk)])
+    d1 = [(b"m1", a.vk)]
+    d2 = [(b"m2", a.vk)]
     s = compose(d1, sign(a.sk, b"m1"), d2, sign(a.sk, b"m2"))
-    assert s is not None and verify(d1 | d2, s)
+    assert s is not None and verify(d1 + d2, s)
+
+
+@given(
+    st.lists(st.tuples(st.binary(max_size=80), st.sampled_from("abc")),
+             min_size=1, max_size=8, unique_by=lambda e: e[0]),
+    st.binary(min_size=33, max_size=33),
+)
+def test_verify_matches_reduced_xor_reference(pairs, other_sig):
+    entries = [(m, kp(label).vk) for m, label in pairs]
+    # the byte-wise fold verify computed before it kept one int accumulator
+    reference = reduce(_xor_bytes, (_entry_sig(vk, m) for m, vk in entries))
+    assert verify(entries, reference)
+    assert verify(entries[::-1], reference)
+    assert verify(entries, other_sig) == (other_sig == reference)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8, unique=True))
@@ -171,15 +188,15 @@ def test_composite_never_verifies_against_proper_subset(indices):
     pairs = [kp(f"u{i}") for i in indices]
     entries = [(f"msg{i}".encode(), p.vk) for i, p in zip(indices, pairs)]
     sigs = [sign(p.sk, m) for (m, _), p in zip(entries, pairs)]
-    full = MessageDescriptor.of(entries)
+    full = entries
     composite = sigs[0]
-    acc = MessageDescriptor.of(entries[:1])
+    acc = entries[:1]
     for entry, sig in zip(entries[1:], sigs[1:]):
-        composite = compose(acc, composite, MessageDescriptor.of([entry]), sig)
-        acc = acc | MessageDescriptor.of([entry])
+        composite = compose(acc, composite, [entry], sig)
+        acc = acc + [entry]
     assert verify(full, composite)
     for k in range(len(entries)):
-        subset = MessageDescriptor.of(entries[:k] + entries[k + 1 :])
+        subset = entries[:k] + entries[k + 1 :]
         if len(subset):
             assert not verify(subset, composite)
 
@@ -336,7 +353,6 @@ def test_path_reorder_keeps_composite_but_breaks_root_anchor():
     assert not verify_path_ack(rooted_elsewhere, keys[0].vk)
 
 
-@pytest.mark.xfail(strict=True, reason="the descriptor set merges two identical hops into one entry")
 def test_path_with_two_identical_hops_does_not_verify():
     # Signed once, the hop would be counted twice; a composite never verifies
     # against a repeated message, whatever its signature.
