@@ -187,10 +187,13 @@ class ChainState:
 
         Accounts without a verification key get one derived from their id so
         the acknowledgment layer works out of the box. Raises ValueError for a
-        duplicate id and for an account ``save_snapshot`` could not write so
-        that it loads back: an empty id, an id containing ``,`` or whitespace
-        or starting with ``#``, or non-finite prestige.
+        negative ``subsidy`` or ``ack_fee``, a duplicate id and an account
+        ``save_snapshot`` could not write so that it loads back: an empty id,
+        an id containing ``,`` or whitespace or starting with ``#``, or
+        non-finite prestige.
         """
+        _count("subsidy", subsidy)
+        _count("ack_fee", ack_fee)
         key_params = setup(128)
         table: dict[str, Account] = {}
         for entry in accounts:
@@ -254,6 +257,29 @@ def elect_minter(accounts: Mapping[str, Account], rng: np.random.Generator) -> s
         return ids[min(idx, len(ids) - 1)]
     pool = [i for i, coins in zip(ids, led.coins.tolist()) if coins > 0] or ids
     return pool[int(rng.integers(len(pool)))]
+
+
+def _count(name: str, value: int | str) -> int:
+    """The value as an int, or ValueError naming *name* if it is negative."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+# Each header's value, parsed and checked at its line (a parameter by SystemParams,
+# beside a valid decay); an unknown key is kept as text.
+_HEADER_VALUES = {
+    "height": lambda v: _count("height", v),
+    "decay": lambda v: SystemParams(decay=float(v)).decay,
+    "branch-power": lambda v: SystemParams(0.5, branch_power=float(v)).branch_power,
+    "service-fee": lambda v: SystemParams(0.5, service_fee=float(v)).service_fee,
+    "seed": int,
+    "subsidy": lambda v: _count("subsidy", v),
+    "ack-fee": lambda v: _count("ack-fee", v),
+    "initial-coins": int,
+    "fees-pending": lambda v: _count("fees-pending", v),
+}
 
 
 def _check_snapshot_safe(acct_id: str, prestige: float) -> None:
@@ -503,10 +529,11 @@ def load_snapshot(text: str) -> ChainState:
     Account lines fill the ledger's columns, checked as ``Account`` and
     ``genesis`` check an account; DAG lines attach as they are read, so an
     edge must follow the line that makes its parent a node, as
-    ``save_snapshot`` writes them. A line that does not parse raises
-    SnapshotError naming its number.
+    ``save_snapshot`` writes them. A line that does not parse, or a header
+    value out of range (a negative height, coin amount or reward field),
+    raises SnapshotError naming its number.
     """
-    header: dict[str, str] = {}
+    header: dict[str, object] = {}
     dag = MiningDag()
     rewards: list[RewardSchedule] = []
     seen: set[bytes] = set()
@@ -523,23 +550,24 @@ def load_snapshot(text: str) -> ChainState:
                     parts = line[1:].split()
                     if not parts:
                         continue
-                    key = parts[0]
+                    key, value = parts[0], parts[1]
                     if key == SNAPSHOT_MAGIC:
-                        header["version"] = parts[1]
+                        header["version"] = value
                     elif key == "root":
-                        dag.add_root(parts[1])
+                        dag.add_root(value)
                     elif key == "edge":
-                        child, parent = parts[1], parts[2]
+                        child, parent = value, parts[2]
                         if parent not in dag:  # attach's KeyError would read as a missing header
                             raise ValueError(f"dangling DAG edge: parent {parent!r} of {child!r} "
                                              "is not a node on an earlier line")
                         dag.attach(parent, child)
                     elif key == "reward":
-                        rewards.append(RewardSchedule(parts[1], int(parts[2]), int(parts[3])))
+                        rewards.append(RewardSchedule(value, _count("coins_per_block", parts[2]),
+                                                      _count("remaining_blocks", parts[3])))
                     elif key == "seen":
-                        seen.add(bytes.fromhex(parts[1]))
+                        seen.add(bytes.fromhex(value))
                     else:
-                        header[key] = parts[1]
+                        header[key] = _HEADER_VALUES.get(key, str)(value)
                     continue
                 fields = line.split(",")
                 if len(fields) not in (3, 4):
@@ -561,31 +589,26 @@ def load_snapshot(text: str) -> ChainState:
         if header.get("version") != str(SNAPSHOT_VERSION):
             raise SnapshotError("missing or unsupported snapshot header")
         params = SystemParams(
-            decay=float(header["decay"]),
-            branch_power=float(header["branch-power"]),
-            service_fee=float(header["service-fee"]),
+            decay=header["decay"],
+            branch_power=header["branch-power"],
+            service_fee=header["service-fee"],
         )
         for node in dag.nodes:
             if node not in pos:
                 raise SnapshotError(f"DAG node {node!r} has no account line")
 
-        state = ChainState(
-            height=int(header["height"]),
+        return ChainState(
+            height=header["height"],
             accounts=Ledger()._fill(ids, coins, prestige, keys),
             dag=dag,
             params=params,
-            rng_seed=int(header["seed"]),
-            subsidy=int(header["subsidy"]),
-            ack_fee=int(header["ack-fee"]),
+            rng_seed=header["seed"],
+            subsidy=header["subsidy"],
+            ack_fee=header["ack-fee"],
             motivator_rewards=rewards,
             seen_tasks=seen,
-            initial_coins=int(header["initial-coins"]),
-            fees_pending=int(header.get("fees-pending", "0")),
+            initial_coins=header["initial-coins"],
+            fees_pending=header.get("fees-pending", 0),
         )
-        return state
-    except SnapshotError:
-        raise
     except KeyError as exc:
         raise SnapshotError(f"missing header {exc}") from exc
-    except (ValueError, IndexError) as exc:
-        raise SnapshotError(str(exc)) from exc

@@ -130,8 +130,9 @@ def cmd_run(scenario_name: str | None, config_path: str | None, seed: int | None
     """Run one scenario, or every scenario when *scenario_name* is None."""
     if scenario_name is None:
         names = scenarios.scenario_names()
-        if overrides:
-            print("run --all accepts only --seed/--out, not --set", file=sys.stderr)
+        if overrides or config_path is not None:
+            flag = "--set" if overrides else "--config"
+            print(f"run --all accepts only --seed/--out, not {flag}", file=sys.stderr)
             return EXIT_USAGE
     elif scenario_name not in scenarios.SCENARIOS:
         print(f"unknown scenario {scenario_name!r}; available:\n"

@@ -841,6 +841,40 @@ def test_snapshot_account_line_errors_name_the_line(line, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("line, message", [
+    ("# height x", "line 2: invalid literal for int() with base 10: 'x'"),
+    ("# height -4", "line 2: height must be >= 0, got -4"),
+    ("# decay 1.5", "line 3: decay must be in (0, 1), got 1.5"),
+    ("# branch-power nan", "line 4: branch_power must be finite and >= 0, got nan"),
+    ("# service-fee -1.0", "line 5: service_fee must be finite and >= 0, got -1.0"),
+    ("# seed 1.5", "line 6: invalid literal for int() with base 10: '1.5'"),
+    ("# subsidy -20", "line 7: subsidy must be >= 0, got -20"),
+    ("# ack-fee -1", "line 8: ack-fee must be >= 0, got -1"),
+    ("# initial-coins x", "line 9: invalid literal for int() with base 10: 'x'"),
+    ("# fees-pending -3", "line 10: fees-pending must be >= 0, got -3"),
+    ("# reward a -1 3", "line 13: coins_per_block must be >= 0, got -1"),
+    ("# reward a 1 -3", "line 13: remaining_blocks must be >= 0, got -3"),
+])
+def test_snapshot_header_errors_name_the_line(line, message):
+    good = save_snapshot(ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5), rng_seed=1))
+    key = line.split()[1]
+    lines = good.splitlines()
+    if key == "reward":
+        lines.append(line)
+    else:
+        lines = [line if old.startswith(f"# {key} ") else old for old in lines]
+        assert line in lines
+    with pytest.raises(SnapshotError) as err:
+        load_snapshot("\n".join(lines) + "\n")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("key", ["subsidy", "ack_fee"])
+def test_genesis_rejects_negative_coin_settings(key):
+    with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -1$"):
+        ChainState.genesis([("a", 5)], SystemParams(decay=0.5), rng_seed=1, **{key: -1})
+
+
 @st.composite
 def chain_states(draw):
     """Any state genesis accepts, with a forest, history and reward schedules.

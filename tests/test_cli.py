@@ -224,6 +224,15 @@ def test_cli_overrides_beat_config(tmp_path):
     assert "blocks: 20" in (tmp_path / "global_summary.txt").read_text()
 
 
+def test_run_all_rejects_config(tmp_path, capsys):
+    ini = tmp_path / "econ.ini"
+    ini.write_text(CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--all", "--config", str(ini), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "run --all accepts only --seed/--out, not --config\n"
+    assert not out.exists()
+
+
 def test_missing_config(capsys):
     assert main(["run", "global", "--config", "/does/not/exist.ini"]) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
@@ -333,6 +342,15 @@ def test_step_snapshot_missing_a_header_names_it_once(tmp_path, capsys):
     bad.write_text("# prestigesim-state 1\n# height 0\na,5,0.0,\n")
     assert main(["step", str(bad)]) == EXIT_USAGE
     assert capsys.readouterr().err == "malformed snapshot: missing header 'decay'\n"
+
+
+def test_step_rejects_a_negative_subsidy(tmp_path, snapshot_file, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(snapshot_file.read_text().replace("# subsidy 2\n", "# subsidy -1\n"))
+    out = tmp_path / "out"
+    assert main(["step", str(bad), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "malformed snapshot: line 7: subsidy must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_step_reward_past_coin_limit_is_a_runtime_failure(tmp_path, capsys):
