@@ -144,7 +144,7 @@ def encode_ack_message(task_id: bytes, vk: bytes, amount: int) -> bytes:
         raise ValueError(f"verification key must be {VK_BYTES} bytes, got {len(vk)}")
     if not (0 <= amount <= AMOUNT_MAX):
         raise AmountOverflow(f"amount {amount} outside [0, {AMOUNT_MAX}]")
-    return task_id + vk + amount.to_bytes(AMOUNT_BYTES, "big")
+    return b"".join((task_id, vk, amount.to_bytes(AMOUNT_BYTES, "big")))  # bytes from any buffer
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,7 @@ def test_simple_ack_is_102_bytes_and_roundtrips():
     assert len(raw) == SIMPLE_ACK_BYTES == 102
     assert SimpleAck.from_bytes(raw) == ack
     assert SimpleAck.from_hex(ack.to_hex()) == ack
+    assert verify_simple_ack(SimpleAck.from_bytes(bytearray(raw)), benef.vk)
 
 
 def test_simple_ack_verifies_only_for_signer():
@@ -288,9 +289,11 @@ def test_path_ack_size_grows_69_per_hop(n):
 
 
 def test_path_ack_roundtrips():
-    ack, _ = build_path(4)
+    ack, keys = build_path(4)
     assert PathAck.from_bytes(ack.to_bytes()) == ack
     assert PathAck.from_hex(ack.to_hex()) == ack
+    # a received buffer need not be bytes
+    assert verify_path_ack(PathAck.from_bytes(bytearray(ack.to_bytes())), keys[0].vk)
 
 
 def test_path_ack_from_bytes_rejects_bad_lengths():
