@@ -18,13 +18,14 @@ upstream; ancestors with negative prestige contribute zero to branch power.
 
 ``retain_progressive`` is the one statement of the per-node rule.
 ``settle_upstream`` is the propagation kernel: it walks a root path twice
-(ancestor mass up, then the residual down) and adds each node's share into a
-caller's container in place, which may be the prestige container itself; the
-tree scenarios credit their per-position lists this way. ``propagate_upstream``
-runs the same kernel into a fresh tally and returns the shares, for callers
-that keep a record of them. ``settle_transfer`` is a whole transfer on a
-prestige container (the chain's and the theorem checks' per-position lists);
-``apply_transfer`` maps it onto ``Account``s.
+(ancestor mass up, then the residual down, applying the rule inline) and
+adds each node's share into a caller's container in place, which may be the
+prestige container itself; the tree scenarios credit their per-position
+lists this way. ``propagate_upstream`` runs the same kernel into a fresh
+tally and returns the shares, for callers that keep a record of them.
+``settle_transfer`` is a whole transfer on a prestige container (the chain's
+and the theorem checks' per-position lists); ``apply_transfer`` maps it onto
+``Account``s.
 """
 
 from __future__ import annotations
@@ -176,9 +177,11 @@ def settle_upstream(
 
     Every node before the root keeps ``retain_progressive`` of the residual
     reaching it, with branch power b times the summed non-negative prestige
-    of its ancestors; the root absorbs the final residual outright. Each
-    node's amount is added to ``credit[node]``, so the amounts credited are
-    non-negative and sum to exactly x (up to float rounding).
+    of its ancestors; the rule is applied inline, bit for bit
+    ``retain_progressive``, NaN and signed zeros included. The root absorbs
+    the final residual outright. Each node's amount is added to
+    ``credit[node]``, so the amounts credited are non-negative and sum to
+    exactly x (up to float rounding).
 
     *credit* may be *prestige_of* itself, and the result is the same as
     crediting a separate container and adding it in afterwards: every
@@ -193,15 +196,27 @@ def settle_upstream(
     # adding max(p, 0.0), NaN included (mass starts at +0.0, never -0.0).
     above = []
     mass = 0.0
-    for i in range(len(path) - 1, 0, -1):
-        p = prestige_of[path[i]]
+    for node in path[:0:-1]:
+        p = prestige_of[node]
         if not p < 0.0:
             mass += p
         above.append(mass)
 
     residual = x
     for node, mass_above in zip(path, reversed(above)):
-        kept = retain_progressive(residual, prestige_of[node], b * mass_above)
+        # retain_progressive(residual, p, b * mass_above), inline to save a call per
+        # hop; the residual is never negative, so its x check could never fire.
+        p = prestige_of[node]
+        if p <= 0.0:
+            kept = 0.0
+        else:
+            power = b * mass_above
+            if not power > 0.0:
+                kept = residual
+            else:
+                kept = residual * p / (p + power)
+                if not kept < residual:
+                    kept = residual
         credit[node] += kept
         residual -= kept
     credit[path[-1]] += residual

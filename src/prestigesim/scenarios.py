@@ -128,6 +128,55 @@ class ScenarioResult:
 # shared helpers
 
 
+class _BoundedDraws:
+    """``int(rng.integers(high))`` for 1 <= high <= 2**32, replayed on batched 32-bit words.
+
+    numpy draws such a bounded integer with Lemire's method, one 32-bit
+    word w at a time: m = w * high is rejected while m mod 2**32 is below
+    2**32 mod high, and the result is m >> 32; a bound of 1 draws nothing.
+    ``rng.integers(0, 2**32, size=k, dtype=np.uint32)`` yields the words
+    k scalar draws would take, so calls here draw *batch* words at once
+    (again when rejections use them up) and replay the rule in Python.
+    ``close()`` follows the last call: it restores the generator to where
+    the open batch began and redraws only the words used, so
+    ``rng.bit_generator.state`` ends exactly where the scalar calls would
+    leave it, PCG64's buffered half word included. Larger bounds take
+    64-bit words in numpy and are refused here.
+    """
+
+    __slots__ = ("_rng", "_batch", "_state", "_words", "_next")
+
+    def __init__(self, rng: np.random.Generator, batch: int) -> None:
+        self._rng, self._batch = rng, max(batch, 1)
+        self._state = None  # the generator's state where the open batch began
+        self._words: list[int] = []
+        self._next = 0
+
+    def __call__(self, high: int) -> int:
+        if high == 1:
+            return 0
+        if not 1 < high <= 1 << 32:
+            raise ValueError(f"high must be between 1 and 2**32, got {high}")
+        threshold = (1 << 32) % high
+        while True:
+            if self._next == len(self._words):
+                self._state = self._rng.bit_generator.state
+                words = self._rng.integers(0, 1 << 32, size=self._batch, dtype=np.uint32)
+                self._words = words.tolist()
+                self._next = 0
+            m = self._words[self._next] * high
+            self._next += 1
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def close(self) -> None:
+        """Leave the generator as if each draw had been a scalar ``rng.integers`` call."""
+        if self._state is not None:
+            self._rng.bit_generator.state = self._state
+            self._rng.integers(0, 1 << 32, size=self._next, dtype=np.uint32)
+            self._state, self._words, self._next = None, [], 0
+
+
 def _grow_forest(
     rng: np.random.Generator,
     node_ids: Sequence[Hashable],
@@ -150,6 +199,11 @@ def _grow_forest(
     only each leaf's final upload counts: *path_bytes* sums 33 bytes of
     composite signature plus 69 per node on each leaf's path (root
     included).
+
+    Draws: each attachment takes ``int(rng.integers(n_roots))`` for the
+    tree, then ``int(rng.integers(len(open slots)))`` for the parent, a
+    bound of 1 drawing nothing. ``_BoundedDraws`` replays these on batched
+    words, and *rng* is left exactly where those scalar calls leave it.
     """
     if not 1 <= n_roots <= len(node_ids):
         raise ValueError("n_roots must be between 1 and the number of nodes")
@@ -159,10 +213,10 @@ def _grow_forest(
     n_children = [0] * len(node_ids)
     # open slots hold positions in node_ids
     open_slots = [[k] for k in range(n_roots)]
+    below = _BoundedDraws(rng, (len(node_ids) - n_roots) * (2 if n_roots > 1 else 1))
     for pos in range(n_roots, len(node_ids)):
-        tree = int(rng.integers(n_roots)) if n_roots > 1 else 0
-        slots = open_slots[tree]
-        idx = int(rng.integers(len(slots)))
+        slots = open_slots[below(n_roots)]
+        idx = below(len(slots))
         parent = slots[idx]
         paths.append((node_ids[pos],) + paths[parent])
         n_children[parent] += 1
@@ -170,6 +224,7 @@ def _grow_forest(
             slots[idx] = slots[-1]
             slots.pop()
         slots.append(pos)
+    below.close()
     path_bytes = sum(
         PATH_ACK_BASE_BYTES + PATH_HOP_BYTES * len(path)
         for path, c in zip(paths, n_children) if c == 0
@@ -400,8 +455,9 @@ def run_dag_study(
     if len(set(depth)) < 3:
         raise ValueError(f"n_trees={n_trees} left no two users below a root at different "
                          "distances, so the gain-vs-distance slope is undefined")
-    base = [float(rng.integers(base_range[0], base_range[1] + 1)) for _ in ids]
-    task_count = [int(rng.integers(tasks_range[0], tasks_range[1] + 1)) for _ in ids]
+    # one call per list: the same words, in the same order, as one scalar call per user
+    base = [float(v) for v in rng.integers(base_range[0], base_range[1] + 1, size=n_users).tolist()]
+    task_count = rng.integers(tasks_range[0], tasks_range[1] + 1, size=n_users).tolist()
     servers = [i for i in range(n_users) for _ in range(task_count[i])]
     if not servers:
         raise ValueError(f"no user was drawn a task from tasks_range {tasks_range}")
@@ -763,8 +819,10 @@ def run_file_distribution(
 
     def one_run(fee_value: float, branch_value: float, stream: int):
         rng = np.random.default_rng([seed, stream])
-        base = [float(rng.integers(base_range[0], base_range[1] + 1)) for _ in range(pool_size)]
-        prestige = [*base, float(rng.integers(base_range[0], base_range[1] + 1))]
+        # the pool's base prestige, then the creator's, in one call: the words of a scalar call each
+        draws = rng.integers(base_range[0], base_range[1] + 1, size=pool_size + 1)
+        prestige = [float(v) for v in draws.tolist()]
+        base = prestige[:pool_size]
         tasks_served = [0] * (pool_size + 1)
         episodes_joined = [0] * pool_size
         n_tasks = simple_bytes = path_bytes = 0
@@ -976,7 +1034,7 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
     worst_prop = 0.0
     for _ in range(trials):
         n = int(rng.integers(1, 12))
-        prestige = [float(rng.uniform(-50, 300)) for _ in range(n)]
+        prestige = rng.uniform(-50, 300, size=n).tolist()  # the bits and words of n scalar draws
         x = float(rng.uniform(0.01, 1000.0))
         b = float(rng.uniform(0.0, 2.0))
         # the path of the chain 0 <- 1 <- ... from its deepest node

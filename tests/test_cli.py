@@ -262,10 +262,13 @@ def test_check_rejects_bad_seed(capsys):
 
 
 def test_check_detects_corruption(monkeypatch, capsys):
+    # settle_upstream applies the retention rule inline, so corrupt the kernel:
+    # it credits 1% more than the fee it splits.
+    real = prestigesim.mining.settle_upstream
     monkeypatch.setattr(
         prestigesim.mining,
-        "retain_progressive",
-        lambda x, prestige, bp: 1.01 * x if prestige > 0 else 0.0,
+        "settle_upstream",
+        lambda path, x, prestige_of, b, credit: real(path, 1.01 * x, prestige_of, b, credit),
     )
     assert main(["check", "--trials", "100"]) == EXIT_VIOLATION
     captured = capsys.readouterr()

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prestigesim.mining
@@ -23,7 +23,7 @@ from prestigesim import (
     scenario_names,
 )
 from prestigesim.acks import PATH_ACK_BASE_BYTES, PATH_HOP_BYTES, SIMPLE_ACK_BYTES
-from prestigesim.scenarios import _column_sums, _grow_forest
+from prestigesim.scenarios import _BoundedDraws, _column_sums, _grow_forest
 
 
 # --- registry -----------------------------------------------------------------
@@ -179,6 +179,79 @@ def test_grow_forest_attaches_every_id_once_within_fanout(seed, n_nodes, n_roots
         for path, c in zip(paths, n_children) if c == 0
     )
     assert path_bytes == leaf_sum
+
+
+def _scalar_forest(rng, n_nodes, n_roots, fanout):
+    """The forest _grow_forest grows, with one scalar rng.integers call per draw."""
+    parents = [None] * n_roots
+    n_children = [0] * n_nodes
+    open_slots = [[k] for k in range(n_roots)]
+    for pos in range(n_roots, n_nodes):
+        slots = open_slots[int(rng.integers(n_roots)) if n_roots > 1 else 0]
+        idx = int(rng.integers(len(slots)))
+        parents.append(slots[idx])
+        n_children[slots[idx]] += 1
+        if n_children[slots[idx]] >= fanout:
+            slots[idx] = slots[-1]
+            slots.pop()
+        slots.append(pos)
+    return parents
+
+
+@pytest.mark.parametrize(("n_nodes", "n_roots", "fanout"),
+                         [(1, 1, 1), (300, 1, 2), (300, 7, 3), (2000, 40, 8)])
+def test_grow_forest_draws_as_scalar_calls_would(n_nodes, n_roots, fanout):
+    batched, scalar = np.random.default_rng(5), np.random.default_rng(5)
+    batched.integers(10), scalar.integers(10)  # start from a buffered half word
+    paths, _ = _grow_forest(batched, range(n_nodes), n_roots, fanout)
+    assert [p[1] if len(p) > 1 else None for p in paths] == _scalar_forest(
+        scalar, n_nodes, n_roots, fanout)
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+_BOUNDS = st.sampled_from([1, 2, 8, 2**31 + 1, 2**32 - 1, 2**32]) | st.integers(1, 2**32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), half_word=st.booleans(), batch=st.integers(1, 8),
+       highs=st.lists(_BOUNDS, max_size=60))
+@example(seed=0, half_word=True, batch=4, highs=[2**31 + 1] * 40)  # about half the words rejected
+@example(seed=0, half_word=False, batch=1, highs=[1] * 5)  # a bound of 1 draws nothing
+def test_bounded_draws_replay_scalar_integers(seed, half_word, batch, highs):
+    scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+    if half_word:  # PCG64 then holds the upper half of its last 64-bit output
+        scalar.integers(10), batched.integers(10)
+        assert batched.bit_generator.state["has_uint32"] == 1
+    want = [int(scalar.integers(high)) for high in highs]
+    below = _BoundedDraws(batched, batch)
+    assert [below(high) for high in highs] == want
+    below.close()
+    assert batched.bit_generator.state == scalar.bit_generator.state
+    assert batched.random() == scalar.random()
+
+
+@pytest.mark.parametrize("high", [0, -3, 2**32 + 1])
+def test_bounded_draws_refuse_bounds_outside_32_bits(high):
+    with pytest.raises(ValueError, match="high must be between 1 and 2\\*\\*32"):
+        _BoundedDraws(np.random.default_rng(0), 4)(high)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, size=None: rng.uniform(-50, 300, size),  # the propagation check's prestige
+    lambda rng, size=None: rng.integers(1, 10_001, size),  # file_distribution's base prestige
+])
+def test_one_batched_draw_matches_scalar_draws(draw):
+    # Scenarios draw n values in one call where they once made n scalar calls;
+    # pin that the values keep their bits and the generator ends where it did.
+    for seed in range(200):
+        scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(scalar.integers(1, 12))
+            assert int(batched.integers(1, 12)) == n
+            got = draw(batched, n)
+            want = np.array([draw(scalar) for _ in range(n)], dtype=got.dtype)
+            assert got.tobytes() == want.tobytes()
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 # --- dag study -------------------------------------------------------------------
@@ -489,11 +562,13 @@ def test_column_sums_match_np_sum_bit_for_bit(values):
 
 
 def test_theorem_checks_catch_a_corrupted_retention(monkeypatch):
-    # Negative control: an over-retaining rule must trip at least one check.
+    # Negative control: an over-crediting kernel must trip at least one check.
+    # settle_upstream applies the retention rule inline, so it is the one to corrupt.
+    real = prestigesim.mining.settle_upstream
     monkeypatch.setattr(
         prestigesim.mining,
-        "retain_progressive",
-        lambda x, prestige, bp: 1.01 * x if prestige > 0 else 0.0,
+        "settle_upstream",
+        lambda path, x, prestige_of, b, credit: real(path, 1.01 * x, prestige_of, b, credit),
     )
     result = run_theorem_checks(seed=0, trials=200)
     assert result.summary["all_passed"] is False
