@@ -18,6 +18,20 @@ Two wire formats are exchanged:
   its (message, key) entries, none repeated: removing or repeating a hop, or
   tampering any field, breaks it.
 
+Trust rule and costs. Every hop and simple ack encodes its signed message
+once, on first use, and keeps the bytes (its fields are frozen), so
+verifying, re-encoding and the duplicate-hop check encode nothing twice. An
+ack that ``make_root_ack`` or ``extend_path_ack`` returned is marked as
+built when its composite provably verifies: its prev was built or verified
+in full, and the signing secret key derives the vk its new hop records.
+``extend_path_ack`` trusts a built prev, so extending costs two hashes (the
+signer's vk and the new hop's signature) whatever the path's length, and
+growing a path to n hops costs O(n) hashes. A path ack from the constructor,
+``from_bytes``, ``from_hex`` or ``dataclasses.replace`` is never marked, and
+``extend_path_ack`` verifies it in full, one hash per hop.
+``verify_path_ack`` ignores the mark and always costs one hash per hop; the
+chain verifies every path it is handed.
+
 The signature scheme is a deterministic keyed-hash construction (sign =
 33-byte hash bound to the signer's public key and message, compose = bytewise
 XOR). It gives the exact algebra the simulator needs (commutative,
@@ -29,7 +43,7 @@ reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import AmountOverflow, DuplicateHop, InvalidPrev
@@ -147,7 +161,7 @@ def encode_ack_message(task_id: bytes, vk: bytes, amount: int) -> bytes:
     return b"".join((task_id, vk, amount.to_bytes(AMOUNT_BYTES, "big")))  # bytes from any buffer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimpleAck:
     """Single-task receipt; fixed 102-byte encoding."""
 
@@ -155,9 +169,18 @@ class SimpleAck:
     contributor_vk: bytes
     amount: int
     signature: bytes
+    _message: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def message(self) -> bytes:
-        return encode_ack_message(self.task_id, self.contributor_vk, self.amount)
+        """The signed payload, encoded on first use and kept (the fields are frozen).
+
+        An encoding that raises (``AmountOverflow`` included) keeps nothing.
+        """
+        message = self._message
+        if message is None:
+            message = encode_ack_message(self.task_id, self.contributor_vk, self.amount)
+            object.__setattr__(self, "_message", message)
+        return message
 
     def to_bytes(self) -> bytes:
         return self.message() + self.signature
@@ -169,6 +192,7 @@ class SimpleAck:
     def from_bytes(cls, raw: bytes) -> "SimpleAck":
         if len(raw) != SIMPLE_ACK_BYTES:
             raise ValueError(f"simple ack must be {SIMPLE_ACK_BYTES} bytes, got {len(raw)}")
+        raw = bytes(raw)  # immutable fields from any buffer, so a kept message cannot go stale
         task_id = raw[:TASK_ID_BYTES]
         vk = raw[TASK_ID_BYTES : TASK_ID_BYTES + VK_BYTES]
         off = TASK_ID_BYTES + VK_BYTES
@@ -189,13 +213,14 @@ def make_simple_ack(
 ) -> SimpleAck:
     """Beneficiary-signed receipt naming the contributor to be credited."""
     message = encode_ack_message(task_id, contributor_vk, amount)
-    signature = sign(beneficiary.sk, message)
-    return SimpleAck(
+    ack = SimpleAck(
         task_id=bytes(task_id),
         contributor_vk=bytes(contributor_vk),
         amount=int(amount),
-        signature=signature,
+        signature=sign(beneficiary.sk, message),
     )
+    object.__setattr__(ack, "_message", message)  # what ack.message() would encode
+    return ack
 
 
 def verify_simple_ack(ack: SimpleAck, beneficiary_vk: bytes) -> bool:
@@ -206,16 +231,22 @@ def verify_simple_ack(ack: SimpleAck, beneficiary_vk: bytes) -> bool:
     return verify([(message, beneficiary_vk)], ack.signature)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathHop:
     """One node's membership record on a distribution branch."""
 
     task_id: bytes
     vk: bytes
     amount: int
+    _message: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def message(self) -> bytes:
-        return encode_ack_message(self.task_id, self.vk, self.amount)
+        """The signed payload, encoded on first use and kept, as ``SimpleAck.message``."""
+        message = self._message
+        if message is None:
+            message = encode_ack_message(self.task_id, self.vk, self.amount)
+            object.__setattr__(self, "_message", message)
+        return message
 
     def to_bytes(self) -> bytes:
         return self.message()
@@ -224,18 +255,22 @@ class PathHop:
     def from_bytes(cls, raw: bytes) -> "PathHop":
         if len(raw) != PATH_HOP_BYTES:
             raise ValueError(f"path hop must be {PATH_HOP_BYTES} bytes")
+        raw = bytes(raw)  # as in SimpleAck.from_bytes
         task_id = raw[:TASK_ID_BYTES]
         vk = raw[TASK_ID_BYTES : TASK_ID_BYTES + VK_BYTES]
         amount = int.from_bytes(raw[TASK_ID_BYTES + VK_BYTES :], "big")
         return cls(task_id=task_id, vk=vk, amount=amount)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathAck:
     """Root-first chain of hop records plus one composite signature."""
 
     hops: tuple[PathHop, ...]
     composite: bytes
+    # Set only by make_root_ack and extend_path_ack, when the composite
+    # provably verifies; every other way of making a PathAck leaves it False.
+    _built: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.hops:
@@ -248,7 +283,7 @@ class PathAck:
         return [(hop.message(), hop.vk) for hop in self.hops]
 
     def to_bytes(self) -> bytes:
-        return b"".join(hop.to_bytes() for hop in self.hops) + self.composite
+        return b"".join([hop.message() for hop in self.hops]) + self.composite
 
     def to_hex(self) -> str:
         return self.to_bytes().hex()
@@ -258,6 +293,7 @@ class PathAck:
         body = len(raw) - PATH_ACK_BASE_BYTES
         if body <= 0 or body % PATH_HOP_BYTES != 0:
             raise ValueError(f"path ack length {len(raw)} is not 33 + 69*n")
+        raw = bytes(raw)  # as in SimpleAck.from_bytes
         hops = tuple(
             PathHop.from_bytes(raw[i : i + PATH_HOP_BYTES])
             for i in range(0, body, PATH_HOP_BYTES)
@@ -270,10 +306,18 @@ class PathAck:
 
 
 def make_root_ack(root: KeyPair, task_id: bytes, amount: int = 0) -> PathAck:
-    """Self-signed genesis record that seeds a branch's path acks."""
-    hop = PathHop(task_id=bytes(task_id), vk=root.vk, amount=int(amount))
-    signature = sign(root.sk, hop.message())
-    return PathAck(hops=(hop,), composite=signature)
+    """Self-signed genesis record that seeds a branch's path acks.
+
+    Marked as built when ``root.sk`` derives ``root.vk``, as ``keygen``'s
+    key pairs do; a mismatched pair signs a root ack that does not verify.
+    """
+    hop = PathHop(task_id=bytes(task_id), vk=bytes(root.vk), amount=int(amount))
+    message = hop.message()
+    vk = _derive_vk(root.sk)
+    ack = PathAck(hops=(hop,), composite=_entry_sig(vk, message))  # sign(root.sk, message)
+    if vk == hop.vk:
+        object.__setattr__(ack, "_built", True)
+    return ack
 
 
 def extend_path_ack(
@@ -288,24 +332,38 @@ def extend_path_ack(
     The node that just received the content signs its own membership record
     and becomes the branch's newest contributor, so ``contributor_vk`` must be
     the signing key pair's public key. Grows the encoding by exactly 69 bytes.
+
+    A ``prev`` this module built (``make_root_ack`` or ``extend_path_ack``,
+    marked only when its composite verifies) is trusted: extending it costs
+    two hashes, the signer's vk and the new hop's signature, plus one bytes
+    comparison per hop for the duplicate check. A ``prev`` it did not build
+    (decoded, constructed or replaced) is verified in full first, one hash
+    per hop, and raises ``InvalidPrev`` if it does not verify. The result is
+    marked as built only when ``beneficiary.sk`` derives ``beneficiary.vk``.
     """
     if contributor_vk != beneficiary.vk:
         raise ValueError("extending node records its own key; contributor_vk must match beneficiary.vk")
-    entries = prev.entries()
-    if not verify(entries, prev.composite):
+    if not prev._built and not verify(prev.entries(), prev.composite):
         raise InvalidPrev("previous path ack does not verify")
 
     hop = PathHop(task_id=bytes(task_id), vk=bytes(contributor_vk), amount=int(amount))
     message = hop.message()
-    if any(m == message for m, _ in entries):
+    if message in [h.message() for h in prev.hops]:
         raise DuplicateHop("hop message already present in the path")
 
-    composite = _xor_bytes(prev.composite, sign(beneficiary.sk, message))
-    return PathAck(hops=prev.hops + (hop,), composite=composite)
+    vk = _derive_vk(beneficiary.sk)
+    composite = _xor_bytes(prev.composite, _entry_sig(vk, message))  # sign(beneficiary.sk, message)
+    ack = PathAck(hops=prev.hops + (hop,), composite=composite)
+    if vk == hop.vk:  # prev verifies (built or checked above), and so does the new hop
+        object.__setattr__(ack, "_built", True)
+    return ack
 
 
 def verify_path_ack(ack: PathAck, expected_root_vk: bytes) -> bool:
-    """Check the composite against every hop and the anchoring at the root."""
+    """Check the composite against every hop and the anchoring at the root.
+
+    One hash per hop, for every ack: the built mark is not consulted.
+    """
     if ack.hops[0].vk != expected_root_vk:
         return False
     try:

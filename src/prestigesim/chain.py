@@ -551,21 +551,22 @@ def load_snapshot(text: str) -> ChainState:
                     if not parts:
                         continue
                     key, value = parts[0], parts[1]
-                    if key == SNAPSHOT_MAGIC:
-                        header["version"] = value
-                    elif key == "root":
-                        dag.add_root(value)
+                    # most header lines are seen task ids and DAG edges: test those first
+                    if key == "seen":
+                        seen.add(bytes.fromhex(value))
                     elif key == "edge":
                         child, parent = value, parts[2]
                         if parent not in dag:  # attach's KeyError would read as a missing header
                             raise ValueError(f"dangling DAG edge: parent {parent!r} of {child!r} "
                                              "is not a node on an earlier line")
                         dag.attach(parent, child)
+                    elif key == SNAPSHOT_MAGIC:
+                        header["version"] = value
+                    elif key == "root":
+                        dag.add_root(value)
                     elif key == "reward":
                         rewards.append(RewardSchedule(value, _count("coins_per_block", parts[2]),
                                                       _count("remaining_blocks", parts[3])))
-                    elif key == "seen":
-                        seen.add(bytes.fromhex(value))
                     else:
                         header[key] = _HEADER_VALUES.get(key, str)(value)
                     continue

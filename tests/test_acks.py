@@ -1,10 +1,12 @@
 """Composite signatures and the two acknowledgment wire formats."""
 
+import dataclasses
 from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from prestigesim import acks
 from prestigesim import (
     AmountOverflow,
     DuplicateHop,
@@ -234,7 +236,9 @@ def test_simple_ack_is_102_bytes_and_roundtrips():
     assert len(raw) == SIMPLE_ACK_BYTES == 102
     assert SimpleAck.from_bytes(raw) == ack
     assert SimpleAck.from_hex(ack.to_hex()) == ack
-    assert verify_simple_ack(SimpleAck.from_bytes(bytearray(raw)), benef.vk)
+    decoded = SimpleAck.from_bytes(bytearray(raw))
+    assert verify_simple_ack(decoded, benef.vk)
+    assert type(decoded.task_id) is type(decoded.contributor_vk) is bytes  # kept message cannot go stale
 
 
 def test_simple_ack_verifies_only_for_signer():
@@ -293,7 +297,9 @@ def test_path_ack_roundtrips():
     assert PathAck.from_bytes(ack.to_bytes()) == ack
     assert PathAck.from_hex(ack.to_hex()) == ack
     # a received buffer need not be bytes
-    assert verify_path_ack(PathAck.from_bytes(bytearray(ack.to_bytes())), keys[0].vk)
+    decoded = PathAck.from_bytes(bytearray(ack.to_bytes()))
+    assert verify_path_ack(decoded, keys[0].vk)
+    assert all(type(h.task_id) is type(h.vk) is bytes for h in decoded.hops)
 
 
 def test_path_ack_from_bytes_rejects_bad_lengths():
@@ -387,3 +393,105 @@ def test_extend_rejects_corrupt_previous():
     corrupt = PathAck(ack.hops, bytes(33))
     with pytest.raises(InvalidPrev):
         extend_path_ack(corrupt, kp("new"), tid(60), kp("new").vk, 5)
+
+
+# --- built acks: trusted by extend_path_ack, one hash per hop -----------------------
+
+def test_extend_trusts_only_acks_that_verify():
+    a, b, new = kp("a"), kp("b"), kp("new")
+    mismatched = KeyPair(sk=a.sk, vk=b.vk, params=PARAMS)  # sk does not derive vk
+    root = make_root_ack(mismatched, tid(1))
+    assert not verify_path_ack(root, b.vk)
+    with pytest.raises(InvalidPrev):
+        extend_path_ack(root, new, tid(2), new.vk, 5)
+
+    built, keys = build_path(3)
+    signed_by_mismatch = extend_path_ack(built, mismatched, tid(9), mismatched.vk, 5)
+    assert not verify_path_ack(signed_by_mismatch, keys[0].vk)
+    with pytest.raises(InvalidPrev):
+        extend_path_ack(signed_by_mismatch, new, tid(2), new.vk, 5)
+
+    flipped = bytearray(built.to_bytes())
+    flipped[-1] ^= 1
+    for tampered in (
+        dataclasses.replace(built, composite=bytes(33)),
+        PathAck(built.hops, bytes(33)),
+        PathAck.from_bytes(flipped),
+    ):
+        assert not verify_path_ack(tampered, keys[0].vk)
+        with pytest.raises(InvalidPrev):
+            extend_path_ack(tampered, new, tid(60), new.vk, 5)
+
+
+def test_built_mark_is_invisible():
+    built, keys = build_path(3)
+    for copy in (dataclasses.replace(built), PathAck(built.hops, built.composite),
+                 PathAck.from_bytes(built.to_bytes())):
+        assert copy == built and repr(copy) == repr(built) and hash(copy) == hash(built)
+        # an unmarked copy that verifies extends to the same bytes
+        assert (extend_path_ack(copy, keys[1], tid(77), keys[1].vk, 3).to_bytes()
+                == extend_path_ack(built, keys[1], tid(77), keys[1].vk, 3).to_bytes())
+
+
+_AMOUNTS = st.sampled_from([0, 1, 7, 2**32 - 1, 2**32])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), _AMOUNTS,
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6), _AMOUNTS), max_size=30))
+def test_extending_built_and_decoded_paths_agree(root_task, root_amount, steps):
+    # Grown once from the acks extend_path_ack returned and once from a fresh
+    # decoding at every step: the same bytes, or the same error, at each step.
+    keys = [kp(f"eq{i}") for i in range(6)]
+
+    def attempt(make):
+        try:
+            return make()
+        except (DuplicateHop, AmountOverflow) as exc:
+            return type(exc)
+
+    built = attempt(lambda: make_root_ack(keys[0], tid(root_task), root_amount))
+    if not isinstance(built, PathAck):
+        assert built is AmountOverflow and root_amount > 2**32 - 1
+        return
+    decoded = built
+    for k, task, amount in steps:
+        key = keys[k]
+        grown = attempt(lambda: extend_path_ack(built, key, tid(task), key.vk, amount))
+        redecoded = PathAck.from_bytes(decoded.to_bytes())
+        regrown = attempt(lambda: extend_path_ack(redecoded, key, tid(task), key.vk, amount))
+        if isinstance(grown, PathAck):
+            assert isinstance(regrown, PathAck) and grown.to_bytes() == regrown.to_bytes()
+            built, decoded = grown, regrown
+        else:
+            assert regrown is grown
+            repeated = any(h.task_id == tid(task) and h.vk == key.vk and h.amount == amount
+                           for h in built.hops)
+            assert (grown is DuplicateHop) == repeated
+    assert verify_path_ack(built, keys[0].vk) and verify_path_ack(decoded, keys[0].vk)
+
+
+def test_growing_and_verifying_a_path_costs_one_hash_per_hop(monkeypatch):
+    signs, encodes = [], []
+    entry_sig, encode = acks._entry_sig, acks.encode_ack_message
+    monkeypatch.setattr(acks, "_entry_sig", lambda *a: signs.append(1) or entry_sig(*a))
+    monkeypatch.setattr(acks, "encode_ack_message", lambda *a: encodes.append(1) or encode(*a))
+    n = 200
+    ack, keys = build_path(n)
+    assert len(signs) == n  # re-verifying every prev made n(n+1)/2
+    assert len(encodes) == n  # one per hop, kept by the hop
+    assert verify_path_ack(ack, keys[0].vk)
+    ack.to_hex()
+    assert len(signs) == 2 * n
+    assert len(encodes) == n
+
+
+def test_hop_past_the_amount_range_constructs_but_neither_verifies_nor_encodes():
+    root = kp("root")
+    ack = PathAck((PathHop(tid(1), root.vk, 2**32),), bytes(33))
+    assert not verify_path_ack(ack, root.vk)
+    for _ in range(2):  # a failed encoding keeps nothing
+        with pytest.raises(AmountOverflow):
+            ack.to_bytes()
+    with pytest.raises(AmountOverflow):
+        extend_path_ack(ack, kp("new"), tid(2), kp("new").vk, 1)
