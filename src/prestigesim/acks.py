@@ -24,9 +24,14 @@ verifying, re-encoding and the duplicate-hop check encode nothing twice. An
 ack that ``make_root_ack`` or ``extend_path_ack`` returned is marked as
 built when its composite provably verifies: its prev was built or verified
 in full, and the signing secret key derives the vk its new hop records.
-``extend_path_ack`` trusts a built prev, so extending costs two hashes (the
-signer's vk and the new hop's signature) whatever the path's length, and
-growing a path to n hops costs O(n) hashes. A path ack from the constructor,
+``keygen`` marks the ``KeyPair`` it returns as holding the vk its sk
+derives, and ``make_simple_ack``, ``make_root_ack`` and ``extend_path_ack``
+sign with a marked pair's vk instead of deriving it again; a constructed or
+``dataclasses.replace``d pair is never marked, so it signs exactly as
+``sign(pair.sk, message)`` does, at one more hash. ``extend_path_ack``
+trusts a built prev, so extending with a keygen pair costs one hash (the
+new hop's signature) whatever the path's length, and growing a path to n
+hops costs n hashes. A path ack from the constructor,
 ``from_bytes``, ``from_hex`` or ``dataclasses.replace`` is never marked, and
 ``extend_path_ack`` verifies it in full, one hash per hop.
 ``verify_path_ack`` ignores the mark and always costs one hash per hop; the
@@ -71,6 +76,9 @@ class KeyPair:
     sk: bytes
     vk: bytes
     params: SchemeParams
+    # Set only by keygen, whose vk is derived from sk; a constructed or
+    # replaced pair leaves it False and signs by deriving the vk afresh.
+    _derived: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.vk) != VK_BYTES:
@@ -113,7 +121,14 @@ def keygen(params: SchemeParams, seed: bytes | int | str) -> KeyPair:
     sk = hashlib.shake_256(
         b"prestigesim/sk/" + params.security.to_bytes(4, "big") + _seed_bytes(seed)
     ).digest(32)
-    return KeyPair(sk=sk, vk=_derive_vk(sk), params=params)
+    pair = KeyPair(sk=sk, vk=_derive_vk(sk), params=params)
+    object.__setattr__(pair, "_derived", True)
+    return pair
+
+
+def _signing_vk(pair: KeyPair) -> bytes:
+    """The vk ``sign(pair.sk, ...)`` binds: ``pair.vk`` for keygen's pairs, else derived."""
+    return pair.vk if pair._derived else _derive_vk(pair.sk)
 
 
 def sign(sk: bytes, message: bytes) -> bytes:
@@ -217,7 +232,7 @@ def make_simple_ack(
         task_id=bytes(task_id),
         contributor_vk=bytes(contributor_vk),
         amount=int(amount),
-        signature=sign(beneficiary.sk, message),
+        signature=_entry_sig(_signing_vk(beneficiary), message),  # sign(beneficiary.sk, message)
     )
     object.__setattr__(ack, "_message", message)  # what ack.message() would encode
     return ack
@@ -313,7 +328,7 @@ def make_root_ack(root: KeyPair, task_id: bytes, amount: int = 0) -> PathAck:
     """
     hop = PathHop(task_id=bytes(task_id), vk=bytes(root.vk), amount=int(amount))
     message = hop.message()
-    vk = _derive_vk(root.sk)
+    vk = _signing_vk(root)
     ack = PathAck(hops=(hop,), composite=_entry_sig(vk, message))  # sign(root.sk, message)
     if vk == hop.vk:
         object.__setattr__(ack, "_built", True)
@@ -335,8 +350,9 @@ def extend_path_ack(
 
     A ``prev`` this module built (``make_root_ack`` or ``extend_path_ack``,
     marked only when its composite verifies) is trusted: extending it costs
-    two hashes, the signer's vk and the new hop's signature, plus one bytes
-    comparison per hop for the duplicate check. A ``prev`` it did not build
+    the new hop's signature, one hash (two for a pair ``keygen`` did not
+    mark, whose vk is derived again), plus one bytes comparison per hop for
+    the duplicate check. A ``prev`` it did not build
     (decoded, constructed or replaced) is verified in full first, one hash
     per hop, and raises ``InvalidPrev`` if it does not verify. The result is
     marked as built only when ``beneficiary.sk`` derives ``beneficiary.vk``.
@@ -351,7 +367,7 @@ def extend_path_ack(
     if message in [h.message() for h in prev.hops]:
         raise DuplicateHop("hop message already present in the path")
 
-    vk = _derive_vk(beneficiary.sk)
+    vk = _signing_vk(beneficiary)
     composite = _xor_bytes(prev.composite, _entry_sig(vk, message))  # sign(beneficiary.sk, message)
     ack = PathAck(hops=prev.hops + (hop,), composite=composite)
     if vk == hop.vk:  # prev verifies (built or checked above), and so does the new hop

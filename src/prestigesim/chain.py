@@ -38,11 +38,12 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, MutableMapping
 
 import numpy as np
 
-from .acks import PathAck, SimpleAck, keygen, setup, verify_path_ack, verify_simple_ack
+from .acks import VK_BYTES, PathAck, SimpleAck, keygen, setup, verify_path_ack, verify_simple_ack
 # step_account and apply_transfer go unused here: perfbench/tracing.py patches
 # chain.step_account and chain.apply_transfer by name.
 from .core import Account, SystemParams, check_account, step_account  # noqa: F401
@@ -268,7 +269,8 @@ def _count(name: str, value: int | str) -> int:
 
 
 # Each header's value, parsed and checked at its line (a parameter by SystemParams,
-# beside a valid decay); an unknown key is kept as text.
+# beside a valid decay); an unknown key is kept as text. The order is the one
+# save_snapshot writes, which _load_canonical requires.
 _HEADER_VALUES = {
     "height": lambda v: _count("height", v),
     "decay": lambda v: SystemParams(decay=float(v)).decay,
@@ -371,10 +373,11 @@ def submit_ack(
         # Path shape must agree with the DAG, which already holds the
         # placements of acks queued for the next block, so block boundaries
         # do not change what is accepted.
+        parents = state.dag.parents
         for k, node in enumerate(node_ids):
-            if node not in state.dag:
+            if node not in parents:
                 continue
-            parent = state.dag.parent(node)
+            parent = parents[node]
             if k == 0 and parent is not None:
                 raise InvalidSignature(f"path starts at {node!r}, which is not a branch root")
             if k > 0 and parent != node_ids[k - 1]:
@@ -389,7 +392,7 @@ def submit_ack(
         _charge_fee(state, node_ids[-1])
         transfers = []
         for k, (node, hop) in enumerate(zip(node_ids, ack.hops)):
-            if node not in state.dag:
+            if node not in parents:
                 if k == 0:
                     state.dag.add_root(node)
                 else:
@@ -428,11 +431,26 @@ def register_motivator_reward(
     return state
 
 
+class _Touched(dict):
+    """Prestige by position, read from a float64 column on first use as the
+    Python float ``tolist`` would give; updates stay here, off the column."""
+
+    def __init__(self, column: np.ndarray) -> None:
+        self.column = column
+
+    def __missing__(self, i: int) -> float:
+        value = self[i] = self.column.item(i)
+        return value
+
+
 def advance_block(state: ChainState) -> tuple[ChainState, Block]:
     """Mint one block: regenerate, settle queued transfers, elect, pay rewards.
 
-    The queued transfers apply in submission order, on a per-position list
-    of this block's prestige. The DAG and the seen task ids are left as they
+    Regeneration is one array expression into a new prestige column. The
+    queued transfers then apply in submission order on a dict holding only
+    the positions they touch, read from that column on first use and written
+    back into it in one indexed assignment, so an empty block costs no
+    Python work per account. The DAG and the seen task ids are left as they
     are: ``submit_ack`` recorded them on acceptance. Every step works on
     locals and the state is written once at the end, so a call that raises
     changes nothing: OverflowError, naming coins, when the reward would take
@@ -445,18 +463,21 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
     ids, pos, b = led.ids, led.pos, state.params.branch_power
 
     # step_account for every account at once; int64 -> float64 rounds as int + float does
-    prestige = (led.coins + (1.0 - state.params.decay) * led.prestige).tolist()
+    regenerated = led.coins + (1.0 - state.params.decay) * led.prestige
+    touched = _Touched(regenerated)
     records: list[TransferRecord] = []
     for item in state.pending_acks:
         for beneficiary, contributor, amount, mode in item.transfers:
             path = (None if mode is MiningMode.SIMPLE
                     else [pos[n] for n in state.dag.path_to_root(contributor)])
-            shares = settle_transfer(prestige, pos[beneficiary], pos[contributor], amount, path, b)
+            shares = settle_transfer(touched, pos[beneficiary], pos[contributor], amount, path, b)
             records.append(TransferRecord(beneficiary, contributor, amount, new_height, mode,
                                           tuple((ids[i], a) for i, a in shares)))
+    if touched:
+        regenerated[list(touched)] = list(touched.values())
 
     staged = copy.copy(led)  # shares every column but prestige, for the election
-    staged.prestige = np.array(prestige, dtype=np.float64)
+    staged.prestige = regenerated
     rng = np.random.default_rng([state.rng_seed & 0xFFFFFFFFFFFFFFFF, new_height])
     minter = elect_minter(staged, rng)
 
@@ -532,7 +553,136 @@ def load_snapshot(text: str) -> ChainState:
     ``save_snapshot`` writes them. A line that does not parse, or a header
     value out of range (a negative height, coin amount or reward field),
     raises SnapshotError naming its number.
+
+    Text in exactly the layout ``save_snapshot`` writes is parsed a column
+    at a time (``_load_canonical``); anything else, and anything that fails
+    a check there, goes to the line parser (``_load_lines``), which loads
+    the same state from canonical text and alone words every error.
     """
+    return _load_canonical(text) or _load_lines(text)
+
+
+def _chain_state(header: Mapping[str, object], params: SystemParams, accounts: Ledger,
+                 dag: MiningDag, rewards: list[RewardSchedule], seen: set[bytes]) -> ChainState:
+    return ChainState(
+        height=header["height"],
+        accounts=accounts,
+        dag=dag,
+        params=params,
+        rng_seed=header["seed"],
+        subsidy=header["subsidy"],
+        ack_fee=header["ack-fee"],
+        motivator_rewards=rewards,
+        seen_tasks=seen,
+        initial_coins=header["initial-coins"],
+        fees_pending=header.get("fees-pending", 0),
+    )
+
+
+# Cells of each header line after the fixed ones, split on single spaces.
+_LIST_LINE_CELLS = {"root": 3, "edge": 4, "reward": 5}
+# The ASCII characters other than "\n" and " " that str.splitlines breaks a line at
+# or str.split/str.strip take as whitespace; the line parser reads a text holding
+# one differently from a split on "\n".
+_LINE_SPACING = "\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _load_canonical(text: str) -> ChainState | None:
+    """The state in *text* if it is laid out as ``save_snapshot`` writes it, else None.
+
+    The layout: an ASCII text of newline-ended lines; the magic line, the
+    headers of ``_HEADER_VALUES`` in its order, root, edge and reward lines
+    in any order, then the seen task ids, each header line "#" and its
+    fields joined by single spaces; then at least one account line of four
+    fields and no space. Seen task ids and account fields are converted and
+    checked a column at a time, as the line parser checks each line; DAG
+    lines still go through ``add_root`` and ``attach``. None for any other
+    text and for any check that fails, so the line parser words the error.
+    Each block's parts are dropped once it is converted, which keeps the
+    peak memory near the line parser's.
+    """
+    if not text.isascii() or any(c in text for c in _LINE_SPACING):
+        return None
+    head_end = text.find("\n", text.rfind("\n#") + 1)  # ends the last header line
+    if head_end < 0 or not text.endswith("\n") or " " in text[head_end:]:
+        return None
+    seen_at = text.find("\n# seen ", 0, head_end)
+    if seen_at < 0:
+        seen_at = head_end
+    try:
+        head = _canonical_head(text[:seen_at].split("\n"))
+        seen = _canonical_seen(text[seen_at + 1:head_end])
+        accounts = _canonical_accounts(text[head_end + 1:-1])
+        if head is None or seen is None or accounts is None:
+            return None
+        header, dag, rewards = head
+        if not dag.parents.keys() <= accounts.pos.keys():
+            return None
+        params = SystemParams(decay=header["decay"], branch_power=header["branch-power"],
+                              service_fee=header["service-fee"])
+    except (ValueError, KeyError, IndexError):
+        return None
+    return _chain_state(header, params, accounts, dag, rewards, seen)
+
+
+def _canonical_head(lines: list[str]) -> tuple[dict[str, object], MiningDag, list[RewardSchedule]] | None:
+    """Header values, DAG and reward schedules of the lines before the seen ones."""
+    if lines[0] != f"# {SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}" or len(lines) < 1 + len(_HEADER_VALUES):
+        return None
+    header: dict[str, object] = {}
+    for line, key in zip(lines[1:], _HEADER_VALUES):
+        tag, name, value = line.split(" ")
+        if tag != "#" or name != key:
+            return None
+        header[key] = _HEADER_VALUES[key](value)
+    dag = MiningDag()
+    rewards: list[RewardSchedule] = []
+    for line in lines[1 + len(_HEADER_VALUES):]:
+        cells = line.split(" ")
+        if cells[0] != "#" or len(cells) != _LIST_LINE_CELLS[cells[1]] or "" in cells:
+            return None
+        if cells[1] == "edge":
+            dag.attach(cells[3], cells[2])
+        elif cells[1] == "root":
+            dag.add_root(cells[2])
+        else:
+            rewards.append(RewardSchedule(cells[2], _count("coins_per_block", cells[3]),
+                                          _count("remaining_blocks", cells[4])))
+    return header, dag, rewards
+
+
+def _canonical_seen(block: str) -> set[bytes] | None:
+    """The task ids of a block of "# seen <hex>" lines, or None if a line is not one."""
+    if not block:
+        return set()
+    hexes = block[len("# seen "):].split("\n# seen ")
+    # a newline or space left in a task id means a line that is not "# seen <hex>"
+    joined = "".join(hexes)
+    if not all(hexes) or " " in joined or "\n" in joined:
+        return None
+    return set(map(bytes.fromhex, hexes))
+
+
+def _canonical_accounts(block: str) -> Ledger | None:
+    """The ledger of a block of "id,coins,prestige,vk" lines holding no space."""
+    if set(map(str.count, block.split("\n"), repeat(","))) != {3}:
+        return None  # a line without four fields
+    cells = block.replace("\n", ",").split(",")
+    ids, coins, keys = cells[0::4], list(map(int, cells[1::4])), list(map(bytes.fromhex, cells[3::4]))
+    # the lines follow the last line starting with "#" and hold no "," or whitespace
+    # in an id, so an id is safe when it is not empty
+    if (min(coins) < 0 or max(coins) > 2**63 - 1 or not set(map(len, keys)) <= {0, VK_BYTES}
+            or not all(ids)):
+        return None
+    accounts = Ledger()._fill(ids, coins, list(map(float, cells[2::4])), keys)
+    if len(accounts.pos) != len(ids) or not np.isfinite(accounts.prestige).all():
+        return None
+    return accounts
+
+
+def _load_lines(text: str) -> ChainState:
+    """``load_snapshot`` one line at a time, in any layout it accepts; the source
+    of every SnapshotError it raises."""
     header: dict[str, object] = {}
     dag = MiningDag()
     rewards: list[RewardSchedule] = []
@@ -598,18 +748,7 @@ def load_snapshot(text: str) -> ChainState:
             if node not in pos:
                 raise SnapshotError(f"DAG node {node!r} has no account line")
 
-        return ChainState(
-            height=header["height"],
-            accounts=Ledger()._fill(ids, coins, prestige, keys),
-            dag=dag,
-            params=params,
-            rng_seed=header["seed"],
-            subsidy=header["subsidy"],
-            ack_fee=header["ack-fee"],
-            motivator_rewards=rewards,
-            seen_tasks=seen,
-            initial_coins=header["initial-coins"],
-            fees_pending=header.get("fees-pending", 0),
-        )
+        return _chain_state(header, params, Ledger()._fill(ids, coins, prestige, keys),
+                            dag, rewards, seen)
     except KeyError as exc:
         raise SnapshotError(f"missing header {exc}") from exc

@@ -200,7 +200,7 @@ def cmd_step(state_file: str, n_blocks: int, output_dir: str) -> int:
     path = Path(state_file)
     try:
         state = load_snapshot(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {state_file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SnapshotError as exc:
@@ -222,12 +222,16 @@ def cmd_step(state_file: str, n_blocks: int, output_dir: str) -> int:
         return EXIT_RUNTIME
 
     outdir = Path(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     stem = path.stem
     snap_path = outdir / f"{stem}_h{state.height}{path.suffix or '.txt'}"
-    snap_path.write_text(save_snapshot(state), encoding="utf-8", newline="")
     log_path = outdir / f"{stem}_h{state.height}_blocks.csv"
-    log_path.write_text(log.csv_text(), encoding="utf-8", newline="")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        snap_path.write_text(save_snapshot(state), encoding="utf-8", newline="")
+        log_path.write_text(log.csv_text(), encoding="utf-8", newline="")
+    except OSError as exc:  # an --out that cannot be created or written
+        print(f"step failed to write: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"advanced {n_blocks} block(s) to height {state.height}")
     print(f"wrote {snap_path} and {log_path}")
     return EXIT_OK

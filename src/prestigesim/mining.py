@@ -102,6 +102,11 @@ class MiningDag:
         return iter(self._parent)
 
     @property
+    def parents(self) -> Mapping[str, str | None]:
+        """Each node's parent, None for a root: the DAG's own map, to read only."""
+        return self._parent
+
+    @property
     def roots(self) -> tuple[str, ...]:
         return tuple(n for n, p in self._parent.items() if p is None)
 

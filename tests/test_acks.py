@@ -280,10 +280,15 @@ def test_simple_ack_from_bytes_rejects_wrong_length():
 def build_path(n: int, amount: int = 10) -> tuple[PathAck, list[KeyPair]]:
     """Root plus n-1 extensions, keys named hop0..hop{n-1}."""
     keys = [kp(f"hop{i}") for i in range(n)]
+    return grow_path(keys, amount), keys
+
+
+def grow_path(keys: list[KeyPair], amount: int = 10) -> PathAck:
+    """A root ack signed by keys[0], extended once by each later key."""
     ack = make_root_ack(keys[0], tid(1000))
-    for i in range(1, n):
-        ack = extend_path_ack(ack, keys[i], tid(1000 + i), keys[i].vk, amount)
-    return ack, keys
+    for i, key in enumerate(keys[1:], start=1):
+        ack = extend_path_ack(ack, key, tid(1000 + i), key.vk, amount)
+    return ack
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -411,6 +416,22 @@ def test_extend_trusts_only_acks_that_verify():
     with pytest.raises(InvalidPrev):
         extend_path_ack(signed_by_mismatch, new, tid(2), new.vk, 5)
 
+    # Only keygen marks a pair as holding the vk its sk derives: a constructed
+    # or replaced pair is unmarked, and every maker signs with it exactly as
+    # sign(sk, message) does, the mark out of eq, repr and hash.
+    message = encode_ack_message(tid(3), new.vk, 5)
+    for pair in (KeyPair(sk=new.sk, vk=new.vk, params=PARAMS), dataclasses.replace(new),
+                 dataclasses.replace(a, vk=b.vk), mismatched):
+        assert not pair._derived and new._derived
+        assert (pair == new) == (pair.vk == new.vk) and hash(pair) == hash(KeyPair(pair.sk, pair.vk, PARAMS))
+        assert "_derived" not in repr(pair) + repr(new)
+        assert make_simple_ack(pair, tid(3), new.vk, 5).signature == sign(pair.sk, message)
+        assert make_root_ack(pair, tid(3), 5).composite == sign(pair.sk, encode_ack_message(tid(3), pair.vk, 5))
+        grown = extend_path_ack(built, pair, tid(9), pair.vk, 5)
+        hop_message = encode_ack_message(tid(9), pair.vk, 5)
+        assert grown.composite == _xor_bytes(built.composite, sign(pair.sk, hop_message))
+    assert repr(dataclasses.replace(new)) == repr(new) and hash(dataclasses.replace(new)) == hash(new)
+
     flipped = bytearray(built.to_bytes())
     flipped[-1] ^= 1
     for tampered in (
@@ -472,18 +493,23 @@ def test_extending_built_and_decoded_paths_agree(root_task, root_amount, steps):
 
 
 def test_growing_and_verifying_a_path_costs_one_hash_per_hop(monkeypatch):
-    signs, encodes = [], []
-    entry_sig, encode = acks._entry_sig, acks.encode_ack_message
+    n = 200
+    keys = [kp(f"hop{i}") for i in range(n)]
+    signs, encodes, derives = [], [], []
+    entry_sig, encode, derive = acks._entry_sig, acks.encode_ack_message, acks._derive_vk
     monkeypatch.setattr(acks, "_entry_sig", lambda *a: signs.append(1) or entry_sig(*a))
     monkeypatch.setattr(acks, "encode_ack_message", lambda *a: encodes.append(1) or encode(*a))
-    n = 200
-    ack, keys = build_path(n)
+    monkeypatch.setattr(acks, "_derive_vk", lambda *a: derives.append(1) or derive(*a))
+    ack = grow_path(keys)
     assert len(signs) == n  # re-verifying every prev made n(n+1)/2
     assert len(encodes) == n  # one per hop, kept by the hop
+    assert len(derives) == 0  # keygen's pairs sign with their vk; deriving it made n
     assert verify_path_ack(ack, keys[0].vk)
     ack.to_hex()
     assert len(signs) == 2 * n
     assert len(encodes) == n
+    make_simple_ack(keys[0], tid(1), keys[1].vk, 5)
+    assert len(derives) == 0
 
 
 def test_hop_past_the_amount_range_constructs_but_neither_verifies_nor_encodes():

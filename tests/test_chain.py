@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
+from prestigesim import chain
 from prestigesim import (
     Account,
     ChainState,
@@ -871,14 +872,18 @@ def test_genesis_rejects_negative_coin_settings(key):
         ChainState.genesis([("a", 5)], SystemParams(decay=0.5), rng_seed=1, **{key: -1})
 
 
+ANY_ID = st.one_of(st.text(max_size=4), st.from_regex(r"[a-z0-9_.-]{1,4}", fullmatch=True))
+ASCII_ID = st.one_of(st.text(st.characters(max_codepoint=127), max_size=4),
+                     st.from_regex(r"[a-z0-9_.-]{1,4}", fullmatch=True))
+
+
 @st.composite
-def chain_states(draw):
+def chain_states(draw, some_id=ANY_ID):
     """Any state genesis accepts, with a forest, history and reward schedules.
 
     Ids and prestige are drawn unrestricted; what genesis rejects is discarded,
     so the property covers exactly the accounts genesis lets through.
     """
-    some_id = st.one_of(st.text(max_size=4), st.from_regex(r"[a-z0-9_.-]{1,4}", fullmatch=True))
     ids = draw(st.lists(some_id, min_size=1, max_size=6, unique=True))
     accounts = [
         Account(
@@ -933,6 +938,151 @@ def test_snapshot_roundtrip_over_valid_states(state):
     assert (restored.height, restored.params, restored.rng_seed) == (
         state.height, state.params, state.rng_seed
     )
+
+
+def _pick(draw, lines, header):
+    """Index of a drawn header line (after the magic line) or account line."""
+    return draw(st.sampled_from([i for i, line in enumerate(lines)
+                                 if i > 0 and line.startswith("#") == header]))
+
+
+def _set_field(column, values):
+    def corrupt(draw, lines):
+        i = _pick(draw, lines, header=False)
+        fields = lines[i].split(",")
+        fields[column] = draw(st.sampled_from(values))
+        lines[i] = ",".join(fields)
+    return corrupt
+
+
+def _insert(draw, lines, line):
+    lines.insert(draw(st.integers(1, len(lines))), line)
+
+
+def _insert_header(draw, lines, line):
+    """Insert *line* among the header lines, after the magic line."""
+    lines.insert(_pick(draw, lines, header=True), line)
+
+
+def _field_count(draw, lines):
+    i = _pick(draw, lines, header=False)
+    lines[i] = draw(st.sampled_from(["too,few", lines[i] + ",x", lines[i].split(",", 1)[0]]))
+
+
+def _three_fields(draw, lines):
+    i = _pick(draw, lines, header=False)
+    lines[i] = lines[i].rsplit(",", 1)[0]
+
+
+def _duplicate_account(draw, lines):
+    _insert(draw, lines, lines[_pick(draw, lines, header=False)])
+
+
+def _dangling_edge(draw, lines):
+    some_id = lines[_pick(draw, lines, header=False)].split(",")[0]
+    _insert_header(draw, lines, draw(st.sampled_from([
+        "# edge ghost nowhere", f"# edge {some_id} nowhere", f"# edge ghost {some_id}",
+        "# root ghost"])))
+
+
+def _duplicate_dag_line(draw, lines):
+    dag_lines = [line for line in lines if line.startswith(("# root ", "# edge "))]
+    some_id = lines[_pick(draw, lines, header=False)].split(",")[0]
+    line = draw(st.sampled_from(dag_lines or [f"# root {some_id}"]))
+    _insert_header(draw, lines, line)
+    _insert_header(draw, lines, line)
+
+
+def _header_value(draw, lines):
+    line = draw(st.sampled_from([
+        "# height x", "# height -4", "# decay 1.5", "# branch-power nan", "# service-fee -1.0",
+        "# seed 1.5", "# subsidy -20", "# ack-fee -1", "# initial-coins x", "# fees-pending -3",
+        "# reward a -1 3", "# reward a 1 -3", "# reward a 1", "# root", "# seen zz", "# seen",
+    ]))
+    key = line.split()[1]
+    fixed = [i for i, old in enumerate(lines) if old.startswith(f"# {key} ") and key != "reward"]
+    if fixed:
+        lines[fixed[0]] = line
+    else:
+        _insert_header(draw, lines, line)
+
+
+def _empty_cell(draw, lines):
+    # one field of a root, edge or reward line left empty, its spaces kept
+    listed = [i for i, line in enumerate(lines) if line.startswith(("# root ", "# edge ", "# reward "))]
+    if not listed:
+        _insert_header(draw, lines, "# reward  1 2")
+        return
+    i = draw(st.sampled_from(listed))
+    cells = lines[i].split(" ")
+    cells[draw(st.integers(2, len(cells) - 1))] = ""
+    lines[i] = " ".join(cells)
+
+
+def _spacing(draw, lines):
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    lines[i] = draw(st.sampled_from([
+        line + " ", " " + line, line.replace(" ", "\t", 1),
+        line + "\r", line + "\x0c", line + "\x1f", line + "\n", "\n" + line, "#\n" + line,
+        line.replace(" ", "", 1),
+    ]))
+
+
+def _inner_space(draw, lines):
+    i = draw(st.integers(0, len(lines) - 1))
+    cut = draw(st.integers(0, len(lines[i])))
+    lines[i] = lines[i][:cut] + " " + lines[i][cut:]
+
+
+def _swap_header_lines(draw, lines):
+    i = _pick(draw, lines, header=True)
+    j = _pick(draw, lines, header=True)
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+# One single-line corruption of each kind the pinned snapshot message tests cover.
+SNAPSHOT_CORRUPTIONS = {
+    "none": lambda draw, lines: None,
+    "field count": _field_count,
+    "three fields": _three_fields,
+    "coins": _set_field(1, ["-1", str(2**63), str(2**63 - 1), "x", "", "+7", "1_0"]),
+    "key length": _set_field(3, ["", "ab", "ab" * 32, "ab" * 34, "zz", "AB" * 33]),
+    "id": _set_field(0, ["", "a b", "#x", "x\ty", "a\x1cb", "é", "a\x00b"]),
+    "prestige": _set_field(2, ["nan", "inf", "-inf", "1e400", "-0.0", "NaN", "x", ""]),
+    "duplicate account": _duplicate_account,
+    "dangling edge": _dangling_edge,
+    "duplicate dag line": _duplicate_dag_line,
+    "header value": _header_value,
+    "empty cell": _empty_cell,
+    "spacing": _spacing,
+    "inner space": _inner_space,
+    "header order": _swap_header_lines,
+}
+
+
+def load_outcome(load, text):
+    """What a loader makes of *text*: the state's snapshot bytes, or its error."""
+    try:
+        return "loaded", save_snapshot(load(text))
+    except Exception as exc:  # any error: its type and text are the outcome
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=chain_states(ASCII_ID), data=st.data())
+def test_snapshot_loader_paths_agree(state, data):
+    # load_snapshot parses canonical text by column and hands everything else to
+    # the line parser; either way it must load what the line parser loads, or
+    # raise the line parser's error, word for word. Each state meets one
+    # corruption of every kind.
+    text = save_snapshot(state)
+    assert chain._load_canonical(text) is not None  # ASCII ids: the column parser's layout
+    for kind, corrupt in SNAPSHOT_CORRUPTIONS.items():
+        lines = text.splitlines()
+        corrupt(data.draw, lines)
+        corrupted = "\n".join(lines) + "\n"
+        assert load_outcome(load_snapshot, corrupted) == load_outcome(chain._load_lines, corrupted), kind
 
 
 def test_copy_is_deep_enough():

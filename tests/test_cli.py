@@ -333,6 +333,23 @@ def test_step_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_step_state_file_not_utf8_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "state.txt"
+    bad.write_bytes(b"# prestigesim-state 1\n\xff\xfe\n")
+    assert main(["step", str(bad), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {bad}: ") and "utf-8" in err and err.count("\n") == 1
+
+
+def test_step_unwritable_out_is_a_runtime_failure(tmp_path, snapshot_file, capsys):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("", encoding="utf-8")
+    code = main(["step", str(snapshot_file), "--blocks", "1", "--out", str(blocker / "sub")])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("step failed to write: ") and err.count("\n") == 1
+
+
 def test_step_malformed_snapshot(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("this is not a snapshot\n")
