@@ -38,7 +38,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from typing import Iterable, Iterator, Mapping, MutableMapping
 
 import numpy as np
@@ -270,7 +269,7 @@ def _count(name: str, value: int | str) -> int:
 
 # Each header's value, parsed and checked at its line (a parameter by SystemParams,
 # beside a valid decay); an unknown key is kept as text. The order is the one
-# save_snapshot writes, which _load_canonical requires.
+# save_snapshot writes.
 _HEADER_VALUES = {
     "height": lambda v: _count("height", v),
     "decay": lambda v: SystemParams(decay=float(v)).decay,
@@ -510,12 +509,22 @@ def save_snapshot(state: ChainState) -> str:
 
     Raises ValueError while acks are pending: the queue is not written, and
     the DAG and seen task ids already hold the accepted acks' effects, so
-    their transfers would be lost on load. Snapshot between blocks.
+    their transfers would be lost on load. Snapshot between blocks. Raises
+    ValueError too, before rendering, for an account ``genesis`` would have
+    refused (set through ``state.accounts[id]``), whose line would not load
+    back; the message names the first such account.
     """
     if state.pending_acks:
         raise ValueError(
             f"{len(state.pending_acks)} pending ack(s); snapshot after advance_block"
         )
+    led = state.accounts
+    joined = " ".join(led.ids)
+    # the columns pass exactly when every account passes _check_snapshot_safe
+    if (joined.split() != led.ids or "," in joined or joined.startswith("#") or " #" in joined
+            or not np.isfinite(led.prestige).all()):
+        for acct_id, p in zip(led.ids, led.prestige.tolist()):
+            _check_snapshot_safe(acct_id, p)
     lines = [f"# {SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}"]
     lines.append(f"# height {state.height}")
     lines.append(f"# decay {state.params.decay!r}")
@@ -538,7 +547,6 @@ def save_snapshot(state: ChainState) -> str:
         )
     for task in sorted(state.seen_tasks):
         lines.append(f"# seen {task.hex()}")
-    led = state.accounts
     columns = zip(led.ids, led.coins.tolist(), led.prestige.tolist(), led.keys)
     lines += [f"{acct_id},{coins},{p!r},{vk.hex()}" for acct_id, coins, p, vk in columns]
     return "\n".join(lines) + "\n"
@@ -547,196 +555,58 @@ def save_snapshot(state: ChainState) -> str:
 def load_snapshot(text: str) -> ChainState:
     """Parse ``save_snapshot`` output back into a ChainState.
 
-    Account lines fill the ledger's columns, checked as ``Account`` and
-    ``genesis`` check an account; DAG lines attach as they are read, so an
-    edge must follow the line that makes its parent a node, as
-    ``save_snapshot`` writes them. A line that does not parse, or a header
-    value out of range (a negative height, coin amount or reward field),
-    raises SnapshotError naming its number.
-
-    Text in exactly the layout ``save_snapshot`` writes is parsed a column
-    at a time (``_load_canonical``); anything else, and anything that fails
-    a check there, goes to the line parser (``_load_lines``), which loads
-    the same state from canonical text and alone words every error.
+    One parser reads every layout: header lines are parsed and checked as
+    they are read, and DAG lines attach as they are read, so an edge must
+    follow the line that makes its parent a node, as ``save_snapshot`` writes
+    them. Account lines are gathered and converted a column at a time, then
+    checked as ``Account`` and ``genesis`` check an account. A line that does
+    not parse, or a header value out of range (a negative height, coin amount
+    or reward field), raises SnapshotError naming the first bad line's number.
     """
-    return _load_canonical(text) or _load_lines(text)
-
-
-def _chain_state(header: Mapping[str, object], params: SystemParams, accounts: Ledger,
-                 dag: MiningDag, rewards: list[RewardSchedule], seen: set[bytes]) -> ChainState:
-    return ChainState(
-        height=header["height"],
-        accounts=accounts,
-        dag=dag,
-        params=params,
-        rng_seed=header["seed"],
-        subsidy=header["subsidy"],
-        ack_fee=header["ack-fee"],
-        motivator_rewards=rewards,
-        seen_tasks=seen,
-        initial_coins=header["initial-coins"],
-        fees_pending=header.get("fees-pending", 0),
-    )
-
-
-# Cells of each header line after the fixed ones, split on single spaces.
-_LIST_LINE_CELLS = {"root": 3, "edge": 4, "reward": 5}
-# The ASCII characters other than "\n" and " " that str.splitlines breaks a line at
-# or str.split/str.strip take as whitespace; the line parser reads a text holding
-# one differently from a split on "\n".
-_LINE_SPACING = "\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
-
-
-def _load_canonical(text: str) -> ChainState | None:
-    """The state in *text* if it is laid out as ``save_snapshot`` writes it, else None.
-
-    The layout: an ASCII text of newline-ended lines; the magic line, the
-    headers of ``_HEADER_VALUES`` in its order, root, edge and reward lines
-    in any order, then the seen task ids, each header line "#" and its
-    fields joined by single spaces; then at least one account line of four
-    fields and no space. Seen task ids and account fields are converted and
-    checked a column at a time, as the line parser checks each line; DAG
-    lines still go through ``add_root`` and ``attach``. None for any other
-    text and for any check that fails, so the line parser words the error.
-    Each block's parts are dropped once it is converted, which keeps the
-    peak memory near the line parser's.
-    """
-    if not text.isascii() or any(c in text for c in _LINE_SPACING):
-        return None
-    head_end = text.find("\n", text.rfind("\n#") + 1)  # ends the last header line
-    if head_end < 0 or not text.endswith("\n") or " " in text[head_end:]:
-        return None
-    seen_at = text.find("\n# seen ", 0, head_end)
-    if seen_at < 0:
-        seen_at = head_end
-    try:
-        head = _canonical_head(text[:seen_at].split("\n"))
-        seen = _canonical_seen(text[seen_at + 1:head_end])
-        accounts = _canonical_accounts(text[head_end + 1:-1])
-        if head is None or seen is None or accounts is None:
-            return None
-        header, dag, rewards = head
-        if not dag.parents.keys() <= accounts.pos.keys():
-            return None
-        params = SystemParams(decay=header["decay"], branch_power=header["branch-power"],
-                              service_fee=header["service-fee"])
-    except (ValueError, KeyError, IndexError):
-        return None
-    return _chain_state(header, params, accounts, dag, rewards, seen)
-
-
-def _canonical_head(lines: list[str]) -> tuple[dict[str, object], MiningDag, list[RewardSchedule]] | None:
-    """Header values, DAG and reward schedules of the lines before the seen ones."""
-    if lines[0] != f"# {SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}" or len(lines) < 1 + len(_HEADER_VALUES):
-        return None
-    header: dict[str, object] = {}
-    for line, key in zip(lines[1:], _HEADER_VALUES):
-        tag, name, value = line.split(" ")
-        if tag != "#" or name != key:
-            return None
-        header[key] = _HEADER_VALUES[key](value)
-    dag = MiningDag()
-    rewards: list[RewardSchedule] = []
-    for line in lines[1 + len(_HEADER_VALUES):]:
-        cells = line.split(" ")
-        if cells[0] != "#" or len(cells) != _LIST_LINE_CELLS[cells[1]] or "" in cells:
-            return None
-        if cells[1] == "edge":
-            dag.attach(cells[3], cells[2])
-        elif cells[1] == "root":
-            dag.add_root(cells[2])
-        else:
-            rewards.append(RewardSchedule(cells[2], _count("coins_per_block", cells[3]),
-                                          _count("remaining_blocks", cells[4])))
-    return header, dag, rewards
-
-
-def _canonical_seen(block: str) -> set[bytes] | None:
-    """The task ids of a block of "# seen <hex>" lines, or None if a line is not one."""
-    if not block:
-        return set()
-    hexes = block[len("# seen "):].split("\n# seen ")
-    # a newline or space left in a task id means a line that is not "# seen <hex>"
-    joined = "".join(hexes)
-    if not all(hexes) or " " in joined or "\n" in joined:
-        return None
-    return set(map(bytes.fromhex, hexes))
-
-
-def _canonical_accounts(block: str) -> Ledger | None:
-    """The ledger of a block of "id,coins,prestige,vk" lines holding no space."""
-    if set(map(str.count, block.split("\n"), repeat(","))) != {3}:
-        return None  # a line without four fields
-    cells = block.replace("\n", ",").split(",")
-    ids, coins, keys = cells[0::4], list(map(int, cells[1::4])), list(map(bytes.fromhex, cells[3::4]))
-    # the lines follow the last line starting with "#" and hold no "," or whitespace
-    # in an id, so an id is safe when it is not empty
-    if (min(coins) < 0 or max(coins) > 2**63 - 1 or not set(map(len, keys)) <= {0, VK_BYTES}
-            or not all(ids)):
-        return None
-    accounts = Ledger()._fill(ids, coins, list(map(float, cells[2::4])), keys)
-    if len(accounts.pos) != len(ids) or not np.isfinite(accounts.prestige).all():
-        return None
-    return accounts
-
-
-def _load_lines(text: str) -> ChainState:
-    """``load_snapshot`` one line at a time, in any layout it accepts; the source
-    of every SnapshotError it raises."""
     header: dict[str, object] = {}
     dag = MiningDag()
     rewards: list[RewardSchedule] = []
     seen: set[bytes] = set()
-    ids, coins, prestige, keys = [], [], [], []  # the ledger's columns
-    pos: dict[str, int] = {}
+    rows: list[str] = []  # the account lines, stripped
+    at: list[int] = []  # and their line numbers
 
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
+            if line[0] != "#":
+                rows.append(line)
+                at.append(lineno)
+                continue
             try:
-                if line.startswith("#"):
-                    parts = line[1:].split()
-                    if not parts:
-                        continue
-                    key, value = parts[0], parts[1]
-                    # most header lines are seen task ids and DAG edges: test those first
-                    if key == "seen":
-                        seen.add(bytes.fromhex(value))
-                    elif key == "edge":
-                        child, parent = value, parts[2]
-                        if parent not in dag:  # attach's KeyError would read as a missing header
-                            raise ValueError(f"dangling DAG edge: parent {parent!r} of {child!r} "
-                                             "is not a node on an earlier line")
-                        dag.attach(parent, child)
-                    elif key == SNAPSHOT_MAGIC:
-                        header["version"] = value
-                    elif key == "root":
-                        dag.add_root(value)
-                    elif key == "reward":
-                        rewards.append(RewardSchedule(value, _count("coins_per_block", parts[2]),
-                                                      _count("remaining_blocks", parts[3])))
-                    else:
-                        header[key] = _HEADER_VALUES.get(key, str)(value)
+                parts = line[1:].split()
+                if not parts:
                     continue
-                fields = line.split(",")
-                if len(fields) not in (3, 4):
-                    raise ValueError("expected id,coins,prestige[,vk]")
-                vk = bytes.fromhex(fields[3]) if len(fields) == 4 else b""
-                acct_id, n, p = fields[0], int(fields[1]), float(fields[2])
-                check_account(acct_id, n, vk)
-                _check_snapshot_safe(acct_id, p)
-                if acct_id in pos:
-                    raise ValueError(f"duplicate account {acct_id!r}")
+                key, value = parts[0], parts[1]
+                # most header lines are seen task ids and DAG edges: test those first
+                if key == "seen":
+                    seen.add(bytes.fromhex(value))
+                elif key == "edge":
+                    child, parent = value, parts[2]
+                    if parent not in dag:  # attach's KeyError would read as a missing header
+                        raise ValueError(f"dangling DAG edge: parent {parent!r} of {child!r} "
+                                         "is not a node on an earlier line")
+                    dag.attach(parent, child)
+                elif key == SNAPSHOT_MAGIC:
+                    header["version"] = value
+                elif key == "root":
+                    dag.add_root(value)
+                elif key == "reward":
+                    rewards.append(RewardSchedule(value, _count("coins_per_block", parts[2]),
+                                                  _count("remaining_blocks", parts[3])))
+                else:
+                    header[key] = _HEADER_VALUES.get(key, str)(value)
             except (ValueError, IndexError) as exc:
+                _check_account_lines(rows, at)  # an earlier account line may be bad too
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
-            pos[acct_id] = len(ids)
-            ids.append(acct_id)
-            coins.append(n)
-            prestige.append(p)
-            keys.append(vk)
 
+        accounts = _ledger(rows, at)
         if header.get("version") != str(SNAPSHOT_VERSION):
             raise SnapshotError("missing or unsupported snapshot header")
         params = SystemParams(
@@ -745,10 +615,74 @@ def _load_lines(text: str) -> ChainState:
             service_fee=header["service-fee"],
         )
         for node in dag.nodes:
-            if node not in pos:
+            if node not in accounts.pos:
                 raise SnapshotError(f"DAG node {node!r} has no account line")
 
-        return _chain_state(header, params, Ledger()._fill(ids, coins, prestige, keys),
-                            dag, rewards, seen)
+        return ChainState(
+            height=header["height"],
+            accounts=accounts,
+            dag=dag,
+            params=params,
+            rng_seed=header["seed"],
+            subsidy=header["subsidy"],
+            ack_fee=header["ack-fee"],
+            motivator_rewards=rewards,
+            seen_tasks=seen,
+            initial_coins=header["initial-coins"],
+            fees_pending=header.get("fees-pending", 0),
+        )
     except KeyError as exc:
         raise SnapshotError(f"missing header {exc}") from exc
+
+
+def _ledger(rows: list[str], at: list[int]) -> Ledger:
+    """The ledger of account lines *rows*, at line numbers *at*, converted and
+    checked a column at a time. Each column check fails exactly when some
+    line's own check does; then ``_check_account_lines`` raises the first bad
+    line's SnapshotError."""
+    if not rows:
+        return Ledger()
+    try:
+        commas = [row.count(",") for row in rows]
+        if not set(commas) <= {2, 3}:  # the split below would shift every later field
+            raise ValueError("an account line without 3 or 4 fields")
+        if 2 in commas:  # a line without a key gets an empty one
+            rows4 = [row if n == 3 else row + "," for row, n in zip(rows, commas)]
+        else:
+            rows4 = rows
+        # one split of the whole block: a list per line, all alive at once, sets
+        # off extra full garbage collections in a long-running process
+        cells = ",".join(rows4).split(",")
+        ids, coins, prestige, hexes = cells[0::4], cells[1::4], cells[2::4], cells[3::4]
+        keys, coins = list(map(bytes.fromhex, hexes)), list(map(int, coins))
+        # split() gives back the ids exactly when none is empty or holds whitespace
+        if (min(coins) < 0 or max(coins) > 2**63 - 1 or not set(map(len, keys)) <= {0, VK_BYTES}
+                or " ".join(ids).split() != ids):
+            raise ValueError("an account line out of range")
+        accounts = Ledger()._fill(ids, coins, list(map(float, prestige)), keys)
+        if len(accounts.pos) != len(ids) or not np.isfinite(accounts.prestige).all():
+            raise ValueError("a duplicate account or non-finite prestige")
+        return accounts
+    except ValueError:
+        _check_account_lines(rows, at)
+        raise
+
+
+def _check_account_lines(rows: list[str], at: list[int]) -> None:
+    """Raise SnapshotError naming the first of the account lines *rows* that
+    fails its checks, if one does."""
+    pos: set[str] = set()
+    for lineno, line in zip(at, rows):
+        try:
+            fields = line.split(",")
+            if len(fields) not in (3, 4):
+                raise ValueError("expected id,coins,prestige[,vk]")
+            vk = bytes.fromhex(fields[3]) if len(fields) == 4 else b""
+            acct_id, n, p = fields[0], int(fields[1]), float(fields[2])
+            check_account(acct_id, n, vk)
+            _check_snapshot_safe(acct_id, p)
+            if acct_id in pos:
+                raise ValueError(f"duplicate account {acct_id!r}")
+        except ValueError as exc:
+            raise SnapshotError(f"line {lineno}: {exc}") from exc
+        pos.add(acct_id)

@@ -1,0 +1,113 @@
+"""The line-at-a-time snapshot parser ``load_snapshot`` replaced, kept as the
+reference its differential test compares against: it checks and converts each
+account line where it stands, so its first error is by construction the first
+bad line's."""
+
+from __future__ import annotations
+
+from typing import Mapping
+
+from prestigesim.chain import (
+    _HEADER_VALUES,
+    SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
+    ChainState,
+    Ledger,
+    RewardSchedule,
+    _check_snapshot_safe,
+    _count,
+)
+from prestigesim.core import SystemParams, check_account
+from prestigesim.errors import SnapshotError
+from prestigesim.mining import MiningDag
+
+
+def _chain_state(header: Mapping[str, object], params: SystemParams, accounts: Ledger,
+                 dag: MiningDag, rewards: list[RewardSchedule], seen: set[bytes]) -> ChainState:
+    return ChainState(
+        height=header["height"],
+        accounts=accounts,
+        dag=dag,
+        params=params,
+        rng_seed=header["seed"],
+        subsidy=header["subsidy"],
+        ack_fee=header["ack-fee"],
+        motivator_rewards=rewards,
+        seen_tasks=seen,
+        initial_coins=header["initial-coins"],
+        fees_pending=header.get("fees-pending", 0),
+    )
+
+
+def _load_lines(text: str) -> ChainState:
+    """``load_snapshot`` one line at a time, in any layout it accepts; the source
+    of every SnapshotError it raises."""
+    header: dict[str, object] = {}
+    dag = MiningDag()
+    rewards: list[RewardSchedule] = []
+    seen: set[bytes] = set()
+    ids, coins, prestige, keys = [], [], [], []  # the ledger's columns
+    pos: dict[str, int] = {}
+
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if not parts:
+                        continue
+                    key, value = parts[0], parts[1]
+                    # most header lines are seen task ids and DAG edges: test those first
+                    if key == "seen":
+                        seen.add(bytes.fromhex(value))
+                    elif key == "edge":
+                        child, parent = value, parts[2]
+                        if parent not in dag:  # attach's KeyError would read as a missing header
+                            raise ValueError(f"dangling DAG edge: parent {parent!r} of {child!r} "
+                                             "is not a node on an earlier line")
+                        dag.attach(parent, child)
+                    elif key == SNAPSHOT_MAGIC:
+                        header["version"] = value
+                    elif key == "root":
+                        dag.add_root(value)
+                    elif key == "reward":
+                        rewards.append(RewardSchedule(value, _count("coins_per_block", parts[2]),
+                                                      _count("remaining_blocks", parts[3])))
+                    else:
+                        header[key] = _HEADER_VALUES.get(key, str)(value)
+                    continue
+                fields = line.split(",")
+                if len(fields) not in (3, 4):
+                    raise ValueError("expected id,coins,prestige[,vk]")
+                vk = bytes.fromhex(fields[3]) if len(fields) == 4 else b""
+                acct_id, n, p = fields[0], int(fields[1]), float(fields[2])
+                check_account(acct_id, n, vk)
+                _check_snapshot_safe(acct_id, p)
+                if acct_id in pos:
+                    raise ValueError(f"duplicate account {acct_id!r}")
+            except (ValueError, IndexError) as exc:
+                raise SnapshotError(f"line {lineno}: {exc}") from exc
+            pos[acct_id] = len(ids)
+            ids.append(acct_id)
+            coins.append(n)
+            prestige.append(p)
+            keys.append(vk)
+
+        if header.get("version") != str(SNAPSHOT_VERSION):
+            raise SnapshotError("missing or unsupported snapshot header")
+        params = SystemParams(
+            decay=header["decay"],
+            branch_power=header["branch-power"],
+            service_fee=header["service-fee"],
+        )
+        for node in dag.nodes:
+            if node not in pos:
+                raise SnapshotError(f"DAG node {node!r} has no account line")
+
+        return _chain_state(header, params, Ledger()._fill(ids, coins, prestige, keys),
+                            dag, rewards, seen)
+    except KeyError as exc:
+        raise SnapshotError(f"missing header {exc}") from exc
