@@ -15,6 +15,8 @@ scenarios   reproducible experiments with CSV/summary outputs
 cli         command-line front end (run / check / step / list)
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import Account, SystemParams, convergence_gap, inject_prestige, static_value, step_account
 from .errors import (
     AmountOverflow,
@@ -90,72 +92,5 @@ from .scenarios import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Account",
-    "SystemParams",
-    "step_account",
-    "static_value",
-    "inject_prestige",
-    "convergence_gap",
-    "MiningDag",
-    "MiningMode",
-    "TransferRecord",
-    "retain_progressive",
-    "propagate_upstream",
-    "settle_upstream",
-    "apply_transfer",
-    "KeyPair",
-    "SchemeParams",
-    "setup",
-    "keygen",
-    "sign",
-    "verify",
-    "compose",
-    "SimpleAck",
-    "PathAck",
-    "PathHop",
-    "encode_ack_message",
-    "make_simple_ack",
-    "verify_simple_ack",
-    "make_root_ack",
-    "extend_path_ack",
-    "verify_path_ack",
-    "SIMPLE_ACK_BYTES",
-    "PATH_HOP_BYTES",
-    "PATH_ACK_BASE_BYTES",
-    "AMOUNT_MAX",
-    "ChainState",
-    "Block",
-    "RewardSchedule",
-    "advance_block",
-    "elect_minter",
-    "submit_ack",
-    "register_motivator_reward",
-    "save_snapshot",
-    "load_snapshot",
-    "PrestigeError",
-    "UnknownNode",
-    "UnknownParent",
-    "DuplicateNode",
-    "NotInDag",
-    "UnknownAccount",
-    "NoAccounts",
-    "InvalidSignature",
-    "DuplicateTask",
-    "InsufficientFunds",
-    "AmountOverflow",
-    "InvalidPrev",
-    "DuplicateHop",
-    "SnapshotError",
-    "SCENARIOS",
-    "ScenarioResult",
-    "run_scenario",
-    "scenario_names",
-    "run_decay_study",
-    "run_gain_vs_decay",
-    "run_dag_study",
-    "run_global",
-    "run_tradeoff",
-    "run_file_distribution",
-    "run_theorem_checks",
-]
+# every public name imported above, once; the submodules themselves are not exported
+__all__ = [name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType)]

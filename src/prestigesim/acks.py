@@ -18,24 +18,14 @@ Two wire formats are exchanged:
   its (message, key) entries, none repeated: removing or repeating a hop, or
   tampering any field, breaks it.
 
-Trust rule and costs. Every hop and simple ack encodes its signed message
-once, on first use, and keeps the bytes (its fields are frozen), so
-verifying, re-encoding and the duplicate-hop check encode nothing twice. An
-ack that ``make_root_ack`` or ``extend_path_ack`` returned is marked as
-built when its composite provably verifies: its prev was built or verified
-in full, and the signing secret key derives the vk its new hop records.
-``keygen`` marks the ``KeyPair`` it returns as holding the vk its sk
-derives, and ``make_simple_ack``, ``make_root_ack`` and ``extend_path_ack``
-sign with a marked pair's vk instead of deriving it again; a constructed or
-``dataclasses.replace``d pair is never marked, so it signs exactly as
-``sign(pair.sk, message)`` does, at one more hash. ``extend_path_ack``
-trusts a built prev, so extending with a keygen pair costs one hash (the
-new hop's signature) whatever the path's length, and growing a path to n
-hops costs n hashes. A path ack from the constructor,
-``from_bytes``, ``from_hex`` or ``dataclasses.replace`` is never marked, and
-``extend_path_ack`` verifies it in full, one hash per hop.
-``verify_path_ack`` ignores the mark and always costs one hash per hop; the
-chain verifies every path it is handed.
+Trust rule and costs. A ``KeyPair``'s vk is derived from its sk; every ack
+``make_root_ack`` and ``extend_path_ack`` return is trusted; anything else is
+verified in full. So growing a path to n hops costs n hashes (one signature
+each), while a path ack from the constructor, ``from_bytes``, ``from_hex`` or
+``dataclasses.replace`` costs ``extend_path_ack`` one hash per hop first.
+``verify_path_ack`` always costs one hash per hop; the chain verifies every
+path it is handed. Every hop and simple ack encodes its signed message once,
+on first use, and keeps the bytes (its fields are frozen).
 
 The signature scheme is a deterministic keyed-hash construction (sign =
 33-byte hash bound to the signer's public key and message, compose = bytewise
@@ -66,23 +56,20 @@ PATH_ACK_BASE_BYTES = SIG_BYTES  # 33
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Output of scheme setup; carried by every key pair."""
+    """Output of scheme setup; ``keygen`` mixes its security level into every sk."""
 
     security: int
 
 
 @dataclass(frozen=True)
 class KeyPair:
+    """A secret key and the vk derived from it, once, on construction."""
+
     sk: bytes
-    vk: bytes
-    params: SchemeParams
-    # Set only by keygen, whose vk is derived from sk; a constructed or
-    # replaced pair leaves it False and signs by deriving the vk afresh.
-    _derived: bool = field(default=False, init=False, compare=False, repr=False)
+    vk: bytes = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.vk) != VK_BYTES:
-            raise ValueError(f"verification key must be {VK_BYTES} bytes")
+        object.__setattr__(self, "vk", _derive_vk(self.sk))
 
 
 Entry = tuple[bytes, bytes]  # (message, verification key)
@@ -121,14 +108,7 @@ def keygen(params: SchemeParams, seed: bytes | int | str) -> KeyPair:
     sk = hashlib.shake_256(
         b"prestigesim/sk/" + params.security.to_bytes(4, "big") + _seed_bytes(seed)
     ).digest(32)
-    pair = KeyPair(sk=sk, vk=_derive_vk(sk), params=params)
-    object.__setattr__(pair, "_derived", True)
-    return pair
-
-
-def _signing_vk(pair: KeyPair) -> bytes:
-    """The vk ``sign(pair.sk, ...)`` binds: ``pair.vk`` for keygen's pairs, else derived."""
-    return pair.vk if pair._derived else _derive_vk(pair.sk)
+    return KeyPair(sk)
 
 
 def sign(sk: bytes, message: bytes) -> bytes:
@@ -232,7 +212,7 @@ def make_simple_ack(
         task_id=bytes(task_id),
         contributor_vk=bytes(contributor_vk),
         amount=int(amount),
-        signature=_entry_sig(_signing_vk(beneficiary), message),  # sign(beneficiary.sk, message)
+        signature=_entry_sig(beneficiary.vk, message),  # sign(beneficiary.sk, message)
     )
     object.__setattr__(ack, "_message", message)  # what ack.message() would encode
     return ack
@@ -283,8 +263,8 @@ class PathAck:
 
     hops: tuple[PathHop, ...]
     composite: bytes
-    # Set only by make_root_ack and extend_path_ack, when the composite
-    # provably verifies; every other way of making a PathAck leaves it False.
+    # Set only by make_root_ack and extend_path_ack, whose composites verify;
+    # every other way of making a PathAck leaves it False.
     _built: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -321,17 +301,11 @@ class PathAck:
 
 
 def make_root_ack(root: KeyPair, task_id: bytes, amount: int = 0) -> PathAck:
-    """Self-signed genesis record that seeds a branch's path acks.
-
-    Marked as built when ``root.sk`` derives ``root.vk``, as ``keygen``'s
-    key pairs do; a mismatched pair signs a root ack that does not verify.
-    """
-    hop = PathHop(task_id=bytes(task_id), vk=bytes(root.vk), amount=int(amount))
-    message = hop.message()
-    vk = _signing_vk(root)
-    ack = PathAck(hops=(hop,), composite=_entry_sig(vk, message))  # sign(root.sk, message)
-    if vk == hop.vk:
-        object.__setattr__(ack, "_built", True)
+    """Self-signed genesis record that seeds a branch's path acks. It verifies,
+    as ``root.vk`` is derived from ``root.sk``, so ``extend_path_ack`` trusts it."""
+    hop = PathHop(task_id=bytes(task_id), vk=root.vk, amount=int(amount))
+    ack = PathAck(hops=(hop,), composite=_entry_sig(root.vk, hop.message()))  # sign(root.sk, ...)
+    object.__setattr__(ack, "_built", True)
     return ack
 
 
@@ -348,14 +322,12 @@ def extend_path_ack(
     and becomes the branch's newest contributor, so ``contributor_vk`` must be
     the signing key pair's public key. Grows the encoding by exactly 69 bytes.
 
-    A ``prev`` this module built (``make_root_ack`` or ``extend_path_ack``,
-    marked only when its composite verifies) is trusted: extending it costs
-    the new hop's signature, one hash (two for a pair ``keygen`` did not
-    mark, whose vk is derived again), plus one bytes comparison per hop for
-    the duplicate check. A ``prev`` it did not build
-    (decoded, constructed or replaced) is verified in full first, one hash
-    per hop, and raises ``InvalidPrev`` if it does not verify. The result is
-    marked as built only when ``beneficiary.sk`` derives ``beneficiary.vk``.
+    A ``KeyPair``'s vk is derived from its sk, so every ack this module
+    returns verifies and a ``prev`` it returned is trusted: extending it
+    costs one hash (the new hop's signature) plus one bytes comparison per
+    hop for the duplicate check. Any other ``prev`` (decoded, constructed or
+    replaced) is verified in full first, one hash per hop, and raises
+    ``InvalidPrev`` if it does not verify.
     """
     if contributor_vk != beneficiary.vk:
         raise ValueError("extending node records its own key; contributor_vk must match beneficiary.vk")
@@ -367,11 +339,9 @@ def extend_path_ack(
     if message in [h.message() for h in prev.hops]:
         raise DuplicateHop("hop message already present in the path")
 
-    vk = _signing_vk(beneficiary)
-    composite = _xor_bytes(prev.composite, _entry_sig(vk, message))  # sign(beneficiary.sk, message)
+    composite = _xor_bytes(prev.composite, _entry_sig(beneficiary.vk, message))  # sign(beneficiary.sk, ...)
     ack = PathAck(hops=prev.hops + (hop,), composite=composite)
-    if vk == hop.vk:  # prev verifies (built or checked above), and so does the new hop
-        object.__setattr__(ack, "_built", True)
+    object.__setattr__(ack, "_built", True)  # prev verifies (built or checked above), so does the hop
     return ack
 
 

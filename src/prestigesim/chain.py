@@ -79,7 +79,12 @@ class Block:
     fees_collected: int
     subsidy: int
     motivator_payout: int
-    ack_hexes: tuple[str, ...] = ()
+    acks: tuple[SimpleAck | PathAck, ...] = ()
+
+    @property
+    def ack_hexes(self) -> tuple[str, ...]:
+        """The processed acks' wire encodings, rendered on read."""
+        return tuple(ack.to_hex() for ack in self.acks)
 
 
 @dataclass(frozen=True)
@@ -494,12 +499,12 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
         schedule.remaining_blocks -= 1
     state.motivator_rewards = [s for s in paying if s.remaining_blocks > 0]
     state.fees_pending = 0
-    hexes = tuple(item.ack.to_hex() for item in state.pending_acks)
+    processed = tuple(item.ack for item in state.pending_acks)
     state.pending_acks = []
     state.height = new_height
     return state, Block(height=new_height, minter=minter, processed_acks=tuple(records),
                         fees_collected=fees, subsidy=state.subsidy, motivator_payout=payout,
-                        ack_hexes=hexes)
+                        acks=processed)
 
 
 # --- snapshots ----------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -222,7 +223,7 @@ def cmd_step(state_file: str, n_blocks: int, output_dir: str) -> int:
         return EXIT_RUNTIME
 
     outdir = Path(output_dir)
-    stem = path.stem
+    stem = re.sub(r"_h\d+$", "", path.stem)  # resuming x_h3.txt writes x_h5.txt, not x_h3_h5.txt
     snap_path = outdir / f"{stem}_h{state.height}{path.suffix or '.txt'}"
     log_path = outdir / f"{stem}_h{state.height}_blocks.csv"
     try:

@@ -146,7 +146,7 @@ class ChainModel:
                         self.accounts[node][1] += amount
                 records.append(TransferRecord(beneficiary, contributor, x, height, mode,
                                               tuple((n, float(a)) for n, a in shares)))
-        hexes = tuple(ack.to_hex() for ack, _ in self.pending)
+        processed = tuple(ack for ack, _ in self.pending)
         self.pending = []
         minter = self.elect(np.random.default_rng([self.seed & (2**64 - 1), height]))  # (3)
         payout = 0
@@ -157,7 +157,7 @@ class ChainModel:
         fees, self.fees_pending = self.fees_pending, 0
         self.accounts[minter][0] += self.subsidy + fees + payout
         self.height = height
-        return Block(height, minter, tuple(records), fees, self.subsidy, payout, hexes)
+        return Block(height, minter, tuple(records), fees, self.subsidy, payout, processed)
 
     # -- snapshot --------------------------------------------------------------
 

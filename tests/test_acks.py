@@ -72,9 +72,18 @@ def test_keygen_no_collisions_over_many_seeds():
     assert all(len(vk) == 33 for vk in vks)
 
 
-def test_keypair_rejects_wrong_vk_length():
+def test_keypair_derives_its_vk():
+    p = kp("alice")
+    assert [f.name for f in dataclasses.fields(KeyPair)] == ["sk", "vk"]
+    assert KeyPair(sk=p.sk) == p and hash(KeyPair(p.sk)) == hash(p)
+    assert KeyPair(b"\x00" * 32).vk == acks._derive_vk(b"\x00" * 32)
+    assert len(KeyPair(b"").vk) == 33
+    with pytest.raises(TypeError):
+        KeyPair(sk=p.sk, vk=p.vk)
     with pytest.raises(ValueError):
-        KeyPair(sk=b"\x00" * 32, vk=b"\x00" * 32, params=PARAMS)
+        dataclasses.replace(p, vk=kp("bob").vk)
+    assert dataclasses.replace(p) == p
+    assert dataclasses.replace(p, sk=kp("bob").sk) == kp("bob")
 
 
 # --- sign / verify -----------------------------------------------------------
@@ -403,34 +412,19 @@ def test_extend_rejects_corrupt_previous():
 # --- built acks: trusted by extend_path_ack, one hash per hop -----------------------
 
 def test_extend_trusts_only_acks_that_verify():
-    a, b, new = kp("a"), kp("b"), kp("new")
-    mismatched = KeyPair(sk=a.sk, vk=b.vk, params=PARAMS)  # sk does not derive vk
-    root = make_root_ack(mismatched, tid(1))
-    assert not verify_path_ack(root, b.vk)
-    with pytest.raises(InvalidPrev):
-        extend_path_ack(root, new, tid(2), new.vk, 5)
-
+    new = kp("new")
     built, keys = build_path(3)
-    signed_by_mismatch = extend_path_ack(built, mismatched, tid(9), mismatched.vk, 5)
-    assert not verify_path_ack(signed_by_mismatch, keys[0].vk)
-    with pytest.raises(InvalidPrev):
-        extend_path_ack(signed_by_mismatch, new, tid(2), new.vk, 5)
 
-    # Only keygen marks a pair as holding the vk its sk derives: a constructed
-    # or replaced pair is unmarked, and every maker signs with it exactly as
-    # sign(sk, message) does, the mark out of eq, repr and hash.
+    # A pair built by hand or by dataclasses.replace signs exactly as
+    # sign(sk, message) does, through every maker.
     message = encode_ack_message(tid(3), new.vk, 5)
-    for pair in (KeyPair(sk=new.sk, vk=new.vk, params=PARAMS), dataclasses.replace(new),
-                 dataclasses.replace(a, vk=b.vk), mismatched):
-        assert not pair._derived and new._derived
-        assert (pair == new) == (pair.vk == new.vk) and hash(pair) == hash(KeyPair(pair.sk, pair.vk, PARAMS))
-        assert "_derived" not in repr(pair) + repr(new)
+    for pair in (KeyPair(new.sk), dataclasses.replace(new)):
+        assert pair == new and hash(pair) == hash(new) and repr(pair) == repr(new)
         assert make_simple_ack(pair, tid(3), new.vk, 5).signature == sign(pair.sk, message)
-        assert make_root_ack(pair, tid(3), 5).composite == sign(pair.sk, encode_ack_message(tid(3), pair.vk, 5))
+        assert make_root_ack(pair, tid(3), 5).composite == sign(pair.sk, message)
         grown = extend_path_ack(built, pair, tid(9), pair.vk, 5)
         hop_message = encode_ack_message(tid(9), pair.vk, 5)
         assert grown.composite == _xor_bytes(built.composite, sign(pair.sk, hop_message))
-    assert repr(dataclasses.replace(new)) == repr(new) and hash(dataclasses.replace(new)) == hash(new)
 
     flipped = bytearray(built.to_bytes())
     flipped[-1] ^= 1
@@ -492,9 +486,29 @@ def test_extending_built_and_decoded_paths_agree(root_task, root_amount, steps):
     assert verify_path_ack(built, keys[0].vk) and verify_path_ack(decoded, keys[0].vk)
 
 
+_PAIRS = st.one_of(st.integers(0, 5).map(lambda i: kp(f"prop{i}")), st.binary(max_size=40).map(KeyPair))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAIRS, st.integers(0, 3),
+       st.lists(st.tuples(_PAIRS, st.integers(0, 3), st.integers(0, acks.AMOUNT_MAX)), max_size=12))
+def test_every_ack_the_makers_return_is_built_and_verifies(root, root_task, steps):
+    # From keygen's pairs or hand-built ones alike; a decoding of it is not built.
+    made = [make_root_ack(root, tid(root_task))]
+    for pair, task, amount in steps:
+        try:
+            made.append(extend_path_ack(made[-1], pair, tid(task), pair.vk, amount))
+        except DuplicateHop:
+            pass
+    for ack in made:
+        assert ack._built and verify_path_ack(ack, root.vk)
+        assert not PathAck.from_bytes(ack.to_bytes())._built
+
+
 def test_growing_and_verifying_a_path_costs_one_hash_per_hop(monkeypatch):
     n = 200
     keys = [kp(f"hop{i}") for i in range(n)]
+    hand_built = [KeyPair(i.to_bytes(32, "big")) for i in range(n)]
     signs, encodes, derives = [], [], []
     entry_sig, encode, derive = acks._entry_sig, acks.encode_ack_message, acks._derive_vk
     monkeypatch.setattr(acks, "_entry_sig", lambda *a: signs.append(1) or entry_sig(*a))
@@ -510,6 +524,10 @@ def test_growing_and_verifying_a_path_costs_one_hash_per_hop(monkeypatch):
     assert len(encodes) == n
     make_simple_ack(keys[0], tid(1), keys[1].vk, 5)
     assert len(derives) == 0
+    # a hand-built pair derived its vk once, when constructed, as keygen's do
+    signs.clear()
+    grow_path(hand_built)
+    assert len(signs) == n and len(derives) == 0
 
 
 def test_hop_past_the_amount_range_constructs_but_neither_verifies_nor_encodes():

@@ -306,7 +306,7 @@ def test_step_advances_and_logs(tmp_path, snapshot_file, capsys):
     assert all(line.split(",")[3] == "2" for line in lines[1:])  # subsidy column
     # the written snapshot is itself steppable
     assert main(["step", str(snap), "--blocks", "1", "--out", str(tmp_path)]) == EXIT_OK
-    assert (tmp_path / "state_h5_h6.txt").exists()
+    assert (tmp_path / "state_h6.txt").exists() and (tmp_path / "state_h6_blocks.csv").exists()
 
 
 def test_step_block_log_bytes(tmp_path, snapshot_file):
