@@ -208,12 +208,11 @@ def cmd_step(state_file: str, n_blocks: int, output_dir: str) -> int:
         print(f"malformed snapshot: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    columns = ("block", "minter", "fees_collected", "subsidy", "motivator_payout", "acks")
-    log = scenarios.ScenarioResult("blocks", columns)
+    rows = []
     try:
         for _ in range(n_blocks):
             state, block = advance_block(state)
-            log.rows.append((
+            rows.append((
                 block.height, block.minter, block.fees_collected,
                 block.subsidy, block.motivator_payout,
                 ";".join(block.ack_hexes),
@@ -221,6 +220,8 @@ def cmd_step(state_file: str, n_blocks: int, output_dir: str) -> int:
     except (PrestigeError, OverflowError) as exc:  # OverflowError: a reward past 2**63 - 1 coins
         print(f"advance failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    columns = ("block", "minter", "fees_collected", "subsidy", "motivator_payout", "acks")
+    log = scenarios.ScenarioResult("blocks", columns, list(zip(*rows)))
 
     outdir = Path(output_dir)
     stem = re.sub(r"_h\d+$", "", path.stem)  # resuming x_h3.txt writes x_h5.txt, not x_h3_h5.txt

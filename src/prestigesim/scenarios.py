@@ -2,8 +2,9 @@
 
 Each runner here wires the primitives from :mod:`prestigesim.core`,
 :mod:`prestigesim.mining` and friends into a self-contained, seeded
-experiment and returns a :class:`ScenarioResult` holding tabular rows
-plus a flat summary of computed statistics and verdict booleans.
+experiment and returns a :class:`ScenarioResult` holding its table a
+column at a time, plus a flat summary of computed statistics and verdict
+booleans.
 
 Determinism contract: the same keyword arguments and seed produce
 byte-identical CSV text and summary text on every run.  All randomness
@@ -21,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import starmap
 from pathlib import Path
 from typing import Callable, Hashable, Sequence
 
@@ -52,25 +52,6 @@ __all__ = [
 # result container
 
 
-def _cell(value: object) -> str:
-    """Format one CSV cell deterministically."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _plain_columns(rows: Sequence[tuple], ncols: int) -> bool:
-    """Whether each of the *ncols* columns holds exactly one type of float, int or str."""
-    kinds = {tuple(map(type, row)) for row in rows}
-    return len(kinds) <= 1 and all(
-        len(kind) == ncols and set(kind) <= {float, int, str} for kind in kinds
-    )
-
-
 def _scalar(value: object) -> object:
     """Coerce numpy scalars so json.dumps renders them plainly."""
     if isinstance(value, (bool, np.bool_)):
@@ -84,22 +65,39 @@ def _scalar(value: object) -> object:
 
 @dataclass
 class ScenarioResult:
-    """Tabular output of one experiment run plus its summary statistics."""
+    """One experiment run's table, one sequence per CSV column, plus its summary statistics.
+
+    Each column of *data* holds one kind of value: floats (written as
+    ``repr``, the shortest round-trip form), ints, strs or bools
+    (``true``/``false``). A numpy array is converted with ``tolist`` first.
+    No data means no rows.
+    """
 
     name: str
     columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
+    data: Sequence[Sequence] = ()
     summary: dict[str, object] = field(default_factory=dict)
 
+    def _lists(self) -> list[Sequence]:
+        """The columns with arrays as lists, checked to be one per header and of one length."""
+        data = [col.tolist() if isinstance(col, np.ndarray) else col for col in self.data]
+        if data and (len(data) != len(self.columns) or len(set(map(len, data))) > 1):
+            raise ValueError(f"{self.name}: {len(self.columns)} columns need as many sequences "
+                             f"of one length, got lengths {[len(col) for col in data]}")
+        return data
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The rows as tuples, a read-only view of the columns."""
+        return list(zip(*self._lists()))
+
     def csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        if _plain_columns(self.rows, len(self.columns)):
-            # str.format of a float is its repr, of an int or str its str: _cell's text.
-            lines.extend(starmap(",".join(["{}"] * len(self.columns)).format, self.rows))
-        else:
-            for row in self.rows:
-                lines.append(",".join(_cell(v) for v in row))
-        return "\n".join(lines) + "\n"
+        cells = [
+            ("true" if v else "false" for v in col) if col and type(col[0]) is bool
+            else map(str, col)  # for a float, str is repr
+            for col in self._lists()
+        ]
+        return "\n".join([",".join(self.columns), *map(",".join, zip(*cells))]) + "\n"
 
     def summary_text(self) -> str:
         lines = [
@@ -247,16 +245,19 @@ def _check_finite(**values: float | Sequence[float]) -> None:
 
 
 def _check_cohorts(cohorts: Sequence[tuple[str, int, float, int]]) -> None:
-    """Reject an empty cohort list, a repeated label or a cohort without members."""
+    """Reject an empty cohort list, a repeated label, a cohort without members,
+    or a work probability that is NaN or outside [0, 1]."""
     if not cohorts:
         raise ValueError("cohorts must not be empty")
     labels: set[str] = set()
-    for label, _, _, count in cohorts:
+    for label, _, work_p, count in cohorts:
         if label in labels:
             raise ValueError(f"cohort label {label!r} is repeated; each cohort needs its own")
         labels.add(label)
         if count < 1:
             raise ValueError(f"cohort {label!r} needs at least one member, got {count}")
+        if not 0.0 <= work_p <= 1.0:
+            raise ValueError(f"cohort {label!r} needs a work probability in [0, 1], got {work_p}")
 
 
 def _weighted_r2(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
@@ -307,10 +308,7 @@ def run_decay_study(
     prestige = [0.0] * len(users)
     pre_drop = [0.0] * len(users)
 
-    result = ScenarioResult(
-        name="decay",
-        columns=("block", "user_id", "prestige", "coins"),
-    )
+    rows = []
     for t in range(1, blocks + 1):
         for i, label in enumerate(labels):
             p = coins[i] + keeps[i] * prestige[i]
@@ -321,7 +319,8 @@ def run_decay_study(
             prestige[i] = p
             if t == spike_down_at - 1:
                 pre_drop[i] = p
-            result.rows.append((t, label, p, coins[i]))
+            rows.append((t, label, p, coins[i]))
+    result = ScenarioResult("decay", ("block", "user_id", "prestige", "coins"), list(zip(*rows)))
 
     for i, label in enumerate(labels):
         s = static_value(coins[i], params[i])
@@ -364,10 +363,6 @@ def run_gain_vs_decay(
         raise ValueError("decay_grid and injections must not be empty")
     if blocks < 1:
         raise ValueError(f"blocks must be at least 1, got {blocks}")
-    result = ScenarioResult(
-        name="gain_vs_decay",
-        columns=("decay", "injection", "surplus_total", "surplus_final", "surplus_mean"),
-    )
     inj = np.asarray(injections, dtype=np.float64)
     # SystemParams holds each decay to the one rule, 0 < d < 1
     keep = 1.0 - np.array([[SystemParams(decay=d).decay] for d in decay_grid], dtype=np.float64)
@@ -376,13 +371,20 @@ def run_gain_vs_decay(
     for _ in range(blocks):
         surplus = surplus * keep + inj
         total += surplus
-    for d, totals, finals in zip(decay_grid, total.tolist(), surplus.tolist()):
-        for a, tot, fin in zip(injections, totals, finals):
-            result.rows.append((float(d), float(a), tot, fin, tot / blocks))
+    rows = [
+        (float(d), float(a), tot, fin, tot / blocks)
+        for d, totals, finals in zip(decay_grid, total.tolist(), surplus.tolist())
+        for a, tot, fin in zip(injections, totals, finals)
+    ]
+    result = ScenarioResult(
+        "gain_vs_decay",
+        ("decay", "injection", "surplus_total", "surplus_final", "surplus_mean"),
+        list(zip(*rows)),
+    )
 
     # Verdicts: zero drip leaves zero surplus; surplus scales linearly in
     # the drip; and for any fixed positive drip, surplus falls as decay rises.
-    by_pair = {(r[0], r[1]): r[2] for r in result.rows}
+    by_pair = {(r[0], r[1]): r[2] for r in rows}
     zero_ok = all(by_pair[(float(d), 0.0)] == 0.0 for d in decay_grid) if 0.0 in inj else True
     linear_dev = 0.0
     if 1.0 in inj and 2.0 in inj:
@@ -465,22 +467,20 @@ def run_dag_study(
         raise ValueError(f"every user was drawn {task_count[0]} tasks from tasks_range "
                          f"{tasks_range}, so there is no line to fit gain against tasks")
     servers = [servers[int(k)] for k in rng.permutation(len(servers))]
-    payer_picks = rng.integers(0, n_users - 1, size=len(servers))
+    payer_picks = rng.integers(0, n_users - 1, size=len(servers)).tolist()
     distance = np.array(depth, dtype=np.float64)
     tasks = np.array(task_count, dtype=np.float64)
     bases = np.array(base, dtype=np.float64)
 
-    result = ScenarioResult(
-        name="dag_study",
-        columns=("mode", "user_id", "tree", "distance", "base_prestige",
-                 "tasks", "paid", "retained", "absorbed", "gain"),
-    )
+    trees = [path[-1] for path in paths]
+    columns = ("mode", "user_id", "tree", "distance", "base_prestige",
+               "tasks", "paid", "retained", "absorbed", "gain")
+    result = ScenarioResult("dag_study", columns, tuple([] for _ in columns))
     for mode in modes:
         paid = [0.0] * n_users
         retained = [0.0] * n_users
         absorbed = [0.0] * n_users
-        for k, server in enumerate(servers):
-            j = int(payer_picks[k])
+        for server, j in zip(servers, payer_picks):
             if j >= server:
                 j += 1
             paid[j] += fee
@@ -493,14 +493,11 @@ def run_dag_study(
             for i in range(n_users):
                 if depth[i] == 0:
                     absorbed[i], retained[i] = retained[i], 0.0
-        for i, u in enumerate(ids):
-            result.rows.append((
-                mode.value, u, paths[i][-1], depth[i], base[i],
-                task_count[i], paid[i], retained[i], absorbed[i],
-                retained[i] + absorbed[i],
-            ))
         key = mode.value
         gain = np.add(retained, absorbed)
+        for col, values in zip(result.data, ([key] * n_users, ids, trees, depth, base,
+                                             task_count, paid, retained, absorbed, gain.tolist())):
+            col.extend(values)
         inner = distance >= 1.0
         fit = sstats.linregress(distance[inner], gain[inner])
         result.summary[f"{key}.gain_vs_distance_slope"] = float(fit.slope)
@@ -591,26 +588,24 @@ def run_global(
     statics = [static_value(c, params) for c in coins]
     prestige = [0.0] * n
 
-    result = ScenarioResult(
-        name="global",
-        columns=("block", "user_id", "prestige", "coins"),
-    )
     keep = 1.0 - decay
     tail = [0.0] * n
+    history: list[float] = []  # each block's prestige, one user after another
     for t in range(1, blocks + 1):
         prestige = [c + keep * p for c, p in zip(coins, prestige)]
-        draws = rng.random(n)
-        for i in range(n):
-            if draws[i] >= work_p[i]:
-                continue
+        for i in np.flatnonzero(rng.random(n) < work_p).tolist():
             if mining_mode is MiningMode.SIMPLE:
                 prestige[i] += fee
             else:
                 mining.settle_upstream(paths[i], fee, prestige, branch_power, prestige)
-        for i, uid in enumerate(ids):
-            result.rows.append((t, uid, prestige[i], coins[i]))
-            if t > blocks - window:
-                tail[i] += (prestige[i] - statics[i]) / window
+        history.extend(prestige)
+        if t > blocks - window:
+            tail = [a + (p - s) / window for a, p, s in zip(tail, prestige, statics)]
+    result = ScenarioResult(
+        "global",
+        ("block", "user_id", "prestige", "coins"),
+        (np.arange(1, blocks + 1).repeat(n), ids * blocks, history, coins * blocks),
+    )
 
     labels = [c[0] for c in cohorts]
     surplus: dict[str, float] = {}
@@ -681,11 +676,6 @@ def run_tradeoff(
     work_p = np.concatenate([np.full(c[3], c[2], dtype=np.float64) for c in cohorts])
     members = np.concatenate([np.full(c[3], i, dtype=np.int64) for i, c in enumerate(cohorts)])
 
-    result = ScenarioResult(
-        name="tradeoff",
-        columns=("decay", "cohort", "coins", "work_probability",
-                 "members", "prestige_sum", "prestige_mean_per_block"),
-    )
     # SystemParams holds each decay to the one rule, 0 < d < 1
     keep = 1.0 - np.array([[SystemParams(decay=d).decay] for d in decay_grid], dtype=np.float64)
     prestige = np.zeros((len(decay_grid), len(coins)))
@@ -698,13 +688,20 @@ def run_tradeoff(
         for t in range(work.shape[1]):
             prestige = coins + keep * (prestige + work[:, t])
             totals += prestige
+    rows = []
     for d, row in zip(decay_grid, totals):
         for i, cohort in enumerate(cohorts):
             tot = float(np.sum(row[members == i]))
-            result.rows.append((float(d), *cohort, tot, tot / (blocks * cohort[3])))
+            rows.append((float(d), *cohort, tot, tot / (blocks * cohort[3])))
+    result = ScenarioResult(
+        "tradeoff",
+        ("decay", "cohort", "coins", "work_probability",
+         "members", "prestige_sum", "prestige_mean_per_block"),
+        list(zip(*rows)),
+    )
 
     grid = [float(d) for d in decay_grid]
-    by_key = {(r[0], r[1]): r[5] for r in result.rows}
+    by_key = {(r[0], r[1]): r[5] for r in rows}
     winners = {
         d: "poor_active" if by_key[(d, "poor_active")] > by_key[(d, "rich_lazy")] else "rich_lazy"
         for d in grid
@@ -850,15 +847,12 @@ def run_file_distribution(
     )
 
     result = ScenarioResult(
-        name="file_distribution",
-        columns=("user_id", "base_prestige", "episodes_joined", "tasks_served",
-                 "final_prestige", "reward_cents"),
+        "file_distribution",
+        ("user_id", "base_prestige", "episodes_joined", "tasks_served",
+         "final_prestige", "reward_cents"),
+        (_user_ids(pool_size), base, episodes_joined, tasks_served[:pool_size],
+         prestige[:pool_size], rewards),
     )
-    for i, u in enumerate(_user_ids(pool_size)):
-        result.rows.append((
-            u, base[i], episodes_joined[i], tasks_served[i],
-            prestige[i], int(rewards[i]),
-        ))
 
     paid = rewards[rewards > 0]
     result.summary["scale"] = scale
@@ -932,16 +926,14 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
         # zero trials would check nothing and still report all_passed
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
-    result = ScenarioResult(
-        name="theorem_checks",
-        columns=("property", "trials", "max_violation", "tolerance", "passed"),
-    )
+    rows: list[tuple] = []
+    summary: dict[str, object] = {}
 
     def record(name: str, violation: float, tol: float) -> None:
         passed = violation <= tol
-        result.rows.append((name, trials, violation, tol, passed))
-        result.summary[f"{name}.max_violation"] = violation
-        result.summary[f"{name}.passed"] = passed
+        rows.append((name, trials, violation, tol, passed))
+        summary[f"{name}.max_violation"] = violation
+        summary[f"{name}.passed"] = passed
 
     # Identity splitting: trajectories and static values are additive.
     # Trial i's shares sit zero-padded in column i; after the draws all trials step at once.
@@ -1045,9 +1037,14 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
             worst_prop = max(worst_prop, 1.0)
     record("propagation_exact_and_nonnegative", worst_prop, 1e-9)
 
-    result.summary["all_passed"] = all(row[4] for row in result.rows)
-    result.summary["trials"] = trials
-    return result
+    summary["all_passed"] = all(row[4] for row in rows)
+    summary["trials"] = trials
+    return ScenarioResult(
+        "theorem_checks",
+        ("property", "trials", "max_violation", "tolerance", "passed"),
+        list(zip(*rows)),
+        summary,
+    )
 
 
 # --------------------------------------------------------------------------

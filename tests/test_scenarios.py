@@ -25,6 +25,8 @@ from prestigesim import (
 from prestigesim.acks import PATH_ACK_BASE_BYTES, PATH_HOP_BYTES, SIMPLE_ACK_BYTES
 from prestigesim.scenarios import _BoundedDraws, _column_sums, _grow_forest
 
+import csv_reference
+
 
 # --- registry -----------------------------------------------------------------
 
@@ -402,6 +404,13 @@ def test_global_validation():
         run_global(blocks=20, cohorts=(("a", 50, 0.1, 3), ("a", 100, 0.2, 3)))
 
 
+@pytest.mark.parametrize("work_p", [float("nan"), 1.5, -0.5])
+def test_global_rejects_work_probability_outside_unit_interval(work_p):
+    # NaN used to mean "works every block" here: draws[i] >= nan is False
+    with pytest.raises(ValueError, match=r"cohort 'b' needs a work probability in \[0, 1\]"):
+        run_global(blocks=20, cohorts=(("a", 50, 0.1, 3), ("b", 100, work_p, 3)))
+
+
 # --- decay tradeoff ------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -443,6 +452,14 @@ def test_tradeoff_validation():
                                         ("rich_lazy", 80, 0.05, 3)))
     with pytest.raises(ValueError, match="decay_grid"):
         run_tradeoff(blocks=5, decay_grid=())
+
+
+@pytest.mark.parametrize("work_p", [float("nan"), 1.5, -0.5])
+def test_tradeoff_rejects_work_probability_outside_unit_interval(work_p):
+    # NaN used to mean "never works" here: draws < nan is False
+    cohorts = (("rich_lazy", 50, 0.05, 3), ("poor_active", 10, work_p, 3))
+    with pytest.raises(ValueError, match=r"cohort 'poor_active' needs a work probability in \[0, 1\]"):
+        run_tradeoff(blocks=20, cohorts=cohorts)
     for decay_grid in ((1.5, 0.0), (0.5, -0.2)):
         with pytest.raises(ValueError, match=r"decay must be in \(0, 1\), got"):
             run_tradeoff(blocks=5, decay_grid=decay_grid)
@@ -610,19 +627,64 @@ def test_result_write_and_formats(tmp_path):
         json.loads(value)  # every value is a JSON scalar
 
 
-def test_csv_cells_render_alike_on_the_template_and_per_cell_paths():
-    # One plain type per column takes the row template; anything else goes
-    # cell by cell. Both must write repr for floats and str for the rest.
-    plain = ScenarioResult(name="x", columns=("n", "v", "s"),
-                           rows=[(1, 0.1, "a"), (-2, 1e-07, "b"), (3, float("inf"), "c")])
-    assert plain.csv_text() == "n,v,s\n1,0.1,a\n-2,1e-07,b\n3,inf,c\n"
-    mixed = ScenarioResult(name="x", columns=("flag", "v", "s", "n"),
-                           rows=[(True, np.float64(0.1), None, 1), (False, 2.5, "x", 2.0)])
-    assert mixed.csv_text() == "flag,v,s,n\ntrue,0.1,None,1\nfalse,2.5,x,2.0\n"
-    flags = ScenarioResult(name="x", columns=("flag", "n"), rows=[(True, 1), (False, 2)])
-    assert flags.csv_text() == "flag,n\ntrue,1\nfalse,2\n"
-    enum_column = ScenarioResult(name="x", columns=("m",), rows=[(MiningMode.SIMPLE,)])
+def test_csv_cells_render_alike_from_lists_tuples_and_arrays():
+    # repr for floats, str for ints and strs, true/false for bools, whatever holds the column
+    header = ("n", "v", "s", "flag")
+    n, v, s, flag = [1, -2, 3], [0.1, 1e-07, float("inf")], ["a", "b", "c"], [True, False, True]
+    lists = ScenarioResult("x", header, [n, v, s, flag])
+    tuples = ScenarioResult("x", header, [tuple(n), tuple(v), tuple(s), tuple(flag)])
+    arrays = ScenarioResult("x", header, [np.array(n), np.array(v), s, np.array(flag)])
+    for result in (lists, tuples, arrays):
+        assert result.csv_text() == "n,v,s,flag\n1,0.1,a,true\n-2,1e-07,b,false\n3,inf,c,true\n"
+        assert result.rows == list(zip(n, v, s, flag))
+        assert list(map(type, result.rows[0])) == [int, float, str, bool]
+    enum_column = ScenarioResult("x", ("m",), [[MiningMode.SIMPLE]])
     assert enum_column.csv_text() == f"m\n{MiningMode.SIMPLE!s}\n"
+    assert ScenarioResult("x", ("a", "b")).csv_text() == "a,b\n"
+
+
+def test_columns_must_match_the_header_and_each_other():
+    with pytest.raises(ValueError, match="lengths \\[2, 1\\]"):
+        ScenarioResult("x", ("a", "b"), [[1, 2], [3]]).csv_text()
+    with pytest.raises(ValueError, match="2 columns"):
+        ScenarioResult("x", ("a", "b"), [[1, 2]]).rows
+
+
+_INTS = st.integers() | st.sampled_from([2**63, -(2**63) - 1, 2**64 + 7, 10**30])
+_FLOATS = st.floats() | st.sampled_from(
+    [float("inf"), float("-inf"), float("nan"), -0.0, 1e-07, 5e-324])
+# (strategy for one cell, numpy dtype the column may also arrive as, or None)
+_KINDS = [
+    (_INTS, None),
+    (st.integers(-(2**63), 2**63 - 1), np.int64),
+    (_FLOATS, np.float64),
+    (st.text(max_size=6), None),
+    (st.booleans(), np.bool_),
+]
+
+
+@st.composite
+def _typed_columns(draw):
+    """(values, column) pairs: Python values and the sequence handed to ScenarioResult."""
+    n_rows = draw(st.integers(0, 5))
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        cells, dtype = draw(st.sampled_from(_KINDS))
+        values = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        holder = draw(st.sampled_from([list, tuple] + ([np.array] if dtype else [])))
+        column = np.array(values, dtype=dtype) if holder is np.array else holder(values)
+        out.append((values, column))
+    return out
+
+
+@given(_typed_columns())
+@example([([True, False], np.array([True, False])), ([2**63, -1], [2**63, -1])])
+@example([([], np.array([], dtype=np.float64)), ([], [])])
+def test_csv_text_matches_the_per_cell_reference(typed):
+    names = tuple(f"c{k}" for k in range(len(typed)))
+    result = ScenarioResult("x", names, [column for _, column in typed])
+    rows = list(zip(*(values for values, _ in typed)))
+    assert result.csv_text() == csv_reference.csv_text(names, rows)
 
 
 def test_summary_rejects_non_json_floats(tmp_path):
