@@ -246,18 +246,66 @@ def _check_finite(**values: float | Sequence[float]) -> None:
 
 def _check_cohorts(cohorts: Sequence[tuple[str, int, float, int]]) -> None:
     """Reject an empty cohort list, a repeated label, a cohort without members,
-    or a work probability that is NaN or outside [0, 1]."""
+    negative coins, or a work probability that is NaN or outside [0, 1]."""
     if not cohorts:
         raise ValueError("cohorts must not be empty")
     labels: set[str] = set()
-    for label, _, work_p, count in cohorts:
+    for label, coins, work_p, count in cohorts:
         if label in labels:
             raise ValueError(f"cohort label {label!r} is repeated; each cohort needs its own")
         labels.add(label)
         if count < 1:
             raise ValueError(f"cohort {label!r} needs at least one member, got {count}")
+        if coins < 0:
+            raise ValueError(f"cohort {label!r} needs coins >= 0, got {coins}")
         if not 0.0 <= work_p <= 1.0:
             raise ValueError(f"cohort {label!r} needs a work probability in [0, 1], got {work_p}")
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of *a*, each run of ties sharing its mean rank (an exact half-integer)."""
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(a)]
+    ranks = np.empty(len(a))
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho of x and y, bit for bit as ``scipy.stats.spearmanr`` computes it.
+
+    A constant input has no ranking to correlate: NaN, with no warning.
+    """
+    if (x == x[0]).all() or (y == y[0]).all():
+        return math.nan
+    ranked = np.empty((len(x), 2))  # one column per input, as scipy ranks them
+    ranked[:, 0] = _average_ranks(x)
+    ranked[:, 1] = _average_ranks(y)
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+
+
+def _linregress(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y on x and its standard error, bit for bit as
+    ``scipy.stats.linregress`` computes them (the same numpy calls, in order)."""
+    if np.amax(x) == np.amin(x):
+        raise ValueError("cannot fit a line when every x value is the same")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    df = len(x) - 2
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / df) if df else 0.0
+    return float(ssxym / ssxm), float(stderr)
+
+
+def _trim_mean(a: np.ndarray, cut: float) -> float:
+    """Mean of *a* without its lowest and highest *cut* share, as ``scipy.stats.trim_mean``."""
+    lo = int(cut * len(a))
+    hi = len(a) - lo
+    return float(np.mean(np.partition(a, (lo, hi - 1))[lo:hi]))
 
 
 def _weighted_r2(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
@@ -437,7 +485,6 @@ def run_dag_study(
     accrue to separate tallies: ``retained`` via the retention rule,
     ``absorbed`` as a root's unconditional residual, ``gain`` their sum.
     """
-    from scipy import stats as sstats  # about a second to import; two runners use it
     _check_finite(branch_power=branch_power, fee=fee)
     if n_users < 2:
         raise ValueError(f"n_users must be at least 2 (payers are other users), got {n_users}")
@@ -499,11 +546,10 @@ def run_dag_study(
                                              task_count, paid, retained, absorbed, gain.tolist())):
             col.extend(values)
         inner = distance >= 1.0
-        fit = sstats.linregress(distance[inner], gain[inner])
-        result.summary[f"{key}.gain_vs_distance_slope"] = float(fit.slope)
-        result.summary[f"{key}.gain_vs_distance_slope_stderr"] = float(fit.stderr)
-        rho = sstats.spearmanr(distance, gain)
-        result.summary[f"{key}.gain_vs_distance_spearman"] = float(rho.statistic)
+        slope, stderr = _linregress(distance[inner], gain[inner])
+        result.summary[f"{key}.gain_vs_distance_slope"] = slope
+        result.summary[f"{key}.gain_vs_distance_slope_stderr"] = stderr
+        result.summary[f"{key}.gain_vs_distance_spearman"] = _spearman(distance, gain)
         # Bin users by tasks served; a straight line through the bin
         # means shows whether earnings track service volume.
         counts = sorted(set(int(t) for t in tasks))
@@ -511,8 +557,7 @@ def run_dag_study(
         bin_y = np.array([float(np.mean(gain[tasks == c])) for c in counts])
         bin_w = np.array([float(np.sum(tasks == c)) for c in counts])
         result.summary[f"{key}.gain_vs_tasks_r2"] = _weighted_r2(bin_x, bin_y, bin_w)
-        base_rho = sstats.spearmanr(bases, gain)
-        result.summary[f"{key}.gain_vs_base_spearman"] = float(base_rho.statistic)
+        result.summary[f"{key}.gain_vs_base_spearman"] = _spearman(bases, gain)
         zero_retained = max((r for r, p in zip(retained, base) if p == 0.0), default=0.0)
         result.summary[f"{key}.max_retained_at_zero_base"] = zero_retained
 
@@ -561,7 +606,6 @@ def run_global(
     The default branch power is kept moderate (0.2) so that retention
     differences, not ripple noise, dominate the cohort signal.
     """
-    from scipy import stats as sstats
     mining_mode = MiningMode.parse(mode)
     _check_finite(fee=fee, decay=decay, branch_power=branch_power)
     _check_cohorts(cohorts)
@@ -612,7 +656,7 @@ def run_global(
     for label in labels:
         members = [i for i in range(n) if roster[i][0] == label]
         values = np.array([tail[i] for i in members])
-        surplus[label] = float(sstats.trim_mean(values, 0.1))
+        surplus[label] = _trim_mean(values, 0.1)
         result.summary[f"{label}.surplus_trimmed"] = surplus[label]
         result.summary[f"{label}.surplus_mean"] = float(np.mean(values))
         result.summary[f"{label}.static_value"] = float(np.mean([statics[i] for i in members]))

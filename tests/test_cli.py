@@ -1,5 +1,10 @@
 """Command-line interface: exit codes, file outputs, config plumbing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import prestigesim.mining
@@ -179,6 +184,23 @@ def test_run_all_writes_every_pair(tmp_path):
     assert "global_summary.txt" in files
 
 
+def test_run_all_and_check_never_import_scipy(tmp_path):
+    # the runtime needs numpy only; scipy is a test extra for the acceptance statistics
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "from prestigesim import cli\n"
+        f"assert cli.main(['run', '--all', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert cli.main(['check', '--trials', '200']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_run_all_rejects_overrides(capsys):
     assert main(["run", "--all", "--set", "blocks=2"]) == EXIT_USAGE
     assert capsys.readouterr().err == "run --all accepts only --seed/--out, not --set\n"
@@ -213,6 +235,17 @@ def test_run_with_config_cohorts(tmp_path):
     assert "alpha.static_value: 300.0" in summary  # 30 coins / 0.1 decay
     assert "beta.surplus_trimmed:" in summary
     assert "blocks: 40" in summary
+
+
+def test_run_refuses_a_cohort_with_negative_coins(tmp_path, capsys):
+    ini = tmp_path / "debt.ini"
+    ini.write_text("[cohort a]\ncoins = -50\nwork_probability = 0.1\ncount = 3\n\n"
+                   "[cohort b]\ncoins = 10\nwork_probability = 0.2\ncount = 3\n")
+    out = tmp_path / "out"
+    code = main(["run", "global", "--config", str(ini), "--set", "blocks=20", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "cohort 'a' needs coins >= 0, got -50" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_overrides_beat_config(tmp_path):

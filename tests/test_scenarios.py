@@ -1,6 +1,7 @@
 """Scenario runners: frozen verdicts, independent oracles, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from prestigesim import (
     scenario_names,
 )
 from prestigesim.acks import PATH_ACK_BASE_BYTES, PATH_HOP_BYTES, SIMPLE_ACK_BYTES
-from prestigesim.scenarios import _BoundedDraws, _column_sums, _grow_forest
+from prestigesim.scenarios import (
+    _BoundedDraws,
+    _column_sums,
+    _grow_forest,
+    _linregress,
+    _spearman,
+    _trim_mean,
+)
 
 import csv_reference
 
@@ -355,6 +363,78 @@ def test_dag_study_progressive_split_by_distance(dag_result):
         assert row[i_gain] == row[i_ret] + row[i_abs]
 
 
+# --- summary statistics, held to scipy.stats bit for bit ---------------------------
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _scipy(call, *args):
+    """Run a scipy.stats reference with its own warnings silenced: its p-values warn
+    at n = 2, and the helpers under test are held to no warning by the warning filter."""
+    stats = pytest.importorskip("scipy.stats")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return getattr(stats, call)(*args)
+
+
+# dag_study's inputs: integer distances and tasks, gains in whole fees (simple mode),
+# so most samples are heavy with ties; plain floats cover the progressive gains.
+tied = st.integers(0, 6).map(float)
+fees = st.integers(0, 8).map(lambda k: 200.0 * k)
+plain = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+samples = st.one_of(tied, fees, plain)
+
+
+@st.composite
+def pairs(draw):
+    n = draw(st.integers(2, 40))
+    x_values, y_values = draw(st.sampled_from([(samples, samples), (tied, fees), (tied, tied)]))
+    x = draw(st.lists(x_values, min_size=n, max_size=n))
+    y = draw(st.lists(y_values, min_size=n, max_size=n))
+    return np.array(x), np.array(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs())
+@example((np.array([1.0, 2.0]), np.array([200.0, 200.0])))  # n = 2
+@example((np.array([1.0, 2.0]), np.array([0.0, 400.0])))
+@example((np.array([1.0, 1.0, 3.0]), np.array([200.0, 0.0, 600.0])))  # n = 3
+@example((np.array([0.0, 1.0, 2.0]), np.array([5.0, 5.0, 5.0])))  # constant y
+def test_linregress_matches_scipy_bit_for_bit(xy):
+    x, y = xy
+    if x.max() == x.min():
+        with pytest.raises(ValueError, match="every x value is the same"):
+            _linregress(x, y)
+        return
+    fit = _scipy("linregress", x, y)
+    slope, stderr = _linregress(x, y)
+    assert (_bits(slope), _bits(stderr)) == (_bits(fit.slope), _bits(fit.stderr))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs())
+@example((np.array([0.0, 1.0, 1.0]), np.array([3.0, 3.0, 3.0])))  # constant input
+@example((np.array([2.0, 2.0]), np.array([0.0, 1.0])))
+def test_spearman_matches_scipy_bit_for_bit(xy):
+    # a constant input is NaN, with no warning: RuntimeWarnings are errors in this suite
+    x, y = xy
+    rho = _spearman(x, y)
+    assert _bits(rho) == _bits(_scipy("spearmanr", x, y).statistic)
+    assert np.isnan(rho) == ((x == x[0]).all() or (y == y[0]).all())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(samples, min_size=1, max_size=60))
+@example([float(v) for v in range(10, 0, -1)])  # even, one value cut from each end
+@example([float(v) for v in range(11)])  # odd, one cut from each end
+@example([400.0, 0.0, 200.0, 200.0, 0.0, 600.0, 200.0, 0.0, 0.0, 200.0, 800.0, 0.0])
+@example([1.0, 2.0, 3.0])  # too short to cut
+def test_trim_mean_matches_scipy_bit_for_bit(values):
+    a = np.array(values)
+    assert _bits(_trim_mean(a, 0.1)) == _bits(_scipy("trim_mean", a, 0.1))
+
+
 # --- global economy ------------------------------------------------------------------
 
 def test_global_simple_work_beats_wealth():
@@ -402,6 +482,13 @@ def test_global_validation():
     # one label for two cohorts would merge their members into one row
     with pytest.raises(ValueError, match="'a' is repeated"):
         run_global(blocks=20, cohorts=(("a", 50, 0.1, 3), ("a", 100, 0.2, 3)))
+
+
+def test_global_rejects_negative_cohort_coins():
+    # a negative balance sustains negative prestige: the cohort would report a static
+    # value of -1000.0 and drag the surplus verdicts
+    with pytest.raises(ValueError, match="cohort 'a' needs coins >= 0, got -50"):
+        run_global(blocks=20, cohorts=(("a", -50, 0.1, 3), ("b", 10, 0.2, 3)))
 
 
 @pytest.mark.parametrize("work_p", [float("nan"), 1.5, -0.5])
@@ -452,6 +539,13 @@ def test_tradeoff_validation():
                                         ("rich_lazy", 80, 0.05, 3)))
     with pytest.raises(ValueError, match="decay_grid"):
         run_tradeoff(blocks=5, decay_grid=())
+
+
+def test_tradeoff_rejects_negative_cohort_coins():
+    # a negative rich_lazy balance flips large_decay_rewards_wealth to false
+    cohorts = (("rich_lazy", -50, 0.05, 3), ("poor_active", 10, 0.25, 3))
+    with pytest.raises(ValueError, match="cohort 'rich_lazy' needs coins >= 0, got -50"):
+        run_tradeoff(blocks=20, cohorts=cohorts)
 
 
 @pytest.mark.parametrize("work_p", [float("nan"), 1.5, -0.5])
