@@ -38,7 +38,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, MutableMapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -96,11 +96,12 @@ class _Pending:
     transfers: tuple[tuple[str, str, float, MiningMode], ...]
 
 
-class Ledger(MutableMapping[str, Account]):
+class Ledger(Mapping[str, Account]):
     """Accounts by id, column-wise: position i of ``ids``, ``coins``, ``prestige``
     and ``keys`` is one account, at ``pos[id]``. Only the mapping interface
     builds an ``Account`` (on read) or takes one apart (on set); ``by_vk`` maps
-    each key to the first account in order holding it."""
+    each key to the first account in order holding it. Accounts are set, never
+    removed."""
 
     def __init__(self, accounts: Iterable[Account] = ()) -> None:
         rows = list(accounts)
@@ -138,11 +139,6 @@ class Ledger(MutableMapping[str, Account]):
             self.keys[i] = acct.verification_key
             self._fill(self.ids, self.coins, self.prestige, self.keys)
 
-    def __delitem__(self, acct_id: str) -> None:
-        i = self.pos[acct_id]
-        del self.ids[i], self.keys[i]
-        self._fill(self.ids, np.delete(self.coins, i), np.delete(self.prestige, i), self.keys)
-
     def __contains__(self, acct_id: object) -> bool:
         return acct_id in self.pos
 
@@ -174,10 +170,6 @@ class ChainState:
     initial_coins: int = 0
     fees_pending: int = 0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.accounts, Ledger):
-            self.accounts = Ledger(self.accounts.values())
-
     @classmethod
     def genesis(
         cls,
@@ -192,13 +184,15 @@ class ChainState:
 
         Accounts without a verification key get one derived from their id so
         the acknowledgment layer works out of the box. Raises ValueError for a
-        negative ``subsidy`` or ``ack_fee``, a duplicate id and an account
-        ``save_snapshot`` could not write so that it loads back: an empty id,
-        an id containing ``,`` or whitespace or starting with ``#``, or
-        non-finite prestige.
+        negative ``subsidy`` or ``ack_fee``, an ``rng_seed`` outside [0, 2**64)
+        (the range of ``--seed``; block h draws from ``[rng_seed, h]``), a
+        duplicate id and an account ``save_snapshot`` could not write so that
+        it loads back: an empty id, an id containing ``,`` or whitespace or
+        starting with ``#``, or non-finite prestige.
         """
         _count("subsidy", subsidy)
         _count("ack_fee", ack_fee)
+        _seed(rng_seed)
         key_params = setup(128)
         table: dict[str, Account] = {}
         for entry in accounts:
@@ -211,7 +205,7 @@ class ChainState:
             table[acct.id] = acct
         return cls(
             height=0,
-            accounts=table,
+            accounts=Ledger(table.values()),
             dag=MiningDag(),
             params=params,
             rng_seed=rng_seed,
@@ -264,6 +258,13 @@ def elect_minter(accounts: Mapping[str, Account], rng: np.random.Generator) -> s
     return pool[int(rng.integers(len(pool)))]
 
 
+def _seed(value: int) -> int:
+    """The value, or ValueError if it is not an unsigned 64-bit seed."""
+    if not 0 <= value < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {value}")
+    return value
+
+
 def _count(name: str, value: int | str) -> int:
     """The value as an int, or ValueError naming *name* if it is negative."""
     value = int(value)
@@ -280,7 +281,7 @@ _HEADER_VALUES = {
     "decay": lambda v: SystemParams(decay=float(v)).decay,
     "branch-power": lambda v: SystemParams(0.5, branch_power=float(v)).branch_power,
     "service-fee": lambda v: SystemParams(0.5, service_fee=float(v)).service_fee,
-    "seed": int,
+    "seed": lambda v: _seed(int(v)),
     "subsidy": lambda v: _count("subsidy", v),
     "ack-fee": lambda v: _count("ack-fee", v),
     "initial-coins": int,
@@ -482,7 +483,7 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
 
     staged = copy.copy(led)  # shares every column but prestige, for the election
     staged.prestige = regenerated
-    rng = np.random.default_rng([state.rng_seed & 0xFFFFFFFFFFFFFFFF, new_height])
+    rng = np.random.default_rng([state.rng_seed, new_height])
     minter = elect_minter(staged, rng)
 
     paying = [s for s in state.motivator_rewards if s.remaining_blocks > 0]

@@ -353,22 +353,22 @@ def run_decay_study(
         if c < 0:
             raise ValueError(f"coins must be >= 0, got {c} for {label!r}")
     keeps = [1.0 - p.decay for p in params]
-    prestige = [0.0] * len(users)
-    pre_drop = [0.0] * len(users)
-
-    rows = []
+    prestige = pre_drop = [0.0] * len(users)
+    history: list[float] = []  # each block's prestige, one user after another
     for t in range(1, blocks + 1):
-        for i, label in enumerate(labels):
-            p = coins[i] + keeps[i] * prestige[i]
-            if t == spike_up_at:
-                p += spike
-            elif t == spike_down_at:
-                p -= spike
-            prestige[i] = p
-            if t == spike_down_at - 1:
-                pre_drop[i] = p
-            rows.append((t, label, p, coins[i]))
-    result = ScenarioResult("decay", ("block", "user_id", "prestige", "coins"), list(zip(*rows)))
+        prestige = [c + k * p for c, k, p in zip(coins, keeps, prestige)]
+        if t == spike_up_at:
+            prestige = [p + spike for p in prestige]
+        elif t == spike_down_at:
+            prestige = [p - spike for p in prestige]
+        if t == spike_down_at - 1:
+            pre_drop = prestige
+        history.extend(prestige)
+    result = ScenarioResult(
+        "decay",
+        ("block", "user_id", "prestige", "coins"),
+        (np.arange(1, blocks + 1).repeat(len(users)), labels * blocks, history, coins * blocks),
+    )
 
     for i, label in enumerate(labels):
         s = static_value(coins[i], params[i])
@@ -419,33 +419,22 @@ def run_gain_vs_decay(
     for _ in range(blocks):
         surplus = surplus * keep + inj
         total += surplus
-    rows = [
-        (float(d), float(a), tot, fin, tot / blocks)
-        for d, totals, finals in zip(decay_grid, total.tolist(), surplus.tolist())
-        for a, tot, fin in zip(injections, totals, finals)
-    ]
     result = ScenarioResult(
         "gain_vs_decay",
         ("decay", "injection", "surplus_total", "surplus_final", "surplus_mean"),
-        list(zip(*rows)),
+        (np.repeat(np.asarray(decay_grid, dtype=np.float64), len(inj)), np.tile(inj, len(keep)),
+         total.ravel(), surplus.ravel(), (total / blocks).ravel()),
     )
 
-    # Verdicts: zero drip leaves zero surplus; surplus scales linearly in
-    # the drip; and for any fixed positive drip, surplus falls as decay rises.
-    by_pair = {(r[0], r[1]): r[2] for r in rows}
-    zero_ok = all(by_pair[(float(d), 0.0)] == 0.0 for d in decay_grid) if 0.0 in inj else True
+    # Verdicts from total's column per injection: zero drip leaves zero surplus; surplus
+    # scales linearly in the drip; and for any fixed positive drip, it falls as decay rises.
+    zero_ok = bool((total[:, inj == 0.0] == 0.0).all())
     linear_dev = 0.0
     if 1.0 in inj and 2.0 in inj:
-        for d in decay_grid:
-            one = by_pair[(float(d), 1.0)]
-            two = by_pair[(float(d), 2.0)]
-            linear_dev = max(linear_dev, abs(two - 2.0 * one) / abs(two))
-    monotone = True
-    for a in injections:
-        if a <= 0.0:
-            continue
-        column = [by_pair[(float(d), float(a))] for d in decay_grid]
-        monotone = monotone and all(x > y for x, y in zip(column, column[1:]))
+        one, two = total[:, inj == 1.0][:, 0], total[:, inj == 2.0][:, 0]
+        linear_dev = float(np.max(np.abs(two - 2.0 * one) / np.abs(two)))
+    positive = total[:, inj > 0.0]
+    monotone = bool((positive[:-1] > positive[1:]).all())
     result.summary["blocks"] = blocks
     result.summary["coins"] = coins
     result.summary["zero_injection_zero_surplus"] = zero_ok
@@ -496,6 +485,8 @@ def run_dag_study(
         raise ValueError(f"fee must be positive, got {fee}")
     if base_range[0] >= base_range[1]:
         raise ValueError(f"base_range must span at least two values, got {base_range}")
+    if not 0 <= tasks_range[0] <= tasks_range[1]:
+        raise ValueError(f"tasks_range must have 0 <= low <= high, got {tasks_range}")
     modes = [MiningMode.parse(m) for m in modes]
     ids = _user_ids(n_users)
     rng = np.random.default_rng(seed)
@@ -711,6 +702,8 @@ def run_tradeoff(
     _check_cohorts(cohorts)
     if not decay_grid:
         raise ValueError("decay_grid must not be empty")
+    if len(set(decay_grid)) != len(decay_grid):  # each index draws its own stream
+        raise ValueError(f"decay_grid must not repeat a value, got {tuple(decay_grid)}")
     if blocks < 1:
         raise ValueError(f"blocks must be at least 1, got {blocks}")
     labels = [c[0] for c in cohorts]
@@ -963,8 +956,13 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
       produces a negative share.
 
     Reports one row per property with the worst observed violation.
-    Trials draw in turn from ``default_rng(seed)``, each in a fixed order;
-    the split trajectories then step all trials at once.
+    The properties draw in turn from ``default_rng(seed)``, each trial in a
+    fixed order. A uniform double takes a whole 64-bit word and leaves
+    PCG64's buffered half word alone, so the retention check draws its
+    (trials x 5) uniforms, and each collusion trial its (25 x 2), in one
+    call with the scalar calls' doubles and end state; the other checks mix
+    in bounded integers and keep their calls. The split static values and
+    trajectories are computed for all trials at once.
     """
     if trials < 1:
         # zero trials would check nothing and still report all_passed
@@ -981,7 +979,6 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
 
     # Identity splitting: trajectories and static values are additive.
     # Trial i's shares sit zero-padded in column i; after the draws all trials step at once.
-    worst_static = 0.0
     coins, decays = np.empty(trials), np.empty(trials)
     full = np.zeros(trials, dtype=bool)
     shares = np.zeros((8, trials))
@@ -992,10 +989,9 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
         cuts = np.sort(rng.integers(0, n + 1, size=parts - 1))
         shares[:parts, i] = np.diff(np.concatenate(([0], cuts, [n])))
         coins[i], decays[i], full[i] = n, d, parts == 8
-        params = SystemParams(decay=d)
-        s_whole = static_value(n, params)
-        s_split = sum(static_value(int(c), params) for c in shares[:parts, i])
-        worst_static = max(worst_static, abs(s_split - s_whole) / max(abs(s_whole), 1e-12))
+    # Static values C / d, the parts added left to right as sum() did (the padding adds +0.0).
+    s_whole, s_split = coins / decays, np.add.accumulate(shares / decays)[-1]
+    worst_static = float((np.abs(s_split - s_whole) / np.maximum(np.abs(s_whole), 1e-12)).max())
     whole, split = np.zeros(trials), np.zeros_like(shares)
     worst_traj = 0.0
     for _t in range(40):
@@ -1030,12 +1026,10 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
     # must first buy its standing from the stump (the stump's share of the
     # branch power), and the pipeline never retains more than the whole.
     worst_split_gain = 0.0
-    for _ in range(trials):
-        x = float(rng.uniform(0.1, 500.0))
-        p1 = float(rng.uniform(0.01, 400.0))
-        p2 = float(rng.uniform(0.01, 400.0))
-        b = float(rng.uniform(0.05, 2.0))
-        outside = float(rng.uniform(0.0, 300.0))
+    # each trial's (x, p1, p2, b, outside), the doubles of five scalar uniform calls
+    draws = rng.uniform((0.1, 0.01, 0.01, 0.05, 0.0), (500.0, 400.0, 400.0, 2.0, 300.0),
+                        (trials, 5))
+    for x, p1, p2, b, outside in draws.tolist():
         whole = mining.retain_progressive(x, p1 + p2, outside)
         r1 = mining.retain_progressive(x, p1, b * p2 + outside)
         r2 = mining.retain_progressive(2.0 * x - r1, p2, outside)
@@ -1052,14 +1046,14 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
         d = float(rng.uniform(0.02, 0.3))
         coins = [int(rng.integers(10, 100)) for _u in range(3)]
         active, idle = [0.0] * 3, [0.0] * 3
-        for _t in range(25):
+        # each block's (invoice, jitter), the doubles of two scalar uniform calls
+        for x_ji, jitter in rng.uniform((1.0, 0.0), (50.0, 10.0), (25, 2)).tolist():
             active = [c + (1.0 - d) * p for c, p in zip(coins, active)]
             idle = [c + (1.0 - d) * p for c, p in zip(coins, idle)]
-            x_ji = float(rng.uniform(1, 50))
             before = active[1]
             mining.settle_transfer(active, 2, 1, x_ji, (1, 0), 0.5)
             retained_i = active[1] - before
-            x_ij = max(retained_i, 0.0) + float(rng.uniform(0, 10))
+            x_ij = max(retained_i, 0.0) + jitter
             mining.settle_transfer(active, 1, 2, x_ij, (2, 1, 0), 0.5)
             pair = active[1] + active[2]
             base = idle[1] + idle[2]

@@ -31,6 +31,7 @@ from prestigesim import (
     setup,
     submit_ack,
 )
+from prestigesim.chain import Ledger
 from snapshot_reference import _load_lines
 
 KEYS = setup(128)  # the security level ChainState.genesis derives keys at
@@ -872,6 +873,8 @@ def test_snapshot_account_line_errors_name_the_line(line, message):
     ("# branch-power nan", "line 4: branch_power must be finite and >= 0, got nan"),
     ("# service-fee -1.0", "line 5: service_fee must be finite and >= 0, got -1.0"),
     ("# seed 1.5", "line 6: invalid literal for int() with base 10: '1.5'"),
+    ("# seed -5", "line 6: seed must be in [0, 2**64), got -5"),
+    ("# seed 18446744073709551616", "line 6: seed must be in [0, 2**64), got 18446744073709551616"),
     ("# subsidy -20", "line 7: subsidy must be >= 0, got -20"),
     ("# ack-fee -1", "line 8: ack-fee must be >= 0, got -1"),
     ("# initial-coins x", "line 9: invalid literal for int() with base 10: 'x'"),
@@ -897,6 +900,23 @@ def test_snapshot_header_errors_name_the_line(line, message):
 def test_genesis_rejects_negative_coin_settings(key):
     with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -1$"):
         ChainState.genesis([("a", 5)], SystemParams(decay=0.5), rng_seed=1, **{key: -1})
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+def test_genesis_rejects_a_seed_outside_64_bits(seed):
+    # the range `--seed` accepts and a block's stream takes as one unsigned word
+    with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+        ChainState.genesis([("a", 5)], SystemParams(decay=0.5), rng_seed=seed)
+
+
+def test_ledger_sets_accounts_and_never_removes_them():
+    state = ChainState.genesis([("a", 5)], SystemParams(decay=0.5), rng_seed=1)
+    led = state.accounts
+    assert isinstance(led, Ledger)
+    led["b"] = Account(id="b", coins=3)
+    assert list(led) == ["a", "b"] and led["b"].coins == 3
+    for method in ("__delitem__", "pop", "popitem", "clear", "update", "setdefault"):
+        assert not hasattr(led, method)
 
 
 ANY_ID = st.one_of(st.text(max_size=4), st.from_regex(r"[a-z0-9_.-]{1,4}", fullmatch=True))

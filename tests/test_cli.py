@@ -147,6 +147,17 @@ def test_non_finite_argument_is_rejected_up_front(tmp_path, capsys, name, key, v
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("name, setting, message", [
+    ("tradeoff", "decay_grid=0.3,0.3", "decay_grid must not repeat a value, got (0.3, 0.3)"),
+    ("dag_study", "tasks_range=-3,2", "tasks_range must have 0 <= low <= high, got (-3, 2)"),
+    ("dag_study", "tasks_range=5,2", "tasks_range must have 0 <= low <= high, got (5, 2)"),
+])
+def test_run_refuses_an_argument_the_scenario_cannot_report(tmp_path, capsys, name, setting, message):
+    assert main(["run", name, "--set", setting, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_runtime_failure_exits_3(tmp_path, capsys):
     # the run succeeds, but --out names a regular file, so nothing can be written
     blocker = tmp_path / "not_a_dir"
@@ -404,6 +415,14 @@ def test_step_rejects_a_negative_subsidy(tmp_path, snapshot_file, capsys):
     assert main(["step", str(bad), "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == "malformed snapshot: line 7: subsidy must be >= 0, got -1\n"
     assert not out.exists()
+
+
+def test_step_rejects_a_seed_outside_64_bits(tmp_path, snapshot_file, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(snapshot_file.read_text().replace("# seed 5\n", "# seed -5\n"))
+    assert main(["step", str(bad), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == "malformed snapshot: line 6: seed must be in [0, 2**64), got -5\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_step_reward_past_coin_limit_is_a_runtime_failure(tmp_path, capsys):

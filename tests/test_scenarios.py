@@ -264,6 +264,32 @@ def test_one_batched_draw_matches_scalar_draws(draw):
         assert batched.bit_generator.state == scalar.bit_generator.state
 
 
+_UNIFORM_BATCHES = [  # run_theorem_checks' batched uniforms: the scalar (low, high) per column
+    ((0.1, 500.0), (0.01, 400.0), (0.01, 400.0), (0.05, 2.0), (0.0, 300.0)),  # split, per trial
+    ((1, 50), (0, 10)),  # collusion (invoice, jitter), per block
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), half_word=st.booleans(), n_rows=st.integers(1, 40),
+       bounds=st.sampled_from(_UNIFORM_BATCHES))
+@example(seed=0, half_word=True, n_rows=25, bounds=_UNIFORM_BATCHES[1])
+def test_one_uniform_call_per_batch_replays_scalar_uniforms(seed, half_word, n_rows, bounds):
+    # A (rows x columns) uniform call yields, row after row, the doubles of one
+    # scalar call per cell and leaves the generator where those calls do; a double
+    # takes a whole 64-bit word, so a half word a bounded integer buffered stays put.
+    scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+    if half_word:
+        scalar.integers(10), batched.integers(10)
+        assert batched.bit_generator.state["has_uint32"] == 1
+    want = [float(scalar.uniform(low, high)) for _ in range(n_rows) for low, high in bounds]
+    lows, highs = zip(*bounds)
+    got = batched.uniform(lows, highs, (n_rows, len(bounds)))
+    assert got.tobytes() == np.array(want).tobytes()
+    assert batched.bit_generator.state == scalar.bit_generator.state
+    assert int(batched.integers(10)) == int(scalar.integers(10))
+
+
 # --- dag study -------------------------------------------------------------------
 # seed 42 is the pinned evaluation seed; the statistics below were measured
 # once and frozen, with comfortable margins to the claims they support.
@@ -338,6 +364,10 @@ def test_dag_study_rejects_degenerate_draws():
     # zero fee: every gain is zero
     with pytest.raises(ValueError, match="fee"):
         run_dag_study(n_users=60, n_trees=6, fee=0.0)
+    # a task count is drawn from [low, high]: that must be a range of counts
+    for tasks_range in ((-3, 2), (5, 2), (-1, -1)):
+        with pytest.raises(ValueError, match=r"^tasks_range must have 0 <= low <= high, got "):
+            run_dag_study(n_users=60, n_trees=6, tasks_range=tasks_range)
 
 
 def test_dag_study_gain_decomposition(dag_result):
@@ -539,6 +569,16 @@ def test_tradeoff_validation():
                                         ("rich_lazy", 80, 0.05, 3)))
     with pytest.raises(ValueError, match="decay_grid"):
         run_tradeoff(blocks=5, decay_grid=())
+    for decay_grid in ((1.5, 0.0), (0.5, -0.2)):
+        with pytest.raises(ValueError, match=r"decay must be in \(0, 1\), got"):
+            run_tradeoff(blocks=5, decay_grid=decay_grid)
+    # each index draws its own stream: a repeated decay would get two winners under one key
+    with pytest.raises(ValueError, match=r"decay_grid must not repeat a value, got \(0.3, 0.3\)"):
+        run_tradeoff(blocks=5, decay_grid=(0.3, 0.3))
+    with pytest.raises(ValueError, match="decay_grid must not repeat"):
+        run_tradeoff(blocks=5, decay_grid=(0.1, 0.5, 0.1))
+    with pytest.raises(ValueError, match="blocks"):
+        run_tradeoff(blocks=0)
 
 
 def test_tradeoff_rejects_negative_cohort_coins():
@@ -554,11 +594,6 @@ def test_tradeoff_rejects_work_probability_outside_unit_interval(work_p):
     cohorts = (("rich_lazy", 50, 0.05, 3), ("poor_active", 10, work_p, 3))
     with pytest.raises(ValueError, match=r"cohort 'poor_active' needs a work probability in \[0, 1\]"):
         run_tradeoff(blocks=20, cohorts=cohorts)
-    for decay_grid in ((1.5, 0.0), (0.5, -0.2)):
-        with pytest.raises(ValueError, match=r"decay must be in \(0, 1\), got"):
-            run_tradeoff(blocks=5, decay_grid=decay_grid)
-    with pytest.raises(ValueError, match="blocks"):
-        run_tradeoff(blocks=0)
 
 
 def test_tradeoff_rows_consistent(tradeoff_result):
