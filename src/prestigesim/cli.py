@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import inspect
+import os
 import re
 import sys
 from pathlib import Path
@@ -126,9 +127,60 @@ def _scenario_listing() -> str:
     return "\n".join(lines)
 
 
+# The longest runner; under ``run --all`` a forked worker computes it while
+# the parent runs, renders and writes the others in order.
+_FORKED = "file_distribution"
+
+
+def _worker_pays() -> bool:
+    """Whether fork exists and a second CPU is there to run the worker."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _start_worker(name: str, kwargs: dict[str, object]):
+    """Fork a process computing scenario *name*; return it and the pipe's read end."""
+    import multiprocessing  # here, so that a single run never pays for the import
+
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    worker = context.Process(target=_compute, args=(writer, name, kwargs), daemon=True)
+    worker.start()
+    writer.close()  # the worker holds the only write end, so its death reads as EOF
+    return worker, reader
+
+
+def _compute(writer, name: str, kwargs: dict[str, object]) -> None:
+    """Worker body: send the result, or (is ValueError, message) if the runner raised."""
+    try:
+        result = scenarios.SCENARIOS[name](**kwargs)
+    except Exception as exc:
+        writer.send((isinstance(exc, ValueError), str(exc)))
+    else:
+        writer.send(result)
+
+
+def _receive(worker, reader) -> scenarios.ScenarioResult:
+    """The worker's result; its error is raised again as the in-process loop would see it."""
+    try:
+        received = reader.recv()
+    except EOFError:
+        worker.join()
+        raise RuntimeError(f"its worker exited with code {worker.exitcode}") from None
+    if isinstance(received, tuple):
+        is_value_error, message = received
+        raise (ValueError if is_value_error else RuntimeError)(message)
+    return received
+
+
 def cmd_run(scenario_name: str | None, config_path: str | None, seed: int | None,
             overrides: dict[str, object], output_dir: str) -> int:
-    """Run one scenario, or every scenario when *scenario_name* is None."""
+    """Run one scenario, or every scenario when *scenario_name* is None.
+
+    Every scenario is written in registry order, and the first failure ends
+    the run. For all of them, a forked worker computes ``_FORKED`` meanwhile
+    where a second CPU is there; its result or error is reported at its turn.
+    """
     if scenario_name is None:
         names = scenarios.scenario_names()
         if overrides or config_path is not None:
@@ -151,26 +203,38 @@ def cmd_run(scenario_name: str | None, config_path: str | None, seed: int | None
     if seed is not None:
         kwargs["seed"] = seed
 
-    for name in names:
-        runner = scenarios.SCENARIOS[name]
-        message = _reject_kwargs(runner, kwargs, name)
-        if message:
-            print(message, file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            result = runner(**kwargs)
-        except ValueError as exc:  # the runner rejected an argument value
-            print(f"scenario {name!r} rejected its arguments: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except Exception as exc:  # scenario blew up: report, don't traceback
-            print(f"scenario {name!r} failed: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        try:
-            csv_path, summary_path = result.write(output_dir)
-        except Exception as exc:  # an unwritable --out, a NaN in the summary
-            print(f"scenario {name!r} failed to write: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        print(f"wrote {csv_path} and {summary_path}")
+    worker = reader = None
+    if len(names) > 1 and _worker_pays():
+        worker, reader = _start_worker(_FORKED, kwargs)
+    try:
+        for name in names:
+            runner = scenarios.SCENARIOS[name]
+            message = _reject_kwargs(runner, kwargs, name)
+            if message:
+                print(message, file=sys.stderr)
+                return EXIT_USAGE
+            try:
+                if name == _FORKED and worker is not None:
+                    result = _receive(worker, reader)
+                else:
+                    result = runner(**kwargs)
+            except ValueError as exc:  # the runner rejected an argument value
+                print(f"scenario {name!r} rejected its arguments: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+            except Exception as exc:  # scenario blew up: report, don't traceback
+                print(f"scenario {name!r} failed: {exc}", file=sys.stderr)
+                return EXIT_RUNTIME
+            try:
+                csv_path, summary_path = result.write(output_dir)
+            except Exception as exc:  # an unwritable --out, a NaN in the summary
+                print(f"scenario {name!r} failed to write: {exc}", file=sys.stderr)
+                return EXIT_RUNTIME
+            print(f"wrote {csv_path} and {summary_path}")
+    finally:
+        if worker is not None:
+            worker.kill()
+            worker.join()
+            reader.close()
     return EXIT_OK
 
 

@@ -409,6 +409,8 @@ def run_gain_vs_decay(
     _check_finite(decay_grid=decay_grid, injections=injections)
     if not decay_grid or not injections:
         raise ValueError("decay_grid and injections must not be empty")
+    if len(set(decay_grid)) != len(decay_grid):  # two rows of one decay judge no trend
+        raise ValueError(f"decay_grid must not repeat a value, got {tuple(decay_grid)}")
     if blocks < 1:
         raise ValueError(f"blocks must be at least 1, got {blocks}")
     inj = np.asarray(injections, dtype=np.float64)
@@ -427,13 +429,14 @@ def run_gain_vs_decay(
     )
 
     # Verdicts from total's column per injection: zero drip leaves zero surplus; surplus
-    # scales linearly in the drip; and for any fixed positive drip, it falls as decay rises.
+    # scales linearly in the drip; and for any fixed positive drip, it falls as decay rises
+    # (judged over the rows in ascending decay, whatever order the grid gives).
     zero_ok = bool((total[:, inj == 0.0] == 0.0).all())
     linear_dev = 0.0
     if 1.0 in inj and 2.0 in inj:
         one, two = total[:, inj == 1.0][:, 0], total[:, inj == 2.0][:, 0]
         linear_dev = float(np.max(np.abs(two - 2.0 * one) / np.abs(two)))
-    positive = total[:, inj > 0.0]
+    positive = total[np.argsort(decay_grid)][:, inj > 0.0]
     monotone = bool((positive[:-1] > positive[1:]).all())
     result.summary["blocks"] = blocks
     result.summary["coins"] = coins

@@ -1,14 +1,17 @@
 """Command-line interface: exit codes, file outputs, config plumbing."""
 
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import prestigesim.mining
-from prestigesim import ChainState, SystemParams, run_scenario, save_snapshot
+from prestigesim import ChainState, SystemParams, cli, run_scenario, save_snapshot, scenarios
 from prestigesim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -149,6 +152,7 @@ def test_non_finite_argument_is_rejected_up_front(tmp_path, capsys, name, key, v
 
 @pytest.mark.parametrize("name, setting, message", [
     ("tradeoff", "decay_grid=0.3,0.3", "decay_grid must not repeat a value, got (0.3, 0.3)"),
+    ("gain_vs_decay", "decay_grid=0.1,0.1", "decay_grid must not repeat a value, got (0.1, 0.1)"),
     ("dag_study", "tasks_range=-3,2", "tasks_range must have 0 <= low <= high, got (-3, 2)"),
     ("dag_study", "tasks_range=5,2", "tasks_range must have 0 <= low <= high, got (5, 2)"),
 ])
@@ -186,13 +190,110 @@ def test_run_scale_flag_maps_to_kwarg(tmp_path):
     assert "scale: 2000" in (tmp_path / "file_distribution_summary.txt").read_text()
 
 
-def test_run_all_writes_every_pair(tmp_path):
-    code = main(["run", "--all", "--seed", "11", "--out", str(tmp_path)])
-    assert code == EXIT_OK
-    files = {p.name for p in tmp_path.iterdir()}
-    assert len(files) == 14  # 7 scenarios x (csv + summary)
-    assert "theorem_checks.csv" in files
-    assert "global_summary.txt" in files
+@pytest.fixture
+def forked(monkeypatch):
+    """Run --all through the forked worker whatever the CPU count; return the workers started."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no fork on this platform")
+    started = []
+    start = cli._start_worker
+
+    def recording_start(name, kwargs):
+        worker, reader = start(name, kwargs)
+        started.append(worker)
+        return worker, reader
+
+    monkeypatch.setattr(cli, "_worker_pays", lambda: True)
+    monkeypatch.setattr(cli, "_start_worker", recording_start)
+    return started
+
+
+def scenario_files(names):
+    return {f"{name}{suffix}" for name in names for suffix in (".csv", "_summary.txt")}
+
+
+BEFORE_FORKED = scenarios.scenario_names()[:scenarios.scenario_names().index("file_distribution")]
+
+
+def test_run_all_writes_every_pair(tmp_path, capsys, forked):
+    # the worker's file_distribution and the rest match one in-process run each,
+    # at seed 11, which no pin covers
+    assert main(["run", "--all", "--seed", "11", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(forked) == 1 and multiprocessing.active_children() == []
+    names = scenarios.scenario_names()
+    assert len(names) == 7
+    assert capsys.readouterr().out == "".join(
+        f"wrote {tmp_path / name}.csv and {tmp_path / name}_summary.txt\n" for name in names)
+    assert {p.name for p in tmp_path.iterdir()} == scenario_files(names)
+    for name in names:
+        result = scenarios.SCENARIOS[name](seed=11)
+        assert (tmp_path / f"{name}.csv").read_bytes() == result.csv_text().encode("utf-8")
+        assert (tmp_path / f"{name}_summary.txt").read_bytes() == result.summary_text().encode("utf-8")
+
+
+def _rejects(**kwargs):
+    raise ValueError("scale must leave a task to share")
+
+
+def _fails(**kwargs):
+    raise RuntimeError(f"blew up in process {os.getpid()}")
+
+
+def _dies(**kwargs):
+    os._exit(9)
+
+
+@pytest.mark.parametrize("runner, code, message", [
+    (_rejects, EXIT_USAGE,
+     "scenario 'file_distribution' rejected its arguments: scale must leave a task to share\n"),
+    (_fails, EXIT_RUNTIME, "scenario 'file_distribution' failed: blew up in process "),
+    (_dies, EXIT_RUNTIME, "scenario 'file_distribution' failed: its worker exited with code 9\n"),
+])
+def test_run_all_reports_the_worker_failure_in_scenario_order(
+        tmp_path, capsys, monkeypatch, forked, runner, code, message):
+    # the fork inherits the patched registry
+    monkeypatch.setitem(scenarios.SCENARIOS, "file_distribution", runner)
+    assert main(["run", "--all", "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    if runner is _fails:  # raised in the worker, not in this process
+        assert err != f"{message}{os.getpid()}\n"
+    assert len(forked) == 1 and multiprocessing.active_children() == []
+    assert {p.name for p in tmp_path.iterdir()} == scenario_files(BEFORE_FORKED)
+
+
+def _sleeps(**kwargs):
+    time.sleep(120)
+
+
+def _decay_rejects(**kwargs):
+    raise ValueError("spike blocks out of order")
+
+
+@pytest.mark.parametrize("failure", ["decay_rejects", "unwritable_out"])
+def test_run_all_kills_the_worker_when_an_earlier_scenario_fails(
+        tmp_path, capsys, monkeypatch, forked, failure):
+    monkeypatch.setitem(scenarios.SCENARIOS, "file_distribution", _sleeps)
+    out = tmp_path / "out"
+    if failure == "decay_rejects":
+        monkeypatch.setitem(scenarios.SCENARIOS, "decay", _decay_rejects)
+        expected = (EXIT_USAGE, "scenario 'decay' rejected its arguments: spike blocks out of order\n")
+    else:
+        out.write_text("", encoding="utf-8")  # a regular file, so nothing can be written
+        expected = (EXIT_RUNTIME, "scenario 'decay' failed to write: ")
+    assert main(["run", "--all", "--out", str(out)]) == expected[0]
+    assert capsys.readouterr().err.startswith(expected[1])
+    assert len(forked) == 1 and forked[0].exitcode == -signal.SIGKILL
+    assert multiprocessing.active_children() == []
+    assert not out.is_dir()
+
+
+def test_a_single_run_and_a_single_cpu_start_no_worker(tmp_path, monkeypatch, forked):
+    assert main(["run", "gain_vs_decay", "--set", "blocks=20", "--out", str(tmp_path)]) == EXIT_OK
+    assert forked == []
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._worker_pays() is False
 
 
 def test_run_all_and_check_never_import_scipy(tmp_path):

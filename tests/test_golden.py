@@ -75,7 +75,7 @@ NON_DEFAULT_PINS = [
      "88589db21f820181d31c0d46736117ef40bf85a724f91b5ba48d627ba36549d7"),
     ("gain_vs_decay", dict(decay_grid=(0.5, 0.02), injections=(3.0, 0.0, 7.5), blocks=500),
      "1e0358740ea8d0febda74c06805e1143b0577eaa1b6e6854f62cb1b2cb7f9e42",
-     "87f289a84957088e28b87ee61dbeaf78ac05ae238b1dd5cbfbc636d6c7217b50"),
+     "b7ca3b10ade79cbe25983ea6a5e0ce7b7a655a5c072fab3d01757be3c8f7cd7d"),
     ("tradeoff", dict(seed=2, blocks=150, decay_grid=(0.7, 0.05, 0.3)),
      "e291620b31d11aa97c79d521b3c0e912567e33ada011571a46fda62ed205c47e",
      "558742bd14e3f6e635ec12222da1eaa75a64a9fd3f3d6538c92c3e33ca26b25b"),

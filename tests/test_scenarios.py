@@ -165,6 +165,22 @@ def test_gain_vs_decay_verdicts():
     assert result.summary["surplus_decreasing_in_decay"] is True
 
 
+def test_gain_vs_decay_rejects_a_repeated_decay():
+    # two rows of one decay hold equal surplus, which no strict trend can pass
+    with pytest.raises(ValueError, match=r"decay_grid must not repeat a value, got \(0.1, 0.1\)"):
+        run_gain_vs_decay(blocks=20, decay_grid=(0.1, 0.1))
+    with pytest.raises(ValueError, match="decay_grid must not repeat"):
+        run_gain_vs_decay(blocks=20, decay_grid=(0.5, 0.1, 0.5))
+
+
+@pytest.mark.parametrize("decay_grid", [(0.5, 0.1), (0.2, 0.99, 0.01), (0.99, 0.5, 0.2, 0.05)])
+def test_gain_vs_decay_judges_the_trend_in_ascending_decay(decay_grid):
+    # the grid's order is the rows' order, not the order the verdict reads them in
+    result = run_gain_vs_decay(blocks=20, decay_grid=decay_grid)
+    assert result.summary["surplus_decreasing_in_decay"] is True
+    assert [row[0] for row in result.rows[::5]] == list(decay_grid)
+
+
 # --- forest growth ---------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
