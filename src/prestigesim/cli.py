@@ -12,10 +12,10 @@ Exit codes: 0 success, 1 property violation, 2 usage/config error
 failure.  All outputs land under the ``--out`` directory.
 
 Config files are INI-style: a ``[scenario]`` section of flat key=value
-pairs passed to the runner, plus optional ``[cohort <label>]`` sections
-(keys ``coins``, ``work_probability``, ``count``) for the cohort-based
-scenarios.  ``--set key=value`` overrides take precedence, and ``--seed``
-overrides those.
+pairs, plus optional ``[cohort <label>]`` sections (keys ``coins``,
+``work_probability``, ``count``) for the cohort-based scenarios.
+``--set key=value`` overrides take precedence, and ``--seed`` overrides
+those.  Each value is parsed as the runner's type annotation declares it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,10 @@ import inspect
 import os
 import re
 import sys
+from collections.abc import Sequence
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import scenarios
 from .chain import advance_block, load_snapshot, save_snapshot
@@ -40,50 +43,49 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-def _coerce(text: str) -> object:
-    """Parse a config/override value: int, then float, then bool, then str.
+_NOUNS = {int: "an integer", float: "a number", str: "text"}
 
-    Comma-separated values become a tuple, so grid kwargs are settable
-    (e.g. ``--set decay_grid=0.05,0.5``; a trailing comma makes a 1-tuple).
+
+def _setting(text: str) -> tuple[str, str]:
+    """One ``--set KEY=VALUE`` as (key, value text); argparse reports a malformed one."""
+    key, sep, value = text.partition("=")
+    if not sep or not key.strip():
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    return key.strip(), value.strip()
+
+
+def _parse(hint, text: str) -> object:
+    """*text* as the type *hint* declares it, or ValueError saying what it must be.
+
+    A scalar calls its type; ``X | None`` parses as ``X``; ``tuple[A, B]``
+    takes exactly that many comma-separated parts and ``Sequence[A]`` any
+    number (blank parts are dropped, so ``,`` is empty and ``0.5,`` one part).
+    Anything nested cannot be given as text.
     """
-    if "," in text:
-        return tuple(_coerce(part.strip()) for part in text.split(",") if part.strip())
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if text.lower() in ("true", "yes", "on"):
-        return True
-    if text.lower() in ("false", "no", "off"):
-        return False
-    return text
-
-
-def _parse_overrides(pairs: list[str]) -> dict[str, object]:
-    out: dict[str, object] = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise ValueError(f"--set expects key=value, got {pair!r}")
-        out[key.strip()] = _coerce(value.strip())
-    return out
+    if isinstance(hint, UnionType):  # None is only ever the default
+        (hint,) = set(get_args(hint)) - {type(None)}
+    if hint in _NOUNS:
+        try:
+            return hint(text)
+        except ValueError:
+            raise ValueError(f"must be {_NOUNS[hint]}, got {text!r}") from None
+    origin, args = get_origin(hint), get_args(hint)
+    if origin not in (tuple, Sequence) or not set(args) <= set(_NOUNS):
+        raise ValueError(f"cannot be given as text, got {text!r}")
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if origin is tuple and len(parts) != len(args):
+        raise ValueError(f"must be {len(args)} comma-separated values, got {text!r}")
+    kinds = args if origin is tuple else args * len(parts)
+    return tuple(_parse(kind, part) for kind, part in zip(kinds, parts))
 
 
 def _load_config(path: str) -> dict[str, object]:
-    """Read an INI config into runner kwargs (cohort sections included)."""
+    """Read an INI config into runner kwargs: ``[scenario]`` values as text, cohorts as tuples."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(path)
-    kwargs: dict[str, object] = {}
-    if parser.has_section("scenario"):
-        for key, value in parser.items("scenario"):
-            kwargs[key] = _coerce(value)
+    kwargs: dict[str, object] = dict(parser.items("scenario")) if parser.has_section("scenario") else {}
     cohorts = []
     for section in parser.sections():
         if not section.startswith("cohort "):
@@ -100,23 +102,23 @@ def _load_config(path: str) -> dict[str, object]:
     return kwargs
 
 
-def _reject_kwargs(runner, kwargs: dict[str, object], name: str) -> str | None:
-    """Return an error message if kwargs contains keys the runner lacks, or a
-    value that is not a number where the runner's default is one."""
-    params = inspect.signature(runner).parameters
-    unknown = sorted(set(kwargs) - set(params))
+def _arguments(name: str, given: dict[str, object]) -> dict[str, object]:
+    """Scenario *name*'s kwargs, each text value parsed as its runner declares; other values
+    (``--seed``, cohorts) pass through. ValueError for an unknown key or text that does not parse."""
+    hints = get_type_hints(scenarios.SCENARIOS[name])
+    hints.pop("return", None)
+    unknown = sorted(set(given) - set(hints))
     if unknown:
-        return (
-            f"scenario {name!r} does not accept: {', '.join(unknown)}\n"
-            f"valid keys: {', '.join(sorted(params))}"
-        )
-    number = (int, float)
-    for key, value in kwargs.items():
-        default = params[key].default
-        if isinstance(default, number) and not isinstance(default, bool) and (
-                isinstance(value, bool) or not isinstance(value, number)):
-            return f"scenario {name!r}: {key} must be a number, got {value!r}"
-    return None
+        raise ValueError(f"scenario {name!r} does not accept: {', '.join(unknown)}\n"
+                         f"valid keys: {', '.join(sorted(hints))}")
+    kwargs = dict(given)
+    for key, value in given.items():
+        if isinstance(value, str):
+            try:
+                kwargs[key] = _parse(hints[key], value)
+            except ValueError as exc:
+                raise ValueError(f"scenario {name!r}: {key} {exc}") from None
+    return kwargs
 
 
 def _scenario_listing() -> str:
@@ -177,6 +179,9 @@ def cmd_run(scenario_name: str | None, config_path: str | None, seed: int | None
             overrides: dict[str, object], output_dir: str) -> int:
     """Run one scenario, or every scenario when *scenario_name* is None.
 
+    Text values in the config and *overrides* are parsed per runner, as its
+    signature declares them.
+
     Every scenario is written in registry order, and the first failure ends
     the run. For all of them, a forked worker computes ``_FORKED`` meanwhile
     where a second CPU is there; its result or error is reported at its turn.
@@ -208,16 +213,16 @@ def cmd_run(scenario_name: str | None, config_path: str | None, seed: int | None
         worker, reader = _start_worker(_FORKED, kwargs)
     try:
         for name in names:
-            runner = scenarios.SCENARIOS[name]
-            message = _reject_kwargs(runner, kwargs, name)
-            if message:
-                print(message, file=sys.stderr)
+            try:
+                arguments = _arguments(name, kwargs)
+            except ValueError as exc:
+                print(exc, file=sys.stderr)
                 return EXIT_USAGE
             try:
                 if name == _FORKED and worker is not None:
                     result = _receive(worker, reader)
                 else:
-                    result = runner(**kwargs)
+                    result = scenarios.SCENARIOS[name](**arguments)
             except ValueError as exc:  # the runner rejected an argument value
                 print(f"scenario {name!r} rejected its arguments: {exc}", file=sys.stderr)
                 return EXIT_USAGE
@@ -239,11 +244,11 @@ def cmd_run(scenario_name: str | None, config_path: str | None, seed: int | None
 
 
 def cmd_check(seed: int, trials: int) -> int:
-    if trials < 1:
-        print(f"--trials must be a positive integer, got {trials}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         report = scenarios.run_theorem_checks(seed=seed, trials=trials)
+    except ValueError as exc:  # the runner rejected an argument value
+        print(f"check rejected its arguments: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:
         print(f"check failed to run: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -322,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="INI config file")
     run.add_argument("--seed", type=int, help="RNG seed (unsigned 64-bit)")
     run.add_argument("--out", default=".", help="output directory (default: .)")
-    run.add_argument("--set", dest="sets", action="append", default=[],
+    run.add_argument("--set", dest="sets", action="append", default=[], type=_setting,
                      metavar="KEY=VALUE", help="override one runner argument")
 
     check = sub.add_parser("check", help="randomized fairness-property verification")
@@ -359,17 +364,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "check":
         return cmd_check(args.seed, args.trials)
 
-    try:
-        overrides = _parse_overrides(args.sets)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    if args.scenario is None and not args.all:
+    if (args.scenario is None) != args.all:
         print("run: give a scenario name or --all\navailable:\n"
               f"{_scenario_listing()}", file=sys.stderr)
         return EXIT_USAGE
-    name = None if args.all else args.scenario
-    return cmd_run(name, args.config, args.seed, overrides, args.out)
+    return cmd_run(args.scenario, args.config, args.seed, dict(args.sets), args.out)
 
 
 if __name__ == "__main__":  # pragma: no cover

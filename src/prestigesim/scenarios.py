@@ -854,8 +854,8 @@ def run_file_distribution(
     pool_size = viewers_high
     creator = pool_size  # position after the pool in prestige and tasks_served
 
-    def one_run(fee_value: float, branch_value: float, stream: int):
-        rng = np.random.default_rng([seed, stream])
+    def one_run(fee_value: float, branch_value: float):
+        rng = np.random.default_rng([seed, 0])
         # the pool's base prestige, then the creator's, in one call: the words of a scalar call each
         draws = rng.integers(base_range[0], base_range[1] + 1, size=pool_size + 1)
         prestige = [float(v) for v in draws.tolist()]
@@ -883,8 +883,7 @@ def run_file_distribution(
         return base, prestige, tasks_served, episodes_joined, rewards, n_tasks, simple_bytes, path_bytes
 
     base, prestige, tasks_served, episodes_joined, rewards, n_tasks, simple_bytes, path_bytes = one_run(
-        fee, branch_power, 0
-    )
+        fee, branch_power)
 
     result = ScenarioResult(
         "file_distribution",
@@ -917,7 +916,7 @@ def run_file_distribution(
         typicals = []
         for f_alt in fee_grid:
             for b_alt in branch_grid:
-                *_, alt_rewards, _, _, _ = one_run(float(f_alt), float(b_alt), 0)
+                *_, alt_rewards, _, _, _ = one_run(float(f_alt), float(b_alt))
                 alt_paid = alt_rewards[alt_rewards > 0]
                 typ = _interquartile_mean(alt_paid)
                 typicals.append(typ)

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, file outputs, config plumbing."""
 
+import inspect
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
+import typing
 from pathlib import Path
 
 import pytest
@@ -78,6 +80,12 @@ def test_run_without_name(capsys):
     assert "give a scenario name or --all" in capsys.readouterr().err
 
 
+def test_run_refuses_a_name_with_all(tmp_path, capsys):
+    assert main(["run", "decay", "--all", "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "give a scenario name or --all" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_malformed_set(capsys):
     assert main(["run", "decay", "--set", "no_equals_sign"]) == EXIT_USAGE
 
@@ -124,8 +132,74 @@ def test_run_mistyped_set_exits_2(tmp_path, capsys):
     # blocks defaults to an int, so a value that parses as no number is a usage error
     for value in ("abc", "true"):
         assert main(["run", "decay", "--set", f"blocks={value}", "--out", str(tmp_path)]) == EXIT_USAGE
-        assert "blocks must be a number" in capsys.readouterr().err
+        assert "blocks must be an integer" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name, setting, message", [
+    ("dag_study", "n_users=1e3", "scenario 'dag_study': n_users must be an integer, got '1e3'"),
+    ("decay", "blocks=2.5e2", "scenario 'decay': blocks must be an integer, got '2.5e2'"),
+    ("global", "mode=5", "unknown mining mode '5'"),
+    ("dag_study", "modes=3", "unknown mining mode '3'"),
+    ("decay", "users=5", "scenario 'decay': users cannot be given as text, got '5'"),
+    ("dag_study", "base_range=5",
+     "scenario 'dag_study': base_range must be 2 comma-separated values, got '5'"),
+    ("dag_study", "tasks_range=1,x", "scenario 'dag_study': tasks_range must be an integer, got 'x'"),
+    ("global", "window=abc", "scenario 'global': window must be an integer, got 'abc'"),
+    ("global", "cohorts=5", "scenario 'global': cohorts cannot be given as text, got '5'"),
+    ("gain_vs_decay", "decay_grid=0.5,x", "scenario 'gain_vs_decay': decay_grid must be a number, got 'x'"),
+    ("decay", "spike=abc", "scenario 'decay': spike must be a number, got 'abc'"),
+    ("dag_study", "fanout=2.0", "scenario 'dag_study': fanout must be an integer, got '2.0'"),
+])
+def test_run_parses_each_value_as_the_runner_declares(tmp_path, capsys, name, setting, message):
+    # the mining mode is a str, so the runner itself refuses one it does not know
+    assert main(["run", name, "--set", setting, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", list(scenarios.SCENARIOS))
+def test_every_runner_parameter_carries_an_annotation(name):
+    runner = scenarios.SCENARIOS[name]
+    hints = typing.get_type_hints(runner)
+    del hints["return"]
+    assert set(hints) == set(inspect.signature(runner).parameters)
+
+
+def test_run_numbers_take_the_declared_type(tmp_path):
+    # integer text for a float parameter writes the default's bytes
+    outputs = []
+    for extra in (["--set", "spike=200"], ["--set", "spike=200.0"], []):
+        out = tmp_path / str(len(outputs))
+        assert main(["run", "decay", "--out", str(out), *extra]) == EXIT_OK
+        outputs.append([(out / f).read_bytes() for f in ("decay.csv", "decay_summary.txt")])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert main(["run", "file_distribution", "--set", "scale=20000", "--set", "fee_grid=150,600",
+                 "--set", "branch_grid=0.5", "--out", str(tmp_path / "fd")]) == EXIT_OK
+    summary = (tmp_path / "fd" / "file_distribution_summary.txt").read_text()
+    assert "combo_f150.0_b0.5.top_cents:" in summary
+    assert "combo_f600.0_b0.5.top_cents:" in summary
+
+
+def test_a_single_value_fills_a_one_element_grid(tmp_path):
+    assert main(["run", "gain_vs_decay", "--set", "decay_grid=0.5", "--set", "blocks=200",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    rows = (tmp_path / "gain_vs_decay.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.5"] * 5  # one decay x 5 injections
+    assert main(["run", "dag_study", "--set", "modes=progressive", "--set", "n_users=200",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    rows = (tmp_path / "dag_study.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"progressive"}
+
+
+def test_file_distribution_with_nobody_in_credit_pays_nothing(tmp_path):
+    # a fee no joiner can earn back leaves no pool member with positive prestige
+    assert main(["run", "file_distribution", "--set", "fee=1e9", "--set", "scale=20000",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "file_distribution_summary.txt").read_text().splitlines()
+    for line in ("rewards_sum_cents: 0", "budget_exact: false", "fraction_paid: 0.0",
+                 "typical_reward_cents: 0.0"):
+        assert line in lines
 
 
 NAN = float("nan")
@@ -155,6 +229,10 @@ def test_non_finite_argument_is_rejected_up_front(tmp_path, capsys, name, key, v
     ("gain_vs_decay", "decay_grid=0.1,0.1", "decay_grid must not repeat a value, got (0.1, 0.1)"),
     ("dag_study", "tasks_range=-3,2", "tasks_range must have 0 <= low <= high, got (-3, 2)"),
     ("dag_study", "tasks_range=5,2", "tasks_range must have 0 <= low <= high, got (5, 2)"),
+    ("dag_study", "fanout=0", "fanout must be at least 1"),
+    ("file_distribution", "fanout=0", "fanout must be at least 1"),
+    ("file_distribution", "scale=0", "scale must be a positive integer"),
+    ("file_distribution", "scale=20000000", "scale too aggressive: zero viewers per episode"),
 ])
 def test_run_refuses_an_argument_the_scenario_cannot_report(tmp_path, capsys, name, setting, message):
     assert main(["run", name, "--set", setting, "--out", str(tmp_path / "out")]) == EXIT_USAGE
@@ -398,6 +476,11 @@ def test_check_passes_and_prints_every_property(capsys):
 def test_check_rejects_bad_trials(capsys):
     assert main(["check", "--trials", "0"]) == EXIT_USAGE
     assert main(["check", "--trials", "-5"]) == EXIT_USAGE
+
+
+def test_check_reports_the_runners_refusal(capsys):
+    assert main(["check", "--trials", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "check rejected its arguments: trials must be at least 1, got 0\n"
 
 
 def test_check_rejects_bad_seed(capsys):
