@@ -156,6 +156,14 @@ def encode_ack_message(task_id: bytes, vk: bytes, amount: int) -> bytes:
     return b"".join((task_id, vk, amount.to_bytes(AMOUNT_BYTES, "big")))  # bytes from any buffer
 
 
+def _keep_message(record: SimpleAck | PathHop, vk: bytes) -> bytes:
+    """Encode the (task id, *vk*, amount) payload *record* signs and keep it there, as its
+    fields are frozen; an encoding that raises (``AmountOverflow`` included) keeps nothing."""
+    message = encode_ack_message(record.task_id, vk, record.amount)
+    object.__setattr__(record, "_message", message)
+    return message
+
+
 @dataclass(frozen=True, slots=True)
 class SimpleAck:
     """Single-task receipt; fixed 102-byte encoding."""
@@ -167,15 +175,8 @@ class SimpleAck:
     _message: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def message(self) -> bytes:
-        """The signed payload, encoded on first use and kept (the fields are frozen).
-
-        An encoding that raises (``AmountOverflow`` included) keeps nothing.
-        """
-        message = self._message
-        if message is None:
-            message = encode_ack_message(self.task_id, self.contributor_vk, self.amount)
-            object.__setattr__(self, "_message", message)
-        return message
+        """The signed payload, encoded on first use and kept."""
+        return self._message or _keep_message(self, self.contributor_vk)
 
     def to_bytes(self) -> bytes:
         return self.message() + self.signature
@@ -187,13 +188,8 @@ class SimpleAck:
     def from_bytes(cls, raw: bytes) -> "SimpleAck":
         if len(raw) != SIMPLE_ACK_BYTES:
             raise ValueError(f"simple ack must be {SIMPLE_ACK_BYTES} bytes, got {len(raw)}")
-        raw = bytes(raw)  # immutable fields from any buffer, so a kept message cannot go stale
-        task_id = raw[:TASK_ID_BYTES]
-        vk = raw[TASK_ID_BYTES : TASK_ID_BYTES + VK_BYTES]
-        off = TASK_ID_BYTES + VK_BYTES
-        amount = int.from_bytes(raw[off : off + AMOUNT_BYTES], "big")
-        sig = raw[off + AMOUNT_BYTES :]
-        return cls(task_id=task_id, contributor_vk=vk, amount=amount, signature=sig)
+        hop = PathHop.from_bytes(raw[:PATH_HOP_BYTES])
+        return cls(hop.task_id, hop.vk, hop.amount, bytes(raw[PATH_HOP_BYTES:]))
 
     @classmethod
     def from_hex(cls, text: str) -> "SimpleAck":
@@ -236,12 +232,8 @@ class PathHop:
     _message: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def message(self) -> bytes:
-        """The signed payload, encoded on first use and kept, as ``SimpleAck.message``."""
-        message = self._message
-        if message is None:
-            message = encode_ack_message(self.task_id, self.vk, self.amount)
-            object.__setattr__(self, "_message", message)
-        return message
+        """The signed payload, encoded on first use and kept."""
+        return self._message or _keep_message(self, self.vk)
 
     def to_bytes(self) -> bytes:
         return self.message()
@@ -250,7 +242,7 @@ class PathHop:
     def from_bytes(cls, raw: bytes) -> "PathHop":
         if len(raw) != PATH_HOP_BYTES:
             raise ValueError(f"path hop must be {PATH_HOP_BYTES} bytes")
-        raw = bytes(raw)  # as in SimpleAck.from_bytes
+        raw = bytes(raw)  # immutable fields from any buffer, so a kept message cannot go stale
         task_id = raw[:TASK_ID_BYTES]
         vk = raw[TASK_ID_BYTES : TASK_ID_BYTES + VK_BYTES]
         amount = int.from_bytes(raw[TASK_ID_BYTES + VK_BYTES :], "big")
@@ -288,7 +280,7 @@ class PathAck:
         body = len(raw) - PATH_ACK_BASE_BYTES
         if body <= 0 or body % PATH_HOP_BYTES != 0:
             raise ValueError(f"path ack length {len(raw)} is not 33 + 69*n")
-        raw = bytes(raw)  # as in SimpleAck.from_bytes
+        raw = bytes(raw)  # as in PathHop.from_bytes
         hops = tuple(
             PathHop.from_bytes(raw[i : i + PATH_HOP_BYTES])
             for i in range(0, body, PATH_HOP_BYTES)

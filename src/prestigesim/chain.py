@@ -38,14 +38,15 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .acks import VK_BYTES, PathAck, SimpleAck, keygen, setup, verify_path_ack, verify_simple_ack
 # step_account and apply_transfer go unused here: perfbench/tracing.py patches
 # chain.step_account and chain.apply_transfer by name.
-from .core import Account, SystemParams, check_account, step_account  # noqa: F401
+from .core import Account, SystemParams, check_account, finite_nonnegative, step_account  # noqa: F401
 from .errors import (
     DuplicateTask,
     InsufficientFunds,
@@ -273,20 +274,32 @@ def _count(name: str, value: int | str) -> int:
     return value
 
 
-# Each header's value, parsed and checked at its line (a parameter by SystemParams,
-# beside a valid decay); an unknown key is kept as text. The order is the one
-# save_snapshot writes.
-_HEADER_VALUES = {
-    "height": lambda v: _count("height", v),
-    "decay": lambda v: SystemParams(decay=float(v)).decay,
-    "branch-power": lambda v: SystemParams(0.5, branch_power=float(v)).branch_power,
-    "service-fee": lambda v: SystemParams(0.5, service_fee=float(v)).service_fee,
-    "seed": lambda v: _seed(int(v)),
-    "subsidy": lambda v: _count("subsidy", v),
-    "ack-fee": lambda v: _count("ack-fee", v),
-    "initial-coins": int,
-    "fees-pending": lambda v: _count("fees-pending", v),
+class _Header(NamedTuple):
+    """A snapshot header: the state attribute ``save_snapshot`` writes by str (a Python
+    float's repr: SystemParams holds floats), and the parse and check ``load_snapshot``
+    reads its text with, by calling the header."""
+
+    attribute: str
+    parse: Callable[[str], object]
+
+    def __call__(self, text: str) -> object:
+        return self.parse(text)
+
+
+# In write order; save_snapshot writes all nine through the two values derived below.
+_HEADERS = {
+    "height": _Header("height", lambda v: _count("height", v)),
+    "decay": _Header("params.decay", lambda v: SystemParams(decay=float(v)).decay),
+    "branch-power": _Header("params.branch_power", lambda v: finite_nonnegative("branch_power", float(v))),
+    "service-fee": _Header("params.service_fee", lambda v: finite_nonnegative("service_fee", float(v))),
+    "seed": _Header("rng_seed", lambda v: _seed(int(v))),
+    "subsidy": _Header("subsidy", lambda v: _count("subsidy", v)),
+    "ack-fee": _Header("ack_fee", lambda v: _count("ack-fee", v)),
+    "initial-coins": _Header("initial_coins", int),
+    "fees-pending": _Header("fees_pending", lambda v: _count("fees-pending", v)),
 }
+_HEADER_LINES = "\n".join(f"# {key} %s" for key in _HEADERS)
+_HEADER_STATE = attrgetter(*(header.attribute for header in _HEADERS.values()))
 
 
 def _check_snapshot_safe(acct_id: str, prestige: float) -> None:
@@ -531,28 +544,13 @@ def save_snapshot(state: ChainState) -> str:
             or not np.isfinite(led.prestige).all()):
         for acct_id, p in zip(led.ids, led.prestige.tolist()):
             _check_snapshot_safe(acct_id, p)
-    lines = [f"# {SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}"]
-    lines.append(f"# height {state.height}")
-    lines.append(f"# decay {state.params.decay!r}")
-    lines.append(f"# branch-power {state.params.branch_power!r}")
-    lines.append(f"# service-fee {state.params.service_fee!r}")
-    lines.append(f"# seed {state.rng_seed}")
-    lines.append(f"# subsidy {state.subsidy}")
-    lines.append(f"# ack-fee {state.ack_fee}")
-    lines.append(f"# initial-coins {state.initial_coins}")
-    lines.append(f"# fees-pending {state.fees_pending}")
-    for root in state.dag.roots:
-        lines.append(f"# root {root}")
-    for node in state.dag.nodes:
-        parent = state.dag.parent(node)
-        if parent is not None:
-            lines.append(f"# edge {node} {parent}")
-    for sched in state.motivator_rewards:
-        lines.append(
-            f"# reward {sched.funder} {sched.coins_per_block} {sched.remaining_blocks}"
-        )
-    for task in sorted(state.seen_tasks):
-        lines.append(f"# seen {task.hex()}")
+    lines = [f"# {SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}", _HEADER_LINES % _HEADER_STATE(state)]
+    parents = state.dag.parents
+    lines += [f"# root {node}" for node, parent in parents.items() if parent is None]
+    lines += [f"# edge {node} {parent}" for node, parent in parents.items() if parent is not None]
+    lines += [f"# reward {s.funder} {s.coins_per_block} {s.remaining_blocks}"
+              for s in state.motivator_rewards]
+    lines += [f"# seen {task.hex()}" for task in sorted(state.seen_tasks)]
     columns = zip(led.ids, led.coins.tolist(), led.prestige.tolist(), led.keys)
     lines += [f"{acct_id},{coins},{p!r},{vk.hex()}" for acct_id, coins, p, vk in columns]
     return "\n".join(lines) + "\n"
@@ -607,7 +605,7 @@ def load_snapshot(text: str) -> ChainState:
                     rewards.append(RewardSchedule(value, _count("coins_per_block", parts[2]),
                                                   _count("remaining_blocks", parts[3])))
                 else:
-                    header[key] = _HEADER_VALUES.get(key, str)(value)
+                    header[key] = _HEADERS.get(key, str)(value)
             except (ValueError, IndexError) as exc:
                 _check_account_lines(rows, at)  # an earlier account line may be bad too
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
@@ -615,11 +613,7 @@ def load_snapshot(text: str) -> ChainState:
         accounts = _ledger(rows, at)
         if header.get("version") != str(SNAPSHOT_VERSION):
             raise SnapshotError("missing or unsupported snapshot header")
-        params = SystemParams(
-            decay=header["decay"],
-            branch_power=header["branch-power"],
-            service_fee=header["service-fee"],
-        )
+        params = SystemParams(header["decay"], header["branch-power"], header["service-fee"])
         for node in dag.nodes:
             if node not in accounts.pos:
                 raise SnapshotError(f"DAG node {node!r} has no account line")

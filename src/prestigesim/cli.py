@@ -103,8 +103,8 @@ def _load_config(path: str) -> dict[str, object]:
 
 
 def _arguments(name: str, given: dict[str, object]) -> dict[str, object]:
-    """Scenario *name*'s kwargs, each text value parsed as its runner declares; other values
-    (``--seed``, cohorts) pass through. ValueError for an unknown key or text that does not parse."""
+    """Scenario *name*'s kwargs, each text value parsed as its runner declares, others passed
+    through. ValueError for an unknown key, unparsable text or a seed outside [0, 2**64)."""
     hints = get_type_hints(scenarios.SCENARIOS[name])
     hints.pop("return", None)
     unknown = sorted(set(given) - set(hints))
@@ -118,6 +118,8 @@ def _arguments(name: str, given: dict[str, object]) -> dict[str, object]:
                 kwargs[key] = _parse(hints[key], value)
             except ValueError as exc:
                 raise ValueError(f"scenario {name!r}: {key} {exc}") from None
+    if not 0 <= kwargs.get("seed", 0) < 2**64:
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {kwargs['seed']}")
     return kwargs
 
 
@@ -208,21 +210,22 @@ def cmd_run(scenario_name: str | None, config_path: str | None, seed: int | None
     if seed is not None:
         kwargs["seed"] = seed
 
+    try:
+        arguments = {name: _arguments(name, kwargs) for name in names}
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+
     worker = reader = None
     if len(names) > 1 and _worker_pays():
-        worker, reader = _start_worker(_FORKED, kwargs)
+        worker, reader = _start_worker(_FORKED, arguments[_FORKED])
     try:
         for name in names:
-            try:
-                arguments = _arguments(name, kwargs)
-            except ValueError as exc:
-                print(exc, file=sys.stderr)
-                return EXIT_USAGE
             try:
                 if name == _FORKED and worker is not None:
                     result = _receive(worker, reader)
                 else:
-                    result = scenarios.SCENARIOS[name](**arguments)
+                    result = scenarios.SCENARIOS[name](**arguments[name])
             except ValueError as exc:  # the runner rejected an argument value
                 print(f"scenario {name!r} rejected its arguments: {exc}", file=sys.stderr)
                 return EXIT_USAGE
@@ -244,8 +247,9 @@ def cmd_run(scenario_name: str | None, config_path: str | None, seed: int | None
 
 
 def cmd_check(seed: int, trials: int) -> int:
-    try:
-        report = scenarios.run_theorem_checks(seed=seed, trials=trials)
+    try:  # through _arguments, which holds the seed to run's rule
+        arguments = _arguments("theorem_checks", {"seed": seed, "trials": trials})
+        report = scenarios.run_theorem_checks(**arguments)
     except ValueError as exc:  # the runner rejected an argument value
         print(f"check rejected its arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -355,11 +359,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "step":
         return cmd_step(args.state_file, args.blocks, args.out)
-
-    # run and check both take --seed
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        print("--seed must fit in an unsigned 64-bit integer", file=sys.stderr)
-        return EXIT_USAGE
 
     if args.command == "check":
         return cmd_check(args.seed, args.trials)

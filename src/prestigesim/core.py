@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Global knobs of the reward system.
+    """Global knobs of the reward system, each held as a Python float.
 
     decay:        fraction of prestige lost per block (0 < decay < 1)
     branch_power: multiplier b applied to ancestor prestige when computing
@@ -38,10 +38,16 @@ class SystemParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.decay < 1.0):
             raise ValueError(f"decay must be in (0, 1), got {self.decay}")
-        if not 0.0 <= self.branch_power < math.inf:  # NaN fails too
-            raise ValueError(f"branch_power must be finite and >= 0, got {self.branch_power}")
-        if not 0.0 <= self.service_fee < math.inf:
-            raise ValueError(f"service_fee must be finite and >= 0, got {self.service_fee}")
+        object.__setattr__(self, "decay", float(self.decay))
+        for name in ("branch_power", "service_fee"):
+            object.__setattr__(self, name, finite_nonnegative(name, getattr(self, name)))
+
+
+def finite_nonnegative(name: str, value: float) -> float:
+    """*value* as a Python float, or ValueError naming *name* unless it is finite and >= 0."""
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True)

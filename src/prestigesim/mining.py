@@ -50,13 +50,14 @@ class MiningMode(str, enum.Enum):
     PROGRESSIVE = "progressive"
 
     @classmethod
-    def parse(cls, label: str | MiningMode) -> "MiningMode":
+    def parse(cls, label: str | MiningMode, key: str = "mode") -> "MiningMode":
         if isinstance(label, MiningMode):
             return label
         try:
             return cls(label.lower())
-        except ValueError:
-            raise ValueError(f"unknown mining mode {label!r}; expected 'simple' or 'progressive'") from None
+        except ValueError:  # naming the argument, *key*, the label came in
+            raise ValueError(f"{key}: unknown mining mode {label!r}; "
+                             "expected 'simple' or 'progressive'") from None
 
 
 class MiningDag:

@@ -30,7 +30,7 @@ import numpy as np
 from . import mining
 from .acks import PATH_ACK_BASE_BYTES, PATH_HOP_BYTES, SIMPLE_ACK_BYTES
 # step_account and apply_transfer go unused here: perfbench/tracing.py patches them by name.
-from .core import SystemParams, static_value, step_account  # noqa: F401
+from .core import SystemParams, finite_nonnegative, static_value, step_account  # noqa: F401
 from .mining import MiningMode, apply_transfer  # noqa: F401
 
 __all__ = [
@@ -236,12 +236,24 @@ def _user_ids(n: int) -> list[str]:
     return [f"u{str(i).zfill(width)}" for i in range(n)]
 
 
-def _check_finite(**values: float | Sequence[float]) -> None:
-    """Raise ValueError naming the first argument, or grid, holding a NaN or infinity."""
+def _check_finite(*, nonnegative: bool = False, **values: float | Sequence[float]) -> None:
+    """Raise ValueError naming the first argument, or grid, holding a NaN or infinity or,
+    if *nonnegative*, a value below 0: the rule ``SystemParams`` holds its knobs to."""
     for name, value in values.items():
         for v in value if isinstance(value, (tuple, list)) else (value,):
-            if not math.isfinite(v):
+            if nonnegative:
+                finite_nonnegative(name, v)
+            elif not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
+
+
+def _check_grid(**grids: Sequence) -> None:
+    """Raise ValueError naming the first grid that is empty or repeats a value."""
+    for name, grid in grids.items():
+        if not grid:
+            raise ValueError(f"{name} must not be empty")
+        if len(set(grid)) != len(grid):
+            raise ValueError(f"{name} must not repeat a value, got {tuple(grid)}")
 
 
 def _check_cohorts(cohorts: Sequence[tuple[str, int, float, int]]) -> None:
@@ -407,10 +419,7 @@ def run_gain_vs_decay(
     It draws nothing; the grid steps as one (decays x injections) array per block.
     """
     _check_finite(decay_grid=decay_grid, injections=injections)
-    if not decay_grid or not injections:
-        raise ValueError("decay_grid and injections must not be empty")
-    if len(set(decay_grid)) != len(decay_grid):  # two rows of one decay judge no trend
-        raise ValueError(f"decay_grid must not repeat a value, got {tuple(decay_grid)}")
+    _check_grid(decay_grid=decay_grid, injections=injections)
     if blocks < 1:
         raise ValueError(f"blocks must be at least 1, got {blocks}")
     inj = np.asarray(injections, dtype=np.float64)
@@ -477,7 +486,7 @@ def run_dag_study(
     accrue to separate tallies: ``retained`` via the retention rule,
     ``absorbed`` as a root's unconditional residual, ``gain`` their sum.
     """
-    _check_finite(branch_power=branch_power, fee=fee)
+    _check_finite(nonnegative=True, branch_power=branch_power, fee=fee)
     if n_users < 2:
         raise ValueError(f"n_users must be at least 2 (payers are other users), got {n_users}")
     # Each statistic below is undefined when what it ranks is constant.
@@ -490,7 +499,8 @@ def run_dag_study(
         raise ValueError(f"base_range must span at least two values, got {base_range}")
     if not 0 <= tasks_range[0] <= tasks_range[1]:
         raise ValueError(f"tasks_range must have 0 <= low <= high, got {tasks_range}")
-    modes = [MiningMode.parse(m) for m in modes]
+    modes = [MiningMode.parse(m, "modes") for m in modes]
+    _check_grid(modes=[m.value for m in modes])
     ids = _user_ids(n_users)
     rng = np.random.default_rng(seed)
     paths, path_bytes = _grow_forest(rng, range(n_users), n_trees, fanout)
@@ -601,7 +611,8 @@ def run_global(
     differences, not ripple noise, dominate the cohort signal.
     """
     mining_mode = MiningMode.parse(mode)
-    _check_finite(fee=fee, decay=decay, branch_power=branch_power)
+    params = SystemParams(decay=decay, branch_power=branch_power)
+    _check_finite(nonnegative=True, fee=fee)
     _check_cohorts(cohorts)
     if window is None:
         window = max(1, blocks // 5)
@@ -620,7 +631,6 @@ def run_global(
     ids = _user_ids(n)
     paths, _ = _grow_forest(rng, range(n), 1, fanout)
 
-    params = SystemParams(decay=decay, branch_power=branch_power)
     coins = [c for _, c, _ in roster]
     work_p = np.array([w for _, _, w in roster], dtype=np.float64)
     statics = [static_value(c, params) for c in coins]
@@ -692,10 +702,10 @@ def run_tradeoff(
     a user first banks *work_value* prestige with its cohort's work
     probability, then the regeneration step applies.  Because injected
     prestige is worth (1-d)/d in discounted terms while a coin is worth
-    1/d, small decay rates favour steady coin holdings and large ones
-    favour fresh work; the summary reports, per decay, which of the
+    1/d, small decay rates favour fresh work and large ones favour
+    steady coin holdings; the summary reports, per decay, which of the
     poor-but-active and rich-but-lazy cohorts accumulated more prestige,
-    and the grid's crossover point.
+    and the crossover point, its verdicts read in ascending decay.
 
     Decay k draws its (blocks, users) uniforms from ``default_rng([seed, k])``,
     one block's after another, a chunk of about 1 MB per call, which keeps
@@ -703,10 +713,7 @@ def run_tradeoff(
     """
     _check_finite(work_value=work_value, decay_grid=decay_grid)
     _check_cohorts(cohorts)
-    if not decay_grid:
-        raise ValueError("decay_grid must not be empty")
-    if len(set(decay_grid)) != len(decay_grid):  # each index draws its own stream
-        raise ValueError(f"decay_grid must not repeat a value, got {tuple(decay_grid)}")
+    _check_grid(decay_grid=decay_grid)
     if blocks < 1:
         raise ValueError(f"blocks must be at least 1, got {blocks}")
     labels = [c[0] for c in cohorts]
@@ -748,10 +755,10 @@ def run_tradeoff(
     }
     for d in grid:
         result.summary[f"winner.d{d}"] = winners[d]
-    crossover = next((d for d in grid if winners[d] == "rich_lazy"), None)
+    crossover = next((d for d in sorted(grid) if winners[d] == "rich_lazy"), None)
     result.summary["crossover_decay"] = crossover
-    result.summary["small_decay_rewards_work"] = winners[grid[0]] == "poor_active"
-    result.summary["large_decay_rewards_wealth"] = winners[grid[-1]] == "rich_lazy"
+    result.summary["small_decay_rewards_work"] = winners[min(grid)] == "poor_active"
+    result.summary["large_decay_rewards_wealth"] = winners[max(grid)] == "rich_lazy"
 
     same_work_ok = True
     if {"rich_lazy", "poor_lazy", "rich_active", "poor_active"} <= set(labels):
@@ -830,7 +837,8 @@ def run_file_distribution(
     the top of the payout table while the typical participant's reward
     barely moves.
     """
-    _check_finite(branch_power=branch_power, branch_grid=branch_grid)
+    _check_finite(nonnegative=True, fee=fee, fee_grid=fee_grid, branch_power=branch_power,
+                  branch_grid=branch_grid)
     if scale < 1:
         raise ValueError("scale must be a positive integer")
     if episodes < 1:
@@ -840,12 +848,11 @@ def run_file_distribution(
     for name, (low, high) in (("viewers_range", viewers_range), ("base_range", base_range)):
         if low > high:
             raise ValueError(f"{name} must have low <= high, got {(low, high)}")
-    for name, value in [("fee", fee), *(("fee_grid", f) for f in fee_grid)]:
-        if not 0.0 <= value < float("inf"):
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if bool(fee_grid) != bool(branch_grid):
         raise ValueError("fee_grid and branch_grid must be given together, got "
                          f"fee_grid={tuple(fee_grid)} and branch_grid={tuple(branch_grid)}")
+    if fee_grid:
+        _check_grid(fee_grid=fee_grid, branch_grid=branch_grid)
     viewers_low = viewers_range[0] // scale
     viewers_high = viewers_range[1] // scale
     if viewers_low < 1:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from prestigesim.chain import (
-    _HEADER_VALUES,
+    _HEADERS as _HEADER_VALUES,
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
     ChainState,

@@ -919,6 +919,27 @@ def test_ledger_sets_accounts_and_never_removes_them():
         assert not hasattr(led, method)
 
 
+def test_ledger_refuses_an_account_set_under_another_id():
+    led = ChainState.genesis([("a", 5)], SystemParams(decay=0.5), rng_seed=1).accounts
+    with pytest.raises(ValueError, match=r"^account 'b' set under id 'a'$"):
+        led["a"] = Account(id="b", coins=3)
+    assert list(led) == ["a"] and led["a"].coins == 5
+
+
+@pytest.mark.parametrize("params", [
+    SystemParams(decay=np.float64(0.05)),
+    SystemParams(decay=0.25, branch_power=1, service_fee=np.float32(2.5)),
+    SystemParams(decay=np.float32(0.5), branch_power=np.int64(3)),
+])
+def test_snapshot_of_numpy_or_int_params_loads_back(params):
+    # SystemParams holds Python floats, so every header save_snapshot writes parses back
+    assert all(type(v) is float for v in (params.decay, params.branch_power, params.service_fee))
+    text = save_snapshot(ChainState.genesis([("a", 5), ("b", 3)], params, rng_seed=1))
+    loaded = load_snapshot(text)
+    assert loaded.params == params
+    assert save_snapshot(loaded) == text
+
+
 ANY_ID = st.one_of(st.text(max_size=4), st.from_regex(r"[a-z0-9_.-]{1,4}", fullmatch=True))
 
 

@@ -102,6 +102,34 @@ def test_run_bad_seed(capsys):
     assert main(["run", "decay", "--seed", str(2**64)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_run_refuses_a_seed_outside_64_bits_however_given(tmp_path, capsys, seed):
+    ini = tmp_path / "seed.ini"
+    ini.write_text(f"[scenario]\nseed = {seed}\n")
+    out = tmp_path / "out"
+    for args in (["decay", "--set", f"seed={seed}"], ["decay", "--config", str(ini)],
+                 ["decay", "--seed", str(seed)]):
+        assert main(["run", *args, "--out", str(out)]) == EXIT_USAGE
+        assert f"seed must fit in an unsigned 64-bit integer, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_refuses_a_repeated_fee_grid_point(tmp_path, capsys):
+    # both runs would report under one combo key
+    assert main(["run", "file_distribution", "--set", "scale=20000", "--set", "fee_grid=300,300",
+                 "--set", "branch_grid=0.5", "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "fee_grid must not repeat a value, got (300.0, 300.0)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_all_refuses_a_bad_seed_before_starting_the_worker(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_worker_pays", lambda: True)
+    monkeypatch.setattr(cli, "_start_worker", lambda *args: pytest.fail("a worker was started"))
+    assert main(["run", "--all", "--seed", "-1", "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "unsigned 64-bit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejected_value_exits_2(tmp_path, capsys):
     # valid kwarg, invalid value: the runner itself rejects it
     code = main(["run", "decay", "--out", str(tmp_path),
@@ -141,6 +169,12 @@ def test_run_mistyped_set_exits_2(tmp_path, capsys):
     ("decay", "blocks=2.5e2", "scenario 'decay': blocks must be an integer, got '2.5e2'"),
     ("global", "mode=5", "unknown mining mode '5'"),
     ("dag_study", "modes=3", "unknown mining mode '3'"),
+    ("dag_study", "modes=simple,3", "modes: unknown mining mode '3'"),
+    ("dag_study", "modes=simple,simple", "modes must not repeat a value, got ('simple', 'simple')"),
+    ("dag_study", "modes=,", "modes must not be empty"),
+    ("dag_study", "branch_power=-1", "branch_power must be finite and >= 0, got -1.0"),
+    ("global", "fee=-5", "fee must be finite and >= 0, got -5.0"),
+    ("decay", "seed=-1", "seed must fit in an unsigned 64-bit integer, got -1"),
     ("decay", "users=5", "scenario 'decay': users cannot be given as text, got '5'"),
     ("dag_study", "base_range=5",
      "scenario 'dag_study': base_range must be 2 comma-separated values, got '5'"),
@@ -487,6 +521,15 @@ def test_check_rejects_bad_seed(capsys):
     assert main(["check", "--trials", "1", "--seed", "-1"]) == EXIT_USAGE
     assert main(["check", "--trials", "1", "--seed", str(2**64)]) == EXIT_USAGE
     assert "unsigned 64-bit" in capsys.readouterr().err
+
+
+def test_check_reports_a_runner_that_fails_to_run(monkeypatch, capsys):
+    def broken(**kwargs):
+        raise RuntimeError("out of cheese")
+
+    monkeypatch.setattr(scenarios, "run_theorem_checks", broken)
+    assert main(["check", "--trials", "1"]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "check failed to run: out of cheese\n"
 
 
 def test_check_detects_corruption(monkeypatch, capsys):

@@ -78,7 +78,7 @@ NON_DEFAULT_PINS = [
      "b7ca3b10ade79cbe25983ea6a5e0ce7b7a655a5c072fab3d01757be3c8f7cd7d"),
     ("tradeoff", dict(seed=2, blocks=150, decay_grid=(0.7, 0.05, 0.3)),
      "e291620b31d11aa97c79d521b3c0e912567e33ada011571a46fda62ed205c47e",
-     "558742bd14e3f6e635ec12222da1eaa75a64a9fd3f3d6538c92c3e33ca26b25b"),
+     "b9aa56bf1df70d82c6f20581b34600e845f3988dcbc260c5fc81c8c3921e8079"),
     ("theorem_checks", dict(seed=0, trials=10000),
      "945f64a82df414d73a41875befb65a1dcbe673b695465d6552ec2e4ce2e9fba8",
      "1624fdac12b9f8a9e5e2f8bee9c0eadb0473e608b705ccdb0e15dda1dc9a2bf3"),

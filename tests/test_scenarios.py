@@ -597,6 +597,20 @@ def test_tradeoff_validation():
         run_tradeoff(blocks=0)
 
 
+@pytest.mark.parametrize("decay_grid", [(0.9, 0.1), (0.7, 0.05, 0.3), (0.3, 0.9, 0.05)])
+def test_tradeoff_judges_its_verdicts_in_ascending_decay(decay_grid):
+    # rows and winner keys keep the grid's order; the verdicts read it sorted
+    result = run_tradeoff(seed=2, blocks=150, decay_grid=decay_grid)
+    ascending = run_tradeoff(seed=2, blocks=150, decay_grid=tuple(sorted(decay_grid)))
+    assert [key for key in result.summary if key.startswith("winner.")] == [
+        f"winner.d{d}" for d in decay_grid]
+    assert list(dict.fromkeys(result.data[0])) == list(decay_grid)
+    for key in ("crossover_decay", "small_decay_rewards_work", "large_decay_rewards_wealth"):
+        assert result.summary[key] == ascending.summary[key]
+    assert result.summary["small_decay_rewards_work"] is True
+    assert result.summary["large_decay_rewards_wealth"] is True
+
+
 def test_tradeoff_rejects_negative_cohort_coins():
     # a negative rich_lazy balance flips large_decay_rewards_wealth to false
     cohorts = (("rich_lazy", -50, 0.05, 3), ("poor_active", 10, 0.25, 3))
@@ -668,6 +682,42 @@ def test_distribution_gentle_parameter_shifts_stay_small():
 def test_distribution_rejects_half_a_grid(grids):
     with pytest.raises(ValueError, match="fee_grid and branch_grid"):
         run_file_distribution(scale=20000, **grids)
+
+
+@pytest.mark.parametrize("runner, kwargs, message", [
+    (run_gain_vs_decay, dict(injections=(1.0, 2.0, 1.0)), r"^injections must not repeat a value, got \(1.0, 2.0, 1.0\)$"),
+    (run_dag_study, dict(modes=("simple", "SIMPLE")), r"^modes must not repeat a value, got \('simple', 'simple'\)$"),
+    (run_dag_study, dict(modes=()), "^modes must not be empty$"),
+    (run_file_distribution, dict(scale=20000, fee_grid=(300.0, 300), branch_grid=(0.5,)),
+     r"^fee_grid must not repeat a value, got \(300.0, 300\)$"),
+    (run_file_distribution, dict(scale=20000, fee_grid=(300.0,), branch_grid=(0.5, 0.2, 0.5)),
+     r"^branch_grid must not repeat a value"),
+])
+def test_every_grid_is_non_empty_and_distinct(runner, kwargs, message):
+    # a repeated grid point writes two row sets, or two runs, under one key
+    with pytest.raises(ValueError, match=message):
+        runner(**kwargs)
+
+
+@pytest.mark.parametrize("runner, kwargs, key", [
+    (run_dag_study, dict(branch_power=-1.0), "branch_power"),
+    (run_dag_study, dict(fee=-200.0), "fee"),
+    (run_global, dict(fee=-5.0), "fee"),
+    (run_global, dict(fee=-5.0, mode="progressive"), "fee"),
+    (run_global, dict(branch_power=-0.2, mode="progressive"), "branch_power"),
+    (run_file_distribution, dict(branch_power=-1.0), "branch_power"),
+    (run_file_distribution, dict(fee_grid=(300.0,), branch_grid=(-3.0,)), "branch_grid"),
+])
+def test_branch_power_and_fee_are_finite_and_non_negative(runner, kwargs, key):
+    # SystemParams' rule, refused before anything runs
+    with pytest.raises(ValueError, match=rf"^{key} must be finite and >= 0, got -"):
+        runner(**kwargs)
+
+
+@pytest.mark.parametrize("n_roots", [0, 4])
+def test_grow_forest_needs_between_one_root_and_every_node(n_roots):
+    with pytest.raises(ValueError, match="n_roots must be between 1 and the number of nodes"):
+        _grow_forest(np.random.default_rng(0), range(3), n_roots, 2)
 
 
 @pytest.mark.parametrize("kwargs,name", [
