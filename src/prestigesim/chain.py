@@ -46,7 +46,7 @@ import numpy as np
 from .acks import VK_BYTES, PathAck, SimpleAck, keygen, setup, verify_path_ack, verify_simple_ack
 # step_account and apply_transfer go unused here: perfbench/tracing.py patches
 # chain.step_account and chain.apply_transfer by name.
-from .core import Account, SystemParams, check_account, finite_nonnegative, step_account  # noqa: F401
+from .core import Account, SystemParams, check_account, finite_nonnegative, step_account, whole  # noqa: F401
 from .errors import (
     DuplicateTask,
     InsufficientFunds,
@@ -185,15 +185,15 @@ class ChainState:
 
         Accounts without a verification key get one derived from their id so
         the acknowledgment layer works out of the box. Raises ValueError for a
-        negative ``subsidy`` or ``ack_fee``, an ``rng_seed`` outside [0, 2**64)
+        ``subsidy``, ``ack_fee`` or balance that is not a whole number of coins
+        (an integer >= 0), an ``rng_seed`` that is not an integer in [0, 2**64)
         (the range of ``--seed``; block h draws from ``[rng_seed, h]``), a
         duplicate id and an account ``save_snapshot`` could not write so that
         it loads back: an empty id, an id containing ``,`` or whitespace or
         starting with ``#``, or non-finite prestige.
         """
-        _count("subsidy", subsidy)
-        _count("ack_fee", ack_fee)
-        _seed(rng_seed)
+        subsidy, ack_fee = _count("subsidy", subsidy), _count("ack_fee", ack_fee)
+        rng_seed = _seed(whole("rng_seed", rng_seed))
         key_params = setup(128)
         table: dict[str, Account] = {}
         for entry in accounts:
@@ -267,8 +267,8 @@ def _seed(value: int) -> int:
 
 
 def _count(name: str, value: int | str) -> int:
-    """The value as an int, or ValueError naming *name* if it is negative."""
-    value = int(value)
+    """*value*, text or an integer, as an int; ValueError naming *name* if it is neither or < 0."""
+    value = int(value) if isinstance(value, str) else whole(name, value)
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value
@@ -295,7 +295,7 @@ _HEADERS = {
     "seed": _Header("rng_seed", lambda v: _seed(int(v))),
     "subsidy": _Header("subsidy", lambda v: _count("subsidy", v)),
     "ack-fee": _Header("ack_fee", lambda v: _count("ack-fee", v)),
-    "initial-coins": _Header("initial_coins", int),
+    "initial-coins": _Header("initial_coins", lambda v: _count("initial-coins", v)),
     "fees-pending": _Header("fees_pending", lambda v: _count("fees-pending", v)),
 }
 _HEADER_LINES = "\n".join(f"# {key} %s" for key in _HEADERS)
@@ -434,11 +434,11 @@ def register_motivator_reward(
     coins_per_block: int,
     duration_blocks: int,
 ) -> ChainState:
-    """Escrow funder coins to pay future minters coins_per_block for duration blocks."""
+    """Escrow funder coins to pay future minters coins_per_block (an int >= 0) for duration blocks."""
     if funder not in state.accounts:
         raise UnknownAccount(funder)
-    if coins_per_block < 0 or duration_blocks < 0:
-        raise ValueError("coins_per_block and duration_blocks must be >= 0")
+    coins_per_block = _count("coins_per_block", coins_per_block)
+    duration_blocks = _count("duration_blocks", duration_blocks)
     total = coins_per_block * duration_blocks
     if total == 0:
         return state

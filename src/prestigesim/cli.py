@@ -155,25 +155,22 @@ def _start_worker(name: str, kwargs: dict[str, object]):
 
 
 def _compute(writer, name: str, kwargs: dict[str, object]) -> None:
-    """Worker body: send the result, or (is ValueError, message) if the runner raised."""
+    """Worker body: send the result, or the exception the runner raised (the pipe pickles either)."""
     try:
-        result = scenarios.SCENARIOS[name](**kwargs)
+        writer.send(scenarios.SCENARIOS[name](**kwargs))
     except Exception as exc:
-        writer.send((isinstance(exc, ValueError), str(exc)))
-    else:
-        writer.send(result)
+        writer.send(exc)
 
 
 def _receive(worker, reader) -> scenarios.ScenarioResult:
-    """The worker's result; its error is raised again as the in-process loop would see it."""
+    """The worker's result; the exception its runner raised is raised here again."""
     try:
         received = reader.recv()
     except EOFError:
         worker.join()
         raise RuntimeError(f"its worker exited with code {worker.exitcode}") from None
-    if isinstance(received, tuple):
-        is_value_error, message = received
-        raise (ValueError if is_value_error else RuntimeError)(message)
+    if isinstance(received, Exception):
+        raise received
     return received
 
 

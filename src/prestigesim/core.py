@@ -18,6 +18,7 @@ non-negative weight is required).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -43,6 +44,14 @@ class SystemParams:
             object.__setattr__(self, name, finite_nonnegative(name, getattr(self, name)))
 
 
+def whole(name: str, value: int) -> int:
+    """*value* as a Python int, or ValueError naming *name* unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value}") from None
+
+
 def finite_nonnegative(name: str, value: float) -> float:
     """*value* as a Python float, or ValueError naming *name* unless it is finite and >= 0."""
     if not 0.0 <= value < math.inf:  # NaN fails too
@@ -64,15 +73,20 @@ class Account:
     verification_key: bytes = b""
 
     def __post_init__(self) -> None:
-        check_account(self.id, self.coins, self.verification_key)
+        coins = check_account(self.id, self.coins, self.verification_key)
+        if coins is not self.coins:
+            object.__setattr__(self, "coins", coins)
 
 
-def check_account(acct_id: str, coins: int, verification_key: bytes) -> None:
-    """Raise ValueError for coins outside [0, 2**63 - 1] or a key not 0 or 33 bytes."""
+def check_account(acct_id: str, coins: int, verification_key: bytes) -> int:
+    """*coins* as an int; ValueError for coins not an integer in [0, 2**63 - 1] or a key not 0 or 33 bytes."""
+    if type(coins) is not int:
+        coins = whole(f"coins of {acct_id!r}", coins)
     if not 0 <= coins <= 2**63 - 1:
         raise ValueError(f"coins must be in [0, 2**63 - 1], got {coins} for {acct_id!r}")
     if verification_key and len(verification_key) != 33:
         raise ValueError("verification_key must be empty or 33 bytes")
+    return coins
 
 
 def step_account(account: Account, params: SystemParams) -> Account:

@@ -52,17 +52,6 @@ __all__ = [
 # result container
 
 
-def _scalar(value: object) -> object:
-    """Coerce numpy scalars so json.dumps renders them plainly."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 @dataclass
 class ScenarioResult:
     """One experiment run's table, one sequence per CSV column, plus its summary statistics.
@@ -100,8 +89,9 @@ class ScenarioResult:
         return "\n".join([",".join(self.columns), *map(",".join, zip(*cells))]) + "\n"
 
     def summary_text(self) -> str:
+        # json renders np.float64, a float subclass, as a float; other numpy scalars reach its hook
         lines = [
-            f"{key}: {json.dumps(_scalar(value), allow_nan=False)}"
+            f"{key}: {json.dumps(value, allow_nan=False, default=np.generic.item)}"
             for key, value in self.summary.items()
         ]
         return "\n".join(lines) + "\n"
@@ -354,16 +344,14 @@ def run_decay_study(
     each decay rate forgets transient gains.
     """
     _check_finite(spike=spike)
-    if len(set(users)) != len(users):
-        raise ValueError("user configurations must be distinct (coins, decay) pairs")
+    if not users or len(set(users)) != len(users):
+        raise ValueError(f"users must be one or more distinct (coins, decay) pairs, got {tuple(users)}")
     if not 0 < spike_up_at < spike_down_at <= blocks:
         raise ValueError("spike blocks must satisfy 0 < up < down <= blocks")
     labels = [f"C{coins}_d{decay}" for coins, decay in users]
     params = [SystemParams(decay=decay) for _, decay in users]
     coins = [c for c, _ in users]
-    for label, c in zip(labels, coins):
-        if c < 0:
-            raise ValueError(f"coins must be >= 0, got {c} for {label!r}")
+    _check_finite(nonnegative=True, coins=coins)
     keeps = [1.0 - p.decay for p in params]
     prestige = pre_drop = [0.0] * len(users)
     history: list[float] = []  # each block's prestige, one user after another

@@ -675,6 +675,16 @@ def test_motivator_validation():
     assert state.accounts["carol"].coins == 10
 
 
+def test_motivator_rewards_are_whole_coins():
+    # 2.5 a block for 2 blocks escrowed 5 coins and paid out 4
+    state = ChainState.genesis([("carol", 10)], SystemParams(decay=0.5), rng_seed=4)
+    with pytest.raises(ValueError, match=r"^coins_per_block must be an integer, got 2.5$"):
+        register_motivator_reward(state, "carol", 2.5, 2)
+    with pytest.raises(ValueError, match=r"^duration_blocks must be an integer, got 2.0$"):
+        register_motivator_reward(state, "carol", 1, 2.0)
+    assert state.escrowed_coins() == 0 and state.accounts["carol"].coins == 10
+
+
 # --- conservation under load -----------------------------------------------------------
 
 def test_conservation_through_busy_history():
@@ -878,6 +888,7 @@ def test_snapshot_account_line_errors_name_the_line(line, message):
     ("# subsidy -20", "line 7: subsidy must be >= 0, got -20"),
     ("# ack-fee -1", "line 8: ack-fee must be >= 0, got -1"),
     ("# initial-coins x", "line 9: invalid literal for int() with base 10: 'x'"),
+    ("# initial-coins -5", "line 9: initial-coins must be >= 0, got -5"),
     ("# fees-pending -3", "line 10: fees-pending must be >= 0, got -3"),
     ("# reward a -1 3", "line 13: coins_per_block must be >= 0, got -1"),
     ("# reward a 1 -3", "line 13: remaining_blocks must be >= 0, got -3"),
@@ -900,6 +911,33 @@ def test_snapshot_header_errors_name_the_line(line, message):
 def test_genesis_rejects_negative_coin_settings(key):
     with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -1$"):
         ChainState.genesis([("a", 5)], SystemParams(decay=0.5), rng_seed=1, **{key: -1})
+
+
+@pytest.mark.parametrize("key, value", [("subsidy", 2.5), ("ack_fee", 1.5), ("rng_seed", 2.5),
+                                        ("subsidy", np.float64(2.0))])
+def test_genesis_rejects_coin_settings_that_are_not_integers(key, value):
+    # a fractional subsidy or fee broke conservation and wrote a snapshot that does not load
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value}$"):
+        ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5), **{"rng_seed": 1, key: value})
+
+
+@pytest.mark.parametrize("coins", [(5.0, 2), (5, 2.5), (5, np.float64(2.0))])
+def test_genesis_rejects_balances_that_are_not_integers(coins):
+    # balances of 5.0 and 2.5 made initial_coins 7.5 while the ledger held 7
+    with pytest.raises(ValueError, match=f"^coins of '[ab]' must be an integer, got "):
+        ChainState.genesis(list(zip("ab", coins)), SystemParams(decay=0.5), rng_seed=1)
+
+
+def test_integer_settings_of_any_type_are_held_as_python_ints():
+    state = ChainState.genesis([("a", np.int64(5)), Account("b", np.uint8(3))], SystemParams(decay=0.5),
+                               rng_seed=np.uint64(7), subsidy=np.int32(2), ack_fee=np.int16(1))
+    held = (state.accounts["a"].coins, state.accounts["b"].coins, state.rng_seed, state.subsidy,
+            state.ack_fee, state.initial_coins)
+    assert held == (5, 3, 7, 2, 1, 8) and {type(v) for v in held} == {int}
+    text = save_snapshot(state)
+    assert save_snapshot(load_snapshot(text)) == text
+    state, _ = advance_block(state)
+    assert conserved(state) and state.total_coins() == 10
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])

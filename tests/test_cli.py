@@ -351,6 +351,10 @@ def _fails(**kwargs):
     raise RuntimeError(f"blew up in process {os.getpid()}")
 
 
+def _misses(**kwargs):
+    raise KeyError("x")
+
+
 def _dies(**kwargs):
     os._exit(9)
 
@@ -359,6 +363,7 @@ def _dies(**kwargs):
     (_rejects, EXIT_USAGE,
      "scenario 'file_distribution' rejected its arguments: scale must leave a task to share\n"),
     (_fails, EXIT_RUNTIME, "scenario 'file_distribution' failed: blew up in process "),
+    (_misses, EXIT_RUNTIME, "scenario 'file_distribution' failed: 'x'\n"),
     (_dies, EXIT_RUNTIME, "scenario 'file_distribution' failed: its worker exited with code 9\n"),
 ])
 def test_run_all_reports_the_worker_failure_in_scenario_order(

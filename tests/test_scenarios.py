@@ -120,6 +120,12 @@ def test_decay_study_validation():
             run_decay_study(users=((100, decay),))
 
 
+def test_decay_study_refuses_no_users():
+    # no users wrote a CSV of the header alone
+    with pytest.raises(ValueError, match=r"^users must be one or more distinct \(coins, decay\) pairs, got \(\)$"):
+        run_decay_study(users=())
+
+
 # --- gain vs decay ---------------------------------------------------------------
 
 def test_gain_vs_decay_matches_closed_form():
@@ -891,6 +897,8 @@ def test_summary_rejects_non_json_floats(tmp_path):
     with pytest.raises(ValueError):
         result.write(tmp_path)
     assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError):
+        ScenarioResult(name="x", columns=("a",), summary={"stat": np.float64("nan")}).summary_text()
 
 
 def test_summary_scalar_formatting():
@@ -898,6 +906,13 @@ def test_summary_scalar_formatting():
     text = result.summary_text()
     assert "zero_injection_zero_surplus: true" in text
     assert "blocks: 10" in text
+    # a numpy scalar renders byte for byte as its Python value
+    numpy = {"b": np.bool_(True), "n": np.bool_(False), "i": np.int64(-2**62 - 1), "u": np.uint64(2**64 - 1),
+             "f32": np.float32(0.1), "f64": np.float64(0.1), "big": np.float64(1e16), "z": np.float64(-0.0)}
+    python = {key: value.item() for key, value in numpy.items()}
+    assert {type(value) for value in python.values()} == {bool, int, float}
+    assert (ScenarioResult("x", (), summary=numpy).summary_text()
+            == ScenarioResult("x", (), summary=python).summary_text())
 
 
 @pytest.mark.parametrize(
