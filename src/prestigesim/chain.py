@@ -39,7 +39,7 @@ import copy
 import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -248,14 +248,13 @@ def elect_minter(accounts: Mapping[str, Account], rng: np.random.Generator) -> s
     if not accounts:
         raise NoAccounts("cannot elect a minter with no accounts")
     led = accounts if isinstance(accounts, Ledger) else Ledger(accounts.values())
-    ids = led.ids
     weights = np.maximum(led.prestige, 0.0)
     total = float(weights.sum())
     if total > 0.0:
         cutoff = rng.random() * total
         idx = int(np.searchsorted(np.cumsum(weights), cutoff, side="right"))
-        return ids[min(idx, len(ids) - 1)]
-    pool = [i for i, coins in zip(ids, led.coins.tolist()) if coins > 0] or ids
+        return led.ids[min(idx, len(led.ids) - 1)]
+    pool = [i for i, coins in zip(led.ids, led.coins.tolist()) if coins > 0] or led.ids
     return pool[int(rng.integers(len(pool)))]
 
 
@@ -274,32 +273,21 @@ def _count(name: str, value: int | str) -> int:
     return value
 
 
-class _Header(NamedTuple):
-    """A snapshot header: the state attribute ``save_snapshot`` writes by str (a Python
-    float's repr: SystemParams holds floats), and the parse and check ``load_snapshot``
-    reads its text with, by calling the header."""
-
-    attribute: str
-    parse: Callable[[str], object]
-
-    def __call__(self, text: str) -> object:
-        return self.parse(text)
-
-
-# In write order; save_snapshot writes all nine through the two values derived below.
+# Snapshot headers in write order: the state attribute save_snapshot writes by str (a Python
+# float's repr: SystemParams holds floats), and the parse and check load_snapshot reads it by.
 _HEADERS = {
-    "height": _Header("height", lambda v: _count("height", v)),
-    "decay": _Header("params.decay", lambda v: SystemParams(decay=float(v)).decay),
-    "branch-power": _Header("params.branch_power", lambda v: finite_nonnegative("branch_power", float(v))),
-    "service-fee": _Header("params.service_fee", lambda v: finite_nonnegative("service_fee", float(v))),
-    "seed": _Header("rng_seed", lambda v: _seed(int(v))),
-    "subsidy": _Header("subsidy", lambda v: _count("subsidy", v)),
-    "ack-fee": _Header("ack_fee", lambda v: _count("ack-fee", v)),
-    "initial-coins": _Header("initial_coins", lambda v: _count("initial-coins", v)),
-    "fees-pending": _Header("fees_pending", lambda v: _count("fees-pending", v)),
+    "height": ("height", lambda v: _count("height", v)),
+    "decay": ("params.decay", lambda v: SystemParams(decay=float(v)).decay),
+    "branch-power": ("params.branch_power", lambda v: finite_nonnegative("branch_power", float(v))),
+    "service-fee": ("params.service_fee", lambda v: finite_nonnegative("service_fee", float(v))),
+    "seed": ("rng_seed", lambda v: _seed(int(v))),
+    "subsidy": ("subsidy", lambda v: _count("subsidy", v)),
+    "ack-fee": ("ack_fee", lambda v: _count("ack-fee", v)),
+    "initial-coins": ("initial_coins", lambda v: _count("initial-coins", v)),
+    "fees-pending": ("fees_pending", lambda v: _count("fees-pending", v)),
 }
 _HEADER_LINES = "\n".join(f"# {key} %s" for key in _HEADERS)
-_HEADER_STATE = attrgetter(*(header.attribute for header in _HEADERS.values()))
+_HEADER_STATE = attrgetter(*(attribute for attribute, _ in _HEADERS.values()))
 
 
 def _check_snapshot_safe(acct_id: str, prestige: float) -> None:
@@ -559,13 +547,13 @@ def save_snapshot(state: ChainState) -> str:
 def load_snapshot(text: str) -> ChainState:
     """Parse ``save_snapshot`` output back into a ChainState.
 
-    One parser reads every layout: header lines are parsed and checked as
-    they are read, and DAG lines attach as they are read, so an edge must
-    follow the line that makes its parent a node, as ``save_snapshot`` writes
-    them. Account lines are gathered and converted a column at a time, then
+    One parser reads every layout: headers are parsed and checked, and DAG
+    lines attached, as they are read, so an edge must follow the line making
+    its parent a node. Account lines are converted a column at a time, then
     checked as ``Account`` and ``genesis`` check an account. A line that does
-    not parse, or a header value out of range (a negative height, coin amount
-    or reward field), raises SnapshotError naming the first bad line's number.
+    not parse, a header value out of range (a negative height, coin amount or
+    reward field) or a header ``save_snapshot`` never writes (a repeated or
+    unknown key) raises SnapshotError naming the first bad line's number.
     """
     header: dict[str, object] = {}
     dag = MiningDag()
@@ -597,40 +585,36 @@ def load_snapshot(text: str) -> ChainState:
                         raise ValueError(f"dangling DAG edge: parent {parent!r} of {child!r} "
                                          "is not a node on an earlier line")
                     dag.attach(parent, child)
-                elif key == SNAPSHOT_MAGIC:
-                    header["version"] = value
                 elif key == "root":
                     dag.add_root(value)
                 elif key == "reward":
                     rewards.append(RewardSchedule(value, _count("coins_per_block", parts[2]),
                                                   _count("remaining_blocks", parts[3])))
+                elif key in header:
+                    raise ValueError(f"repeated header {key!r}")
+                elif key == SNAPSHOT_MAGIC:
+                    header[key] = value
+                elif key in _HEADERS:
+                    header[key] = _HEADERS[key][1](value)
                 else:
-                    header[key] = _HEADERS.get(key, str)(value)
+                    raise ValueError(f"unknown header {key!r}")
             except (ValueError, IndexError) as exc:
                 _check_account_lines(rows, at)  # an earlier account line may be bad too
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
 
         accounts = _ledger(rows, at)
-        if header.get("version") != str(SNAPSHOT_VERSION):
+        if header.get(SNAPSHOT_MAGIC) != str(SNAPSHOT_VERSION):
             raise SnapshotError("missing or unsupported snapshot header")
-        params = SystemParams(header["decay"], header["branch-power"], header["service-fee"])
+        header.setdefault("fees-pending", 0)
+        fields: dict[str, dict[str, object]] = {"": {}, "params": {}}
+        for key, (attribute, _) in _HEADERS.items():  # a missing key raises in table order
+            owner, _, name = attribute.rpartition(".")
+            fields[owner][name] = header[key]
         for node in dag.nodes:
             if node not in accounts.pos:
                 raise SnapshotError(f"DAG node {node!r} has no account line")
-
-        return ChainState(
-            height=header["height"],
-            accounts=accounts,
-            dag=dag,
-            params=params,
-            rng_seed=header["seed"],
-            subsidy=header["subsidy"],
-            ack_fee=header["ack-fee"],
-            motivator_rewards=rewards,
-            seen_tasks=seen,
-            initial_coins=header["initial-coins"],
-            fees_pending=header.get("fees-pending", 0),
-        )
+        return ChainState(accounts=accounts, dag=dag, params=SystemParams(**fields["params"]),
+                          motivator_rewards=rewards, seen_tasks=seen, **fields[""])
     except KeyError as exc:
         raise SnapshotError(f"missing header {exc}") from exc
 

@@ -55,7 +55,7 @@ class MiningMode(str, enum.Enum):
             return label
         try:
             return cls(label.lower())
-        except ValueError:  # naming the argument, *key*, the label came in
+        except (AttributeError, ValueError):  # naming the argument, *key*, the label came in
             raise ValueError(f"{key}: unknown mining mode {label!r}; "
                              "expected 'simple' or 'progressive'") from None
 

@@ -5,8 +5,6 @@ bad line's."""
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from prestigesim.chain import (
     _HEADERS as _HEADER_VALUES,
     SNAPSHOT_MAGIC,
@@ -20,23 +18,6 @@ from prestigesim.chain import (
 from prestigesim.core import SystemParams, check_account
 from prestigesim.errors import SnapshotError
 from prestigesim.mining import MiningDag
-
-
-def _chain_state(header: Mapping[str, object], params: SystemParams, accounts: Ledger,
-                 dag: MiningDag, rewards: list[RewardSchedule], seen: set[bytes]) -> ChainState:
-    return ChainState(
-        height=header["height"],
-        accounts=accounts,
-        dag=dag,
-        params=params,
-        rng_seed=header["seed"],
-        subsidy=header["subsidy"],
-        ack_fee=header["ack-fee"],
-        motivator_rewards=rewards,
-        seen_tasks=seen,
-        initial_coins=header["initial-coins"],
-        fees_pending=header.get("fees-pending", 0),
-    )
 
 
 def _load_lines(text: str) -> ChainState:
@@ -69,15 +50,19 @@ def _load_lines(text: str) -> ChainState:
                             raise ValueError(f"dangling DAG edge: parent {parent!r} of {child!r} "
                                              "is not a node on an earlier line")
                         dag.attach(parent, child)
-                    elif key == SNAPSHOT_MAGIC:
-                        header["version"] = value
                     elif key == "root":
                         dag.add_root(value)
                     elif key == "reward":
                         rewards.append(RewardSchedule(value, _count("coins_per_block", parts[2]),
                                                       _count("remaining_blocks", parts[3])))
+                    elif key in header:
+                        raise ValueError(f"repeated header {key!r}")
+                    elif key == SNAPSHOT_MAGIC:
+                        header[key] = value
+                    elif key in _HEADER_VALUES:
+                        header[key] = _HEADER_VALUES[key][1](value)
                     else:
-                        header[key] = _HEADER_VALUES.get(key, str)(value)
+                        raise ValueError(f"unknown header {key!r}")
                     continue
                 fields = line.split(",")
                 if len(fields) not in (3, 4):
@@ -96,18 +81,29 @@ def _load_lines(text: str) -> ChainState:
             prestige.append(p)
             keys.append(vk)
 
-        if header.get("version") != str(SNAPSHOT_VERSION):
+        if header.get(SNAPSHOT_MAGIC) != str(SNAPSHOT_VERSION):
             raise SnapshotError("missing or unsupported snapshot header")
-        params = SystemParams(
-            decay=header["decay"],
-            branch_power=header["branch-power"],
-            service_fee=header["service-fee"],
+        # every header is read, in _HEADERS order, before the DAG nodes are checked
+        state = ChainState(
+            height=header["height"],
+            params=SystemParams(
+                decay=header["decay"],
+                branch_power=header["branch-power"],
+                service_fee=header["service-fee"],
+            ),
+            rng_seed=header["seed"],
+            subsidy=header["subsidy"],
+            ack_fee=header["ack-fee"],
+            initial_coins=header["initial-coins"],
+            fees_pending=header.get("fees-pending", 0),
+            accounts=Ledger()._fill(ids, coins, prestige, keys),
+            dag=dag,
+            motivator_rewards=rewards,
+            seen_tasks=seen,
         )
         for node in dag.nodes:
             if node not in pos:
                 raise SnapshotError(f"DAG node {node!r} has no account line")
-
-        return _chain_state(header, params, Ledger()._fill(ids, coins, prestige, keys),
-                            dag, rewards, seen)
+        return state
     except KeyError as exc:
         raise SnapshotError(f"missing header {exc}") from exc

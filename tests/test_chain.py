@@ -907,6 +907,31 @@ def test_snapshot_header_errors_name_the_line(line, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("at, line, message", [
+    (10, "# subsidy 7", "line 11: repeated header 'subsidy'"),
+    (10, "# seed 9", "line 11: repeated header 'seed'"),
+    (10, "# height 3", "line 11: repeated header 'height'"),
+    (1, "# subsidy 7", "line 8: repeated header 'subsidy'"),  # the second line is the one named
+    (10, "# prestigesim-state 1", "line 11: repeated header 'prestigesim-state'"),
+    (10, "# frobnicate 7", "line 11: unknown header 'frobnicate'"),
+    (12, "# version 1", "line 13: unknown header 'version'"),
+])
+def test_snapshot_refuses_header_lines_save_never_writes(at, line, message):
+    # save_snapshot writes each header once and no other: a repeat would
+    # overwrite the first value, and an unknown key would be dropped on re-save
+    lines = save_snapshot(ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5),
+                                             rng_seed=1, subsidy=2)).splitlines()
+    lines.insert(at, line)
+    with pytest.raises(SnapshotError) as err:
+        load_snapshot("\n".join(lines) + "\n")
+    assert str(err.value) == message
+
+
+def test_snapshot_names_the_first_missing_header_in_write_order():
+    with pytest.raises(SnapshotError, match="^missing header 'height'$"):
+        load_snapshot("# prestigesim-state 1\na,5,0.0,\n")
+
+
 @pytest.mark.parametrize("key", ["subsidy", "ack_fee"])
 def test_genesis_rejects_negative_coin_settings(key):
     with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -1$"):

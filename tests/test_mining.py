@@ -84,6 +84,9 @@ def test_mode_parse():
     assert MiningMode.parse(MiningMode.SIMPLE) is MiningMode.SIMPLE
     with pytest.raises(ValueError):
         MiningMode.parse("turbo")
+    for label in (5, None):  # not text: the documented error, not AttributeError
+        with pytest.raises(ValueError, match=f"^mode: unknown mining mode {label}; "):
+            MiningMode.parse(label)
 
 
 # --- retention rules --------------------------------------------------------------
