@@ -44,9 +44,10 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .acks import VK_BYTES, PathAck, SimpleAck, keygen, setup, verify_path_ack, verify_simple_ack
+from .core import MAX_COINS, Account, SystemParams, check_account, finite_nonnegative, seed, whole
 # step_account and apply_transfer go unused here: perfbench/tracing.py patches
 # chain.step_account and chain.apply_transfer by name.
-from .core import Account, SystemParams, check_account, finite_nonnegative, step_account, whole  # noqa: F401
+from .core import step_account  # noqa: F401
 from .errors import (
     DuplicateTask,
     InsufficientFunds,
@@ -193,7 +194,7 @@ class ChainState:
         starting with ``#``, or non-finite prestige.
         """
         subsidy, ack_fee = _count("subsidy", subsidy), _count("ack_fee", ack_fee)
-        rng_seed = _seed(whole("rng_seed", rng_seed))
+        rng_seed = seed(whole("rng_seed", rng_seed))
         key_params = setup(128)
         table: dict[str, Account] = {}
         for entry in accounts:
@@ -258,13 +259,6 @@ def elect_minter(accounts: Mapping[str, Account], rng: np.random.Generator) -> s
     return pool[int(rng.integers(len(pool)))]
 
 
-def _seed(value: int) -> int:
-    """The value, or ValueError if it is not an unsigned 64-bit seed."""
-    if not 0 <= value < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {value}")
-    return value
-
-
 def _count(name: str, value: int | str) -> int:
     """*value*, text or an integer, as an int; ValueError naming *name* if it is neither or < 0."""
     value = int(value) if isinstance(value, str) else whole(name, value)
@@ -280,7 +274,7 @@ _HEADERS = {
     "decay": ("params.decay", lambda v: SystemParams(decay=float(v)).decay),
     "branch-power": ("params.branch_power", lambda v: finite_nonnegative("branch_power", float(v))),
     "service-fee": ("params.service_fee", lambda v: finite_nonnegative("service_fee", float(v))),
-    "seed": ("rng_seed", lambda v: _seed(int(v))),
+    "seed": ("rng_seed", lambda v: seed(int(v))),
     "subsidy": ("subsidy", lambda v: _count("subsidy", v)),
     "ack-fee": ("ack_fee", lambda v: _count("ack-fee", v)),
     "initial-coins": ("initial_coins", lambda v: _count("initial-coins", v)),
@@ -288,6 +282,8 @@ _HEADERS = {
 }
 _HEADER_LINES = "\n".join(f"# {key} %s" for key in _HEADERS)
 _HEADER_STATE = attrgetter(*(attribute for attribute, _ in _HEADERS.values()))
+# The count of values after the key on each kind of '#' line save_snapshot writes
+_FIELDS = dict.fromkeys([SNAPSHOT_MAGIC, "seen", "root", *_HEADERS], 1) | {"edge": 2, "reward": 3}
 
 
 def _check_snapshot_safe(acct_id: str, prestige: float) -> None:
@@ -492,7 +488,7 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
     fees = state.fees_pending
     i = pos[minter]
     coins = led.coins.item(i) + state.subsidy + fees + payout
-    if coins > 2**63 - 1:
+    if coins > MAX_COINS:
         raise OverflowError(f"the reward would give minter {minter!r} {coins} coins, past 2**63 - 1")
 
     led.prestige = staged.prestige
@@ -553,7 +549,8 @@ def load_snapshot(text: str) -> ChainState:
     checked as ``Account`` and ``genesis`` check an account. A line that does
     not parse, a header value out of range (a negative height, coin amount or
     reward field) or a header ``save_snapshot`` never writes (a repeated or
-    unknown key) raises SnapshotError naming the first bad line's number.
+    unknown key, or a count of values other than its key's) raises
+    SnapshotError naming the first bad line's number.
     """
     header: dict[str, object] = {}
     dag = MiningDag()
@@ -575,7 +572,12 @@ def load_snapshot(text: str) -> ChainState:
                 parts = line[1:].split()
                 if not parts:
                     continue
-                key, value = parts[0], parts[1]
+                key, count = parts[0], _FIELDS.get(parts[0])
+                if count is None:
+                    raise ValueError(f"unknown header {key!r}")
+                if len(parts) != count + 1:
+                    raise ValueError(f"{key!r} takes {count} value{'s' * (count > 1)}, got {len(parts) - 1}")
+                value = parts[1]
                 # most header lines are seen task ids and DAG edges: test those first
                 if key == "seen":
                     seen.add(bytes.fromhex(value))
@@ -592,13 +594,9 @@ def load_snapshot(text: str) -> ChainState:
                                                   _count("remaining_blocks", parts[3])))
                 elif key in header:
                     raise ValueError(f"repeated header {key!r}")
-                elif key == SNAPSHOT_MAGIC:
-                    header[key] = value
-                elif key in _HEADERS:
-                    header[key] = _HEADERS[key][1](value)
                 else:
-                    raise ValueError(f"unknown header {key!r}")
-            except (ValueError, IndexError) as exc:
+                    header[key] = value if key == SNAPSHOT_MAGIC else _HEADERS[key][1](value)
+            except ValueError as exc:
                 _check_account_lines(rows, at)  # an earlier account line may be bad too
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
 
@@ -610,7 +608,7 @@ def load_snapshot(text: str) -> ChainState:
         for key, (attribute, _) in _HEADERS.items():  # a missing key raises in table order
             owner, _, name = attribute.rpartition(".")
             fields[owner][name] = header[key]
-        for node in dag.nodes:
+        for node in dag.parents:
             if node not in accounts.pos:
                 raise SnapshotError(f"DAG node {node!r} has no account line")
         return ChainState(accounts=accounts, dag=dag, params=SystemParams(**fields["params"]),
@@ -640,7 +638,7 @@ def _ledger(rows: list[str], at: list[int]) -> Ledger:
         ids, coins, prestige, hexes = cells[0::4], cells[1::4], cells[2::4], cells[3::4]
         keys, coins = list(map(bytes.fromhex, hexes)), list(map(int, coins))
         # split() gives back the ids exactly when none is empty or holds whitespace
-        if (min(coins) < 0 or max(coins) > 2**63 - 1 or not set(map(len, keys)) <= {0, VK_BYTES}
+        if (min(coins) < 0 or max(coins) > MAX_COINS or not set(map(len, keys)) <= {0, VK_BYTES}
                 or " ".join(ids).split() != ids):
             raise ValueError("an account line out of range")
         accounts = Ledger()._fill(ids, coins, list(map(float, prestige)), keys)

@@ -31,8 +31,8 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from . import scenarios
-from .chain import advance_block, load_snapshot, save_snapshot
+from . import core, scenarios
+from .chain import ChainState, advance_block, load_snapshot, save_snapshot
 from .errors import PrestigeError, SnapshotError
 
 __all__ = ["main", "cmd_run", "cmd_check", "cmd_step", "cmd_list"]
@@ -118,8 +118,7 @@ def _arguments(name: str, given: dict[str, object]) -> dict[str, object]:
                 kwargs[key] = _parse(hints[key], value)
             except ValueError as exc:
                 raise ValueError(f"scenario {name!r}: {key} {exc}") from None
-    if not 0 <= kwargs.get("seed", 0) < 2**64:
-        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {kwargs['seed']}")
+    core.seed(kwargs.get("seed", 0))
     return kwargs
 
 
@@ -264,6 +263,17 @@ def cmd_check(seed: int, trials: int) -> int:
     return EXIT_VIOLATION
 
 
+def _check_balance(state: ChainState) -> None:
+    """SnapshotError unless every reward funder has an account and the coins add up."""
+    for schedule in state.motivator_rewards:
+        if schedule.funder not in state.accounts:
+            raise SnapshotError(f"reward funder {schedule.funder!r} has no account line")
+    held, escrowed, fees = state.total_coins(), state.escrowed_coins(), state.fees_pending
+    if held + escrowed + fees != state.initial_coins + state.height * state.subsidy:
+        raise SnapshotError(f"coins do not add up: {held} held + {escrowed} escrowed + {fees} fees pending "
+                            f"!= {state.initial_coins} initial + {state.height} blocks * {state.subsidy} subsidy")
+
+
 def cmd_step(state_file: str, n_blocks: int, output_dir: str) -> int:
     if n_blocks < 0:
         print("--blocks must be >= 0", file=sys.stderr)
@@ -271,6 +281,7 @@ def cmd_step(state_file: str, n_blocks: int, output_dir: str) -> int:
     path = Path(state_file)
     try:
         state = load_snapshot(path.read_text(encoding="utf-8"))
+        _check_balance(state)  # load_snapshot loads such a state; advancing it carries the break on
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {state_file}: {exc}", file=sys.stderr)
         return EXIT_USAGE

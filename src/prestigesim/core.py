@@ -21,6 +21,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+MAX_COINS = 2**63 - 1  # the most coins one int64 ledger cell holds
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -50,6 +52,13 @@ def whole(name: str, value: int) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value}") from None
+
+
+def seed(value: int) -> int:
+    """*value*, or ValueError unless it is an unsigned 64-bit seed: the range of ``--seed``."""
+    if not 0 <= value < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {value}")
+    return value
 
 
 def finite_nonnegative(name: str, value: float) -> float:
@@ -82,7 +91,7 @@ def check_account(acct_id: str, coins: int, verification_key: bytes) -> int:
     """*coins* as an int; ValueError for coins not an integer in [0, 2**63 - 1] or a key not 0 or 33 bytes."""
     if type(coins) is not int:
         coins = whole(f"coins of {acct_id!r}", coins)
-    if not 0 <= coins <= 2**63 - 1:
+    if not 0 <= coins <= MAX_COINS:
         raise ValueError(f"coins must be in [0, 2**63 - 1], got {coins} for {acct_id!r}")
     if verification_key and len(verification_key) != 33:
         raise ValueError("verification_key must be empty or 33 bytes")

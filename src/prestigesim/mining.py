@@ -33,7 +33,6 @@ from __future__ import annotations
 import enum
 from collections.abc import Hashable, Mapping, MutableMapping, MutableSequence, Sequence
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 from .core import Account
 from .errors import (
@@ -63,72 +62,50 @@ class MiningMode(str, enum.Enum):
 class MiningDag:
     """Forest of distribution trees; every node has at most one parent.
 
-    Mutation happens in place (attach/add_root return self for chaining) and
-    assumes exclusive access; no two block-processing steps may grow the same
-    DAG concurrently. Acyclicity holds by construction because only brand-new
+    ``parents`` maps each node to its parent, None for a root. Read it freely;
+    grow it only by add_root/attach, which return self for chaining and assume
+    exclusive access. Acyclicity holds by construction because only brand-new
     node ids can be attached.
     """
 
-    __slots__ = ("_parent",)
+    __slots__ = ("parents",)
 
     def __init__(self) -> None:
-        self._parent: dict[str, str | None] = {}
-
-    # -- growth --------------------------------------------------------------
+        self.parents: dict[str, str | None] = {}
 
     def add_root(self, node: str) -> "MiningDag":
-        if node in self._parent:
+        if node in self.parents:
             raise DuplicateNode(f"DAG node {node!r} is already present")
-        self._parent[node] = None
+        self.parents[node] = None
         return self
 
     def attach(self, parent: str, child: str) -> "MiningDag":
-        if parent not in self._parent:
+        if parent not in self.parents:
             raise UnknownParent(parent)
-        if child in self._parent:
+        if child in self.parents:
             raise DuplicateNode(f"DAG node {child!r} is already present")
-        self._parent[child] = parent
+        self.parents[child] = parent
         return self
 
-    # -- queries ---------------------------------------------------------------
-
     def __contains__(self, node: object) -> bool:
-        return node in self._parent
+        return node in self.parents
 
     def __len__(self) -> int:
-        return len(self._parent)
-
-    @property
-    def nodes(self) -> Iterator[str]:
-        return iter(self._parent)
-
-    @property
-    def parents(self) -> Mapping[str, str | None]:
-        """Each node's parent, None for a root: the DAG's own map, to read only."""
-        return self._parent
-
-    @property
-    def roots(self) -> tuple[str, ...]:
-        return tuple(n for n, p in self._parent.items() if p is None)
-
-    def parent(self, node: str) -> str | None:
-        try:
-            return self._parent[node]
-        except KeyError:
-            raise UnknownNode(node) from None
+        return len(self.parents)
 
     def path_to_root(self, node: str) -> list[str]:
-        """Node first, root last."""
-        path = [node]
-        current = self.parent(node)
+        """Node first, root last; UnknownNode if *node* is not in the DAG."""
+        if node not in self.parents:
+            raise UnknownNode(node)
+        path, current = [node], self.parents[node]
         while current is not None:
             path.append(current)
-            current = self._parent[current]
+            current = self.parents[current]
         return path
 
     def copy(self) -> "MiningDag":
         dup = MiningDag()
-        dup._parent = dict(self._parent)
+        dup.parents = dict(self.parents)
         return dup
 
 

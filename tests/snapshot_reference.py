@@ -6,6 +6,7 @@ bad line's."""
 from __future__ import annotations
 
 from prestigesim.chain import (
+    _FIELDS,
     _HEADERS as _HEADER_VALUES,
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
@@ -40,7 +41,13 @@ def _load_lines(text: str) -> ChainState:
                     parts = line[1:].split()
                     if not parts:
                         continue
-                    key, value = parts[0], parts[1]
+                    key, count = parts[0], _FIELDS.get(parts[0])
+                    if count is None:
+                        raise ValueError(f"unknown header {key!r}")
+                    if len(parts) - 1 != count:
+                        raise ValueError(f"{key!r} takes {count} value{'s' if count > 1 else ''}, "
+                                         f"got {len(parts) - 1}")
+                    value = parts[1]
                     # most header lines are seen task ids and DAG edges: test those first
                     if key == "seen":
                         seen.add(bytes.fromhex(value))
@@ -59,10 +66,8 @@ def _load_lines(text: str) -> ChainState:
                         raise ValueError(f"repeated header {key!r}")
                     elif key == SNAPSHOT_MAGIC:
                         header[key] = value
-                    elif key in _HEADER_VALUES:
-                        header[key] = _HEADER_VALUES[key][1](value)
                     else:
-                        raise ValueError(f"unknown header {key!r}")
+                        header[key] = _HEADER_VALUES[key][1](value)
                     continue
                 fields = line.split(",")
                 if len(fields) not in (3, 4):
@@ -73,7 +78,7 @@ def _load_lines(text: str) -> ChainState:
                 _check_snapshot_safe(acct_id, p)
                 if acct_id in pos:
                     raise ValueError(f"duplicate account {acct_id!r}")
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
             pos[acct_id] = len(ids)
             ids.append(acct_id)
@@ -101,7 +106,7 @@ def _load_lines(text: str) -> ChainState:
             motivator_rewards=rewards,
             seen_tasks=seen,
         )
-        for node in dag.nodes:
+        for node in dag.parents:
             if node not in pos:
                 raise SnapshotError(f"DAG node {node!r} has no account line")
         return state

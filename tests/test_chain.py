@@ -423,7 +423,7 @@ def test_path_ack_settlement_hand_walk():
     assert state.accounts["r"].prestige == 18.0
     assert state.accounts["A"].prestige == 6.0
     assert state.accounts["B"].prestige == 12.0
-    assert state.dag.parent("r") is None and state.dag.parent("A") == "r"
+    assert state.dag.parents["r"] is None and state.dag.parents["A"] == "r"
     assert blk.ack_hexes == (path_a.to_hex(),)
     # only A's hop moved prestige; the genesis hop just registers the root
     assert len(blk.processed_acks) == 1
@@ -431,7 +431,7 @@ def test_path_ack_settlement_hand_walk():
     path_b = extend_path_ack(path_a, kp_for("B"), tid(102), kp_for("B").vk, 4)
     state = submit_ack(state, path_b)  # r and A hops are known; only B's is new
     state, blk = advance_block(state)
-    assert state.dag.parent("B") == "A"
+    assert state.dag.parents["B"] == "A"
     assert state.accounts["B"].prestige == 10.0
     assert state.accounts["A"].prestige == pytest.approx(11 + 4 * 11 / 28, abs=1e-12)
     assert state.accounts["r"].prestige == pytest.approx(17 + 4 * 17 / 28, abs=1e-12)
@@ -518,7 +518,7 @@ def test_path_ack_must_match_queued_parents():
     with pytest.raises(InvalidSignature, match="attached elsewhere"):
         submit_ack(state, path_through(["r", "B", "C"], 200))  # C is queued under A
     state, blk = advance_block(state)
-    assert state.dag.parent("C") == "A" and "B" not in state.dag
+    assert state.dag.parents["C"] == "A" and "B" not in state.dag
     assert [rec.contributor for rec in blk.processed_acks] == ["r", "A"]
 
 
@@ -528,7 +528,7 @@ def test_path_ack_must_start_at_queued_root():
     with pytest.raises(InvalidSignature, match="not a branch root"):
         submit_ack(state, path_through(["A", "B"], 200))  # A is queued under r
     state, _ = advance_block(state)
-    assert state.dag.parent("A") == "r" and "B" not in state.dag
+    assert state.dag.parents["A"] == "r" and "B" not in state.dag
 
 
 # Acks the property below draws: a root ack, an extension of an earlier path
@@ -579,7 +579,7 @@ def submit_with_cuts(acks, cuts):
         except (InvalidSignature, DuplicateTask) as exc:
             outcomes.append(type(exc).__name__)
     state, _ = advance_block(state)
-    return outcomes, {node: state.dag.parent(node) for node in state.dag.nodes}
+    return outcomes, dict(state.dag.parents)
 
 
 @settings(max_examples=300, deadline=None)
@@ -593,7 +593,7 @@ def submit_footprint(state: ChainState):
     """What a submit may change: seen ids, placements, queue length, fees, coins."""
     return (
         set(state.seen_tasks),
-        {node: state.dag.parent(node) for node in state.dag.nodes},
+        dict(state.dag.parents),
         len(state.pending_acks),
         state.fees_pending,
         {acct_id: acct.coins for acct_id, acct in state.accounts.items()},
@@ -741,8 +741,8 @@ def test_snapshot_roundtrip_is_byte_identical():
     assert restored.height == state.height
     assert restored.accounts == state.accounts
     assert restored.seen_tasks == state.seen_tasks
-    assert set(restored.dag.nodes) == set(state.dag.nodes)
-    assert restored.dag.parent("B") == "A"
+    assert set(restored.dag.parents) == set(state.dag.parents)
+    assert restored.dag.parents["B"] == "A"
     assert [(" ", s.funder, s.coins_per_block, s.remaining_blocks) for s in restored.motivator_rewards] == [
         (" ", s.funder, s.coins_per_block, s.remaining_blocks) for s in state.motivator_rewards
     ]
@@ -864,7 +864,6 @@ def test_snapshot_rejects_accounts_genesis_rejects(line):
     ("c,1,0.0," + "ab" * 32, "line 13: verification_key must be empty or 33 bytes"),
     ("c d,1,0.0,", "line 13: account id 'c d' must be non-empty, start with no '#' and contain "
                    "no ',' or whitespace"),
-    ("#c,1,0.0,", "line 13: list index out of range"),  # a leading '#' makes a header
     ("c,1,nan,", "line 13: prestige of 'c' must be finite, got nan"),
     ("a,1,0.0,", "line 13: duplicate account 'a'"),
 ])
@@ -915,6 +914,7 @@ def test_snapshot_header_errors_name_the_line(line, message):
     (10, "# prestigesim-state 1", "line 11: repeated header 'prestigesim-state'"),
     (10, "# frobnicate 7", "line 11: unknown header 'frobnicate'"),
     (12, "# version 1", "line 13: unknown header 'version'"),
+    (12, "#c,1,0.0,", "line 13: unknown header 'c,1,0.0,'"),  # a leading '#' makes a header
 ])
 def test_snapshot_refuses_header_lines_save_never_writes(at, line, message):
     # save_snapshot writes each header once and no other: a repeat would
@@ -925,6 +925,41 @@ def test_snapshot_refuses_header_lines_save_never_writes(at, line, message):
     with pytest.raises(SnapshotError) as err:
         load_snapshot("\n".join(lines) + "\n")
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("line, message", [
+    ("# prestigesim-state 1 x", "line 1: 'prestigesim-state' takes 1 value, got 2"),
+    ("# height 0 7", "line 2: 'height' takes 1 value, got 2"),
+    ("# height", "line 2: 'height' takes 1 value, got 0"),
+    ("# subsidy 2 # two coins", "line 7: 'subsidy' takes 1 value, got 4"),
+    ("# root a b", "line 11: 'root' takes 1 value, got 2"),
+    ("# edge b a c", "line 12: 'edge' takes 2 values, got 3"),
+    ("# edge b", "line 12: 'edge' takes 2 values, got 1"),
+    ("# reward a 1", "line 13: 'reward' takes 3 values, got 2"),
+    ("# reward a 1 3 4", "line 13: 'reward' takes 3 values, got 4"),
+    ("# seen " + "01" * 32 + " 02", "line 14: 'seen' takes 1 value, got 2"),
+])
+def test_snapshot_refuses_a_line_with_the_wrong_count_of_values(line, message):
+    # each kind of '#' line holds a fixed count of values; a value past it would go unread
+    state = ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5), rng_seed=1, subsidy=2)
+    state.dag.add_root("a").attach("a", "b")
+    register_motivator_reward(state, "a", 1, 3)
+    state.seen_tasks.add(b"\x01" * 32)
+    key = line.split()[1]
+    lines = save_snapshot(state).splitlines()
+    assert len(lines) == 16 and lines[-3].startswith("# seen ")
+    lines = [line if old.startswith(f"# {key} ") else old for old in lines]
+    assert line in lines
+    with pytest.raises(SnapshotError) as err:
+        load_snapshot("\n".join(lines) + "\n")
+    assert str(err.value) == message
+
+
+def test_snapshot_skips_a_bare_hash_line():
+    text = save_snapshot(ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5), rng_seed=1))
+    lines = text.splitlines()
+    lines[1:1] = ["#", "  #\t"]
+    assert save_snapshot(load_snapshot("\n".join(lines) + "\n")) == text
 
 
 def test_snapshot_names_the_first_missing_header_in_write_order():
@@ -1038,7 +1073,7 @@ def chain_states(draw):
     except ValueError:
         reject()
     for k, uid in enumerate(draw(st.permutations(ids))[: draw(st.integers(0, len(ids)))]):
-        parents = list(state.dag.nodes)
+        parents = list(state.dag.parents)
         if k == 0 or draw(st.booleans()):
             state.dag.add_root(uid)
         else:
@@ -1060,9 +1095,7 @@ def test_snapshot_roundtrip_over_valid_states(state):
     restored = load_snapshot(text)
     assert save_snapshot(restored) == text
     assert restored.accounts == state.accounts
-    assert {n: restored.dag.parent(n) for n in restored.dag.nodes} == {
-        n: state.dag.parent(n) for n in state.dag.nodes
-    }
+    assert restored.dag.parents == state.dag.parents
     assert restored.seen_tasks == state.seen_tasks
     assert (restored.height, restored.params, restored.rng_seed) == (
         state.height, state.params, state.rng_seed
@@ -1164,6 +1197,12 @@ def _inner_space(draw, lines):
     lines[i] = lines[i][:cut] + " " + lines[i][cut:]
 
 
+def _value_count(draw, lines):
+    # a '#' line, the magic line included, with one value more or its last one dropped
+    i = draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("#")]))
+    lines[i] = draw(st.sampled_from([lines[i] + " 7", lines[i].rsplit(" ", 1)[0]]))
+
+
 def _swap_header_lines(draw, lines):
     i = _pick(draw, lines, header=True)
     j = _pick(draw, lines, header=True)
@@ -1187,6 +1226,7 @@ SNAPSHOT_CORRUPTIONS = {
     "spacing": _spacing,
     "inner space": _inner_space,
     "header order": _swap_header_lines,
+    "value count": _value_count,
 }
 
 

@@ -166,7 +166,7 @@ class ChainVersusModel(RuleBasedStateMachine):
         assert [(uid, a.coins, repr(a.prestige), a.verification_key)
                 for uid, a in state.accounts.items()] == [
             (uid, c, repr(p), vk) for uid, (c, p, vk) in model.accounts.items()]
-        forest = {n: state.dag.parent(n) for n in state.dag.nodes}
+        forest = dict(state.dag.parents)
         assert forest == model.parent and set(forest) <= set(state.accounts)
         assert state.seen_tasks == model.seen
         assert (state.height, state.fees_pending, len(state.pending_acks)) == (
@@ -246,7 +246,7 @@ def test_block_settlement_matches_apply_transfer_bit_for_bit(cells, parents, dec
             state.dag.add_root(ids[i])
         else:
             state.dag.attach(ids[parent % i], ids[i])
-    nodes = list(state.dag.nodes)
+    nodes = list(state.dag.parents)
     simple = st.tuples(st.sampled_from(ids), st.sampled_from(ids), AMOUNTS, st.just(MiningMode.SIMPLE))
     progressive = st.tuples(st.sampled_from(ids), st.sampled_from(nodes), AMOUNTS,
                             st.just(MiningMode.PROGRESSIVE)) if nodes else simple

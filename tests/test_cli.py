@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 
 import prestigesim.mining
-from prestigesim import ChainState, SystemParams, cli, run_scenario, save_snapshot, scenarios
+from prestigesim import (
+    Account, ChainState, SystemParams, advance_block, cli, register_motivator_reward, run_scenario,
+    save_snapshot, scenarios,
+)
 from prestigesim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -110,7 +113,7 @@ def test_run_refuses_a_seed_outside_64_bits_however_given(tmp_path, capsys, seed
     for args in (["decay", "--set", f"seed={seed}"], ["decay", "--config", str(ini)],
                  ["decay", "--seed", str(seed)]):
         assert main(["run", *args, "--out", str(out)]) == EXIT_USAGE
-        assert f"seed must fit in an unsigned 64-bit integer, got {seed}" in capsys.readouterr().err
+        assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -126,7 +129,7 @@ def test_run_all_refuses_a_bad_seed_before_starting_the_worker(tmp_path, monkeyp
     monkeypatch.setattr(cli, "_worker_pays", lambda: True)
     monkeypatch.setattr(cli, "_start_worker", lambda *args: pytest.fail("a worker was started"))
     assert main(["run", "--all", "--seed", "-1", "--out", str(tmp_path / "out")]) == EXIT_USAGE
-    assert "unsigned 64-bit" in capsys.readouterr().err
+    assert "seed must be in [0, 2**64), got -1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -174,7 +177,7 @@ def test_run_mistyped_set_exits_2(tmp_path, capsys):
     ("dag_study", "modes=,", "modes must not be empty"),
     ("dag_study", "branch_power=-1", "branch_power must be finite and >= 0, got -1.0"),
     ("global", "fee=-5", "fee must be finite and >= 0, got -5.0"),
-    ("decay", "seed=-1", "seed must fit in an unsigned 64-bit integer, got -1"),
+    ("decay", "seed=-1", "seed must be in [0, 2**64), got -1"),
     ("decay", "users=5", "scenario 'decay': users cannot be given as text, got '5'"),
     ("dag_study", "base_range=5",
      "scenario 'dag_study': base_range must be 2 comma-separated values, got '5'"),
@@ -525,7 +528,7 @@ def test_check_reports_the_runners_refusal(capsys):
 def test_check_rejects_bad_seed(capsys):
     assert main(["check", "--trials", "1", "--seed", "-1"]) == EXIT_USAGE
     assert main(["check", "--trials", "1", "--seed", str(2**64)]) == EXIT_USAGE
-    assert "unsigned 64-bit" in capsys.readouterr().err
+    assert f"seed must be in [0, 2**64), got {2**64}" in capsys.readouterr().err
 
 
 def test_check_reports_a_runner_that_fails_to_run(monkeypatch, capsys):
@@ -655,6 +658,37 @@ def test_step_rejects_a_seed_outside_64_bits(tmp_path, snapshot_file, capsys):
     assert main(["step", str(bad), "--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert capsys.readouterr().err == "malformed snapshot: line 6: seed must be in [0, 2**64), got -5\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_step_refuses_a_snapshot_whose_coins_do_not_add_up(tmp_path, snapshot_file, capsys):
+    # advancing it would carry the broken identity into every later snapshot
+    bad = tmp_path / "bad.txt"
+    bad.write_text(snapshot_file.read_text().replace("# initial-coins 120\n", "# initial-coins 999\n"))
+    assert main(["step", str(bad), "--blocks", "2", "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "malformed snapshot: coins do not add up: 120 held + 0 escrowed + 0 fees pending "
+        "!= 999 initial + 0 blocks * 2 subsidy\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_step_refuses_a_reward_funded_by_no_account(tmp_path, snapshot_file, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(snapshot_file.read_text().replace("# seed 5\n", "# seed 5\n# reward ghost 1 3\n"))
+    assert main(["step", str(bad), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == "malformed snapshot: reward funder 'ghost' has no account line\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_step_counts_escrow_and_pending_fees_in_the_coin_check(tmp_path, capsys):
+    state = ChainState.genesis([("a", 40), ("b", 40)], SystemParams(decay=0.2), rng_seed=5, subsidy=2)
+    register_motivator_reward(state, "a", 3, 4)
+    state, _ = advance_block(state)
+    b = state.accounts["b"]
+    state.fees_pending, state.accounts["b"] = 5, Account("b", b.coins - 5, b.prestige, b.verification_key)
+    path = tmp_path / "busy.txt"
+    path.write_text(save_snapshot(state))
+    assert main(["step", str(path), "--blocks", "2", "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert "advanced 2 block(s) to height 3" in capsys.readouterr().out
 
 
 def test_step_reward_past_coin_limit_is_a_runtime_failure(tmp_path, capsys):
