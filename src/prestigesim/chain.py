@@ -26,11 +26,11 @@ was partially accepted earlier (e.g. an ancestor already uploaded its shorter
 path) transfers only for its unseen hops.
 
 State snapshots serialize to a line-oriented text format, one account per
-line (id, coins, prestige, optional vk hex), with '#'-prefixed header lines
-carrying the metadata needed to resume (params, height, seed, DAG edges,
-reward schedules, seen task ids). The pending queue is not persisted, so
-snapshots are taken between blocks: ``save_snapshot`` refuses a state with
-acks pending.
+line (id, coins, prestige, vk hex; the hex empty for a keyless account), with
+'#'-prefixed header lines carrying the metadata needed to resume (params,
+height, seed, DAG edges, reward schedules, seen task ids). The pending queue
+is not persisted, so snapshots are taken between blocks: ``save_snapshot``
+refuses a state with acks pending.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .acks import VK_BYTES, PathAck, SimpleAck, keygen, setup, verify_path_ack, verify_simple_ack
+from .acks import (TASK_ID_BYTES, VK_BYTES, PathAck, SimpleAck, keygen, setup, verify_path_ack,
+                   verify_simple_ack)
 from .core import MAX_COINS, Account, SystemParams, check_account, finite_nonnegative, seed, whole
 # step_account and apply_transfer go unused here: perfbench/tracing.py patches
 # chain.step_account and chain.apply_transfer by name.
@@ -298,6 +299,13 @@ def _check_snapshot_safe(acct_id: str, prestige: float) -> None:
         raise ValueError(f"prestige of {acct_id!r} must be finite, got {prestige!r}")
 
 
+def _snapshot_safe(ids: list[str], prestige: np.ndarray) -> bool:
+    """Whether every account passes ``_check_snapshot_safe``, checked a column at a time."""
+    joined = " ".join(ids)  # whose split() gives back the ids when none is empty or holds whitespace
+    return (joined.split() == ids and "," not in joined and not joined.startswith("#")
+            and " #" not in joined and bool(np.isfinite(prestige).all()))
+
+
 def _debit(led: Ledger, acct_id: str, amount: int, needs: str) -> None:
     """Take *amount* coins from an account, in Python ints, or raise InsufficientFunds."""
     i = led.pos[acct_id]
@@ -522,10 +530,7 @@ def save_snapshot(state: ChainState) -> str:
             f"{len(state.pending_acks)} pending ack(s); snapshot after advance_block"
         )
     led = state.accounts
-    joined = " ".join(led.ids)
-    # the columns pass exactly when every account passes _check_snapshot_safe
-    if (joined.split() != led.ids or "," in joined or joined.startswith("#") or " #" in joined
-            or not np.isfinite(led.prestige).all()):
+    if not _snapshot_safe(led.ids, led.prestige):
         for acct_id, p in zip(led.ids, led.prestige.tolist()):
             _check_snapshot_safe(acct_id, p)
     lines = [f"# {SNAPSHOT_MAGIC} {SNAPSHOT_VERSION}", _HEADER_LINES % _HEADER_STATE(state)]
@@ -545,12 +550,11 @@ def load_snapshot(text: str) -> ChainState:
 
     One parser reads every layout: headers are parsed and checked, and DAG
     lines attached, as they are read, so an edge must follow the line making
-    its parent a node. Account lines are converted a column at a time, then
-    checked as ``Account`` and ``genesis`` check an account. A line that does
-    not parse, a header value out of range (a negative height, coin amount or
-    reward field) or a header ``save_snapshot`` never writes (a repeated or
-    unknown key, or a count of values other than its key's) raises
-    SnapshotError naming the first bad line's number.
+    its parent a node; ``_ledger`` reads the account lines. A line that does not
+    parse, a header value out of range or a line ``save_snapshot`` never writes
+    (a repeated or unknown key, a count of values other than its key's, a seen
+    task id not 32 bytes long or given twice) raises SnapshotError naming the
+    first bad line's number; a missing header raises one naming the header.
     """
     header: dict[str, object] = {}
     dag = MiningDag()
@@ -580,7 +584,10 @@ def load_snapshot(text: str) -> ChainState:
                 value = parts[1]
                 # most header lines are seen task ids and DAG edges: test those first
                 if key == "seen":
-                    seen.add(bytes.fromhex(value))
+                    task = bytes.fromhex(value)
+                    if len(task) != TASK_ID_BYTES or task in seen:
+                        raise ValueError(f"task id {value!r} must be {TASK_ID_BYTES} bytes, seen once")
+                    seen.add(task)
                 elif key == "edge":
                     child, parent = value, parts[2]
                     if parent not in dag:  # attach's KeyError would read as a missing header
@@ -597,13 +604,12 @@ def load_snapshot(text: str) -> ChainState:
                 else:
                     header[key] = value if key == SNAPSHOT_MAGIC else _HEADERS[key][1](value)
             except ValueError as exc:
-                _check_account_lines(rows, at)  # an earlier account line may be bad too
+                _ledger(rows, at)  # an earlier account line may be bad too
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
 
         accounts = _ledger(rows, at)
         if header.get(SNAPSHOT_MAGIC) != str(SNAPSHOT_VERSION):
             raise SnapshotError("missing or unsupported snapshot header")
-        header.setdefault("fees-pending", 0)
         fields: dict[str, dict[str, object]] = {"": {}, "params": {}}
         for key, (attribute, _) in _HEADERS.items():  # a missing key raises in table order
             owner, _, name = attribute.rpartition(".")
@@ -618,53 +624,36 @@ def load_snapshot(text: str) -> ChainState:
 
 
 def _ledger(rows: list[str], at: list[int]) -> Ledger:
-    """The ledger of account lines *rows*, at line numbers *at*, converted and
-    checked a column at a time. Each column check fails exactly when some
-    line's own check does; then ``_check_account_lines`` raises the first bad
-    line's SnapshotError."""
+    """The ledger of account lines *rows*, at line numbers *at*, each ``id,coins,prestige,vk``
+    as ``save_snapshot`` writes it, converted and checked a column at a time. A column check
+    fails exactly when some line's own check does; then the first bad line's SnapshotError is raised."""
     if not rows:
         return Ledger()
     try:
-        commas = [row.count(",") for row in rows]
-        if not set(commas) <= {2, 3}:  # the split below would shift every later field
-            raise ValueError("an account line without 3 or 4 fields")
-        if 2 in commas:  # a line without a key gets an empty one
-            rows4 = [row if n == 3 else row + "," for row, n in zip(rows, commas)]
-        else:
-            rows4 = rows
-        # one split of the whole block: a list per line, all alive at once, sets
-        # off extra full garbage collections in a long-running process
-        cells = ",".join(rows4).split(",")
+        if set(map(methodcaller("count", ","), rows)) != {3}:  # a short line would shift the rest
+            raise ValueError("an account line without 4 fields")
+        cells = ",".join(rows).split(",")  # one split: a list per line would set off full GCs
         ids, coins, prestige, hexes = cells[0::4], cells[1::4], cells[2::4], cells[3::4]
         keys, coins = list(map(bytes.fromhex, hexes)), list(map(int, coins))
-        # split() gives back the ids exactly when none is empty or holds whitespace
-        if (min(coins) < 0 or max(coins) > MAX_COINS or not set(map(len, keys)) <= {0, VK_BYTES}
-                or " ".join(ids).split() != ids):
+        if min(coins) < 0 or max(coins) > MAX_COINS or not set(map(len, keys)) <= {0, VK_BYTES}:
             raise ValueError("an account line out of range")
         accounts = Ledger()._fill(ids, coins, list(map(float, prestige)), keys)
-        if len(accounts.pos) != len(ids) or not np.isfinite(accounts.prestige).all():
-            raise ValueError("a duplicate account or non-finite prestige")
+        if not _snapshot_safe(ids, accounts.prestige) or len(accounts.pos) != len(ids):
+            raise ValueError("an account line save_snapshot would refuse, or a repeated id")
         return accounts
     except ValueError:
-        _check_account_lines(rows, at)
+        pos: set[str] = set()
+        for lineno, line in zip(at, rows):
+            try:
+                fields = line.split(",")
+                if len(fields) != 4:
+                    raise ValueError("expected id,coins,prestige,vk")
+                vk, acct_id, n, p = bytes.fromhex(fields[3]), fields[0], int(fields[1]), float(fields[2])
+                check_account(acct_id, n, vk)
+                _check_snapshot_safe(acct_id, p)
+                if acct_id in pos:
+                    raise ValueError(f"duplicate account {acct_id!r}")
+            except ValueError as exc:
+                raise SnapshotError(f"line {lineno}: {exc}") from exc
+            pos.add(acct_id)
         raise
-
-
-def _check_account_lines(rows: list[str], at: list[int]) -> None:
-    """Raise SnapshotError naming the first of the account lines *rows* that
-    fails its checks, if one does."""
-    pos: set[str] = set()
-    for lineno, line in zip(at, rows):
-        try:
-            fields = line.split(",")
-            if len(fields) not in (3, 4):
-                raise ValueError("expected id,coins,prestige[,vk]")
-            vk = bytes.fromhex(fields[3]) if len(fields) == 4 else b""
-            acct_id, n, p = fields[0], int(fields[1]), float(fields[2])
-            check_account(acct_id, n, vk)
-            _check_snapshot_safe(acct_id, p)
-            if acct_id in pos:
-                raise ValueError(f"duplicate account {acct_id!r}")
-        except ValueError as exc:
-            raise SnapshotError(f"line {lineno}: {exc}") from exc
-        pos.add(acct_id)

@@ -247,12 +247,15 @@ def _check_grid(**grids: Sequence) -> None:
 
 
 def _check_cohorts(cohorts: Sequence[tuple[str, int, float, int]]) -> None:
-    """Reject an empty cohort list, a repeated label, a cohort without members,
-    negative coins, or a work probability that is NaN or outside [0, 1]."""
+    """Reject an empty cohort list, a label that would break a CSV row or a summary
+    line (empty, or holding whitespace, ',' or '"'), a repeated label, a cohort
+    without members, negative coins, or a work probability that is NaN or outside [0, 1]."""
     if not cohorts:
         raise ValueError("cohorts must not be empty")
     labels: set[str] = set()
     for label, coins, work_p, count in cohorts:
+        if label.split() != [label] or "," in label or '"' in label:
+            raise ValueError(f"cohort label {label!r} must be non-empty, without whitespace, ',' or '\"'")
         if label in labels:
             raise ValueError(f"cohort label {label!r} is repeated; each cohort needs its own")
         labels.add(label)

@@ -16,6 +16,7 @@ from prestigesim.chain import (
     _check_snapshot_safe,
     _count,
 )
+from prestigesim.acks import TASK_ID_BYTES
 from prestigesim.core import SystemParams, check_account
 from prestigesim.errors import SnapshotError
 from prestigesim.mining import MiningDag
@@ -50,7 +51,10 @@ def _load_lines(text: str) -> ChainState:
                     value = parts[1]
                     # most header lines are seen task ids and DAG edges: test those first
                     if key == "seen":
-                        seen.add(bytes.fromhex(value))
+                        task = bytes.fromhex(value)
+                        if len(task) != TASK_ID_BYTES or task in seen:
+                            raise ValueError(f"task id {value!r} must be {TASK_ID_BYTES} bytes, seen once")
+                        seen.add(task)
                     elif key == "edge":
                         child, parent = value, parts[2]
                         if parent not in dag:  # attach's KeyError would read as a missing header
@@ -70,9 +74,9 @@ def _load_lines(text: str) -> ChainState:
                         header[key] = _HEADER_VALUES[key][1](value)
                     continue
                 fields = line.split(",")
-                if len(fields) not in (3, 4):
-                    raise ValueError("expected id,coins,prestige[,vk]")
-                vk = bytes.fromhex(fields[3]) if len(fields) == 4 else b""
+                if len(fields) != 4:
+                    raise ValueError("expected id,coins,prestige,vk")
+                vk = bytes.fromhex(fields[3])
                 acct_id, n, p = fields[0], int(fields[1]), float(fields[2])
                 check_account(acct_id, n, vk)
                 _check_snapshot_safe(acct_id, p)
@@ -100,7 +104,7 @@ def _load_lines(text: str) -> ChainState:
             subsidy=header["subsidy"],
             ack_fee=header["ack-fee"],
             initial_coins=header["initial-coins"],
-            fees_pending=header.get("fees-pending", 0),
+            fees_pending=header["fees-pending"],
             accounts=Ledger()._fill(ids, coins, prestige, keys),
             dag=dag,
             motivator_rewards=rewards,

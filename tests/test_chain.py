@@ -866,6 +866,7 @@ def test_snapshot_rejects_accounts_genesis_rejects(line):
                    "no ',' or whitespace"),
     ("c,1,nan,", "line 13: prestige of 'c' must be finite, got nan"),
     ("a,1,0.0,", "line 13: duplicate account 'a'"),
+    ("c,1,0.0", "line 13: expected id,coins,prestige,vk"),  # save writes a keyless vk as ''
 ])
 def test_snapshot_account_line_errors_name_the_line(line, message):
     good = save_snapshot(ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5), rng_seed=1))
@@ -915,13 +916,21 @@ def test_snapshot_header_errors_name_the_line(line, message):
     (10, "# frobnicate 7", "line 11: unknown header 'frobnicate'"),
     (12, "# version 1", "line 13: unknown header 'version'"),
     (12, "#c,1,0.0,", "line 13: unknown header 'c,1,0.0,'"),  # a leading '#' makes a header
+    (10, "# seen abcd", "line 11: task id 'abcd' must be 32 bytes, seen once"),
+    (11, "# seen " + "01" * 32, f"line 12: task id '{'01' * 32}' must be 32 bytes, seen once"),
+    (13, "c,1,0.0", "line 14: expected id,coins,prestige,vk"),
+    (9, None, "missing header 'fees-pending'"),  # None: the line at *at* left out
 ])
 def test_snapshot_refuses_header_lines_save_never_writes(at, line, message):
     # save_snapshot writes each header once and no other: a repeat would
     # overwrite the first value, and an unknown key would be dropped on re-save
-    lines = save_snapshot(ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5),
-                                             rng_seed=1, subsidy=2)).splitlines()
-    lines.insert(at, line)
+    state = ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5), rng_seed=1, subsidy=2)
+    state.seen_tasks.add(b"\x01" * 32)  # line 11, before the account lines
+    lines = save_snapshot(state).splitlines()
+    if line is None:
+        assert lines.pop(at) == "# fees-pending 0"
+    else:
+        lines.insert(at, line)
     with pytest.raises(SnapshotError) as err:
         load_snapshot("\n".join(lines) + "\n")
     assert str(err.value) == message

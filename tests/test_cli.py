@@ -480,6 +480,20 @@ def test_run_refuses_a_cohort_with_negative_coins(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label", ["odd,label", 'say"hi"', "two words"])
+@pytest.mark.parametrize("name", ["global", "tradeoff"])
+def test_run_refuses_a_cohort_label_that_breaks_a_csv_row(tmp_path, capsys, name, label):
+    # 'odd,label' wrote an 8-field tradeoff row under its 7-field header
+    ini = tmp_path / "odd.ini"
+    ini.write_text("".join(f"[cohort {cohort}]\ncoins = 10\nwork_probability = 0.2\ncount = 3\n\n"
+                           for cohort in ("poor_active", "rich_lazy", label)))
+    out = tmp_path / "out"
+    code = main(["run", name, "--config", str(ini), "--set", "blocks=5", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert f"cohort label {label!r} must be non-empty, without whitespace" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_overrides_beat_config(tmp_path):
     ini = tmp_path / "econ.ini"
     ini.write_text(CONFIG)

@@ -20,10 +20,15 @@ import prestigesim
 from prestigesim import (
     ChainState,
     MiningDag,
+    ScenarioResult,
     SystemParams,
     advance_block,
+    extend_path_ack,
     keygen,
+    load_snapshot,
+    make_root_ack,
     make_simple_ack,
+    save_snapshot,
     setup,
     submit_ack,
 )
@@ -59,19 +64,68 @@ def exponent(prepare, n: int) -> float:
     return math.log(large / small) / math.log(4)
 
 
-def fill_queue(q: int):
-    """Submit q simple acks, each naming its beneficiary, to a fresh two-account chain."""
+def simple_acks(q: int):
+    """A fresh two-account chain and q simple acks from b's work paid by a."""
     state = ChainState.genesis([("a", 5), ("b", 5)], SystemParams(decay=0.5), rng_seed=1)
     payer, contributor = keygen(setup(128), "a"), keygen(setup(128), "b")
-    acks = [make_simple_ack(payer, i.to_bytes(32, "big"), contributor.vk, 1) for i in range(q)]
+    return state, [make_simple_ack(payer, i.to_bytes(32, "big"), contributor.vk, 1) for i in range(q)]
+
+
+def fill_queue(q: int):
+    """Submit q simple acks, each naming its beneficiary, to a fresh two-account chain."""
+    state, acks = simple_acks(q)
     return lambda: [submit_ack(state, ack, beneficiary="a") for ack in acks]
+
+
+def settle_queue(q: int):
+    """Mint one block that settles q queued simple acks."""
+    state, acks = simple_acks(q)
+    for ack in acks:
+        submit_ack(state, ack, beneficiary="a")
+    return lambda: advance_block(state)
+
+
+def genesis(n: int) -> ChainState:
+    """A height-0 chain of n keyed accounts, u0 to u{n-1}."""
+    return ChainState.genesis([(f"u{i}", i % 7) for i in range(n)], SystemParams(decay=0.5),
+                              rng_seed=1, subsidy=1)
 
 
 def empty_block(n: int):
     """Mint one block with nothing queued over n accounts."""
-    state = ChainState.genesis([(f"u{i}", i % 7) for i in range(n)], SystemParams(decay=0.5),
-                               rng_seed=1, subsidy=1)
+    state = genesis(n)
     return lambda: advance_block(state)
+
+
+def join_below(depth: int):
+    """Submit a path ack one hop longer than an accepted path of *depth* hops."""
+    state = genesis(depth + 1)
+    keys = [keygen(setup(128), f"u{i}") for i in range(depth + 1)]
+    path = make_root_ack(keys[0], bytes(32))
+    for i in range(1, depth):
+        path = extend_path_ack(path, keys[i], i.to_bytes(32, "big"), keys[i].vk, 1)
+    submit_ack(state, path)
+    join = extend_path_ack(path, keys[depth], depth.to_bytes(32, "big"), keys[depth].vk, 1)
+    return lambda: submit_ack(state, join)
+
+
+def save_accounts(n: int):
+    """Render the snapshot of a genesis state of n accounts: no DAG or '# seen' lines."""
+    state = genesis(n)
+    return lambda: save_snapshot(state)
+
+
+def load_accounts(n: int):
+    """Load the snapshot of a genesis state of n accounts."""
+    text = save_snapshot(genesis(n))
+    return lambda: load_snapshot(text)
+
+
+def render_rows(n: int):
+    """Render n CSV rows of an int, a float and a bool column."""
+    result = ScenarioResult("gate", ("i", "x", "even"),
+                            ([*range(n)], [i / 7 for i in range(n)], [i % 2 == 0 for i in range(n)]))
+    return result.csv_text
 
 
 def walk_branch(depth: int):
@@ -96,3 +150,28 @@ def test_an_empty_block_does_no_python_work_per_account():
 def test_path_to_root_is_linear_in_depth():
     # one step per ancestor: just under 1.0 with the call's own fixed lines
     assert exponent(walk_branch, 50) <= 1.15
+
+
+def test_a_block_settles_each_queued_ack_in_constant_work():
+    # one settle and one record per ack: just under 1.0 with the block's fixed lines (0.99
+    # when measured)
+    assert exponent(settle_queue, 250) <= 1.15
+
+
+def test_a_join_is_linear_in_path_depth():
+    # one hash and one shape check per hop: under 1.0 with the submit's fixed lines (0.97
+    # when measured)
+    assert exponent(join_below, 50) <= 1.15
+
+
+def test_save_and_load_are_linear_in_accounts():
+    # one comprehension step per account line on save and one loop pass per line on load:
+    # under 1.0 with their fixed lines (0.95 and 0.92 when measured); a check of each line
+    # against every earlier one reads near 2
+    assert exponent(save_accounts, 250) <= 1.15
+    assert exponent(load_accounts, 250) <= 1.15
+
+
+def test_csv_rendering_is_linear_in_rows():
+    # only the bool column renders in Python, one generator step per row (0.95 when measured)
+    assert exponent(render_rows, 250) <= 1.15
