@@ -478,9 +478,9 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
     records: list[TransferRecord] = []
     for item in state.pending_acks:
         for beneficiary, contributor, amount, mode in item.transfers:
-            path = (None if mode is MiningMode.SIMPLE
+            path = ((pos[contributor],) if mode is MiningMode.SIMPLE
                     else [pos[n] for n in state.dag.path_to_root(contributor)])
-            shares = settle_transfer(touched, pos[beneficiary], pos[contributor], amount, path, b)
+            shares = settle_transfer(touched, pos[beneficiary], path, amount, b)
             records.append(TransferRecord(beneficiary, contributor, amount, new_height, mode,
                                           tuple((ids[i], a) for i, a in shares)))
     if touched:

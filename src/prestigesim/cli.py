@@ -13,7 +13,8 @@ failure.  All outputs land under the ``--out`` directory.
 
 Config files are INI-style: a ``[scenario]`` section of flat key=value
 pairs, plus optional ``[cohort <label>]`` sections (keys ``coins``,
-``work_probability``, ``count``) for the cohort-based scenarios.
+``work_probability``, ``count``) for the cohort-based scenarios; any other
+section, ``[DEFAULT]`` included, and any other cohort key is refused.
 ``--set key=value`` overrides take precedence, and ``--seed`` overrides
 those.  Each value is parsed as the runner's type annotation declares it.
 """
@@ -44,6 +45,7 @@ EXIT_RUNTIME = 3
 
 
 _NOUNS = {int: "an integer", float: "a number", str: "text"}
+_COHORT_KEYS = ("coins", "work_probability", "count")
 
 
 def _setting(text: str) -> tuple[str, str]:
@@ -80,16 +82,21 @@ def _parse(hint, text: str) -> object:
 
 
 def _load_config(path: str) -> dict[str, object]:
-    """Read an INI config into runner kwargs: ``[scenario]`` values as text, cohorts as tuples."""
-    parser = configparser.ConfigParser()
+    """Read an INI config into runner kwargs: ``[scenario]`` values as text, cohorts as tuples.
+    ValueError names the first section (``[DEFAULT]`` too) or cohort key it does not take."""
+    parser = configparser.ConfigParser(default_section="")  # "" names no header: [DEFAULT] is plain
     parser.optionxform = str  # keep key case
     if not parser.read(path):
         raise FileNotFoundError(path)
     kwargs: dict[str, object] = dict(parser.items("scenario")) if parser.has_section("scenario") else {}
     cohorts = []
-    for section in parser.sections():
+    for section in (s for s in parser.sections() if s != "scenario"):
         if not section.startswith("cohort "):
-            continue
+            raise ValueError(f"unknown section [{section}]; expected [scenario] or [cohort <label>]")
+        unknown = sorted(set(parser[section]) - set(_COHORT_KEYS))
+        if unknown:
+            raise ValueError(f"[{section}] does not accept: {', '.join(unknown)}\n"
+                             f"valid keys: {', '.join(_COHORT_KEYS)}")
         label = section[len("cohort "):].strip()
         cohorts.append((
             label,

@@ -3,8 +3,6 @@
 A completed task moves a prestige fee x from the beneficiary to the
 contributor side. Two modes are supported:
 
-* simple mining: the contributor keeps the whole fee.
-
 * progressive mining: contributors sit in a distribution DAG (a forest of
   single-parent trees rooted at original content sources). A node keeps only
   the fraction P / (P + Pb) of what reaches it, where Pb is its branch power:
@@ -13,19 +11,21 @@ contributor side. Two modes are supported:
   applying its own fraction, and the root absorbs whatever is left, so every
   transferred unit lands somewhere on the path.
 
+* simple mining: the same rule on the one-node path ``(contributor,)``.
+  Its own root, the contributor keeps the whole fee.
+
 Nodes with zero or negative prestige retain nothing and pass everything
 upstream; ancestors with negative prestige contribute zero to branch power.
 
 ``retain_progressive`` is the one statement of the per-node rule.
-``settle_upstream`` is the propagation kernel: it walks a root path twice
-(ancestor mass up, then the residual down, applying the rule inline) and
-adds each node's share into a caller's container in place, which may be the
-prestige container itself; the tree scenarios credit their per-position
-lists this way. ``propagate_upstream`` runs the same kernel into a fresh
-tally and returns the shares, for callers that keep a record of them.
-``settle_transfer`` is a whole transfer on a prestige container (the chain's
-and the theorem checks' per-position lists); ``apply_transfer`` maps it onto
-``Account``s.
+``settle_upstream`` is the propagation kernel, which settles every transfer
+in either mode: it walks a root path twice (ancestor mass up, then the
+residual down, applying the rule inline) and adds each node's share into a
+caller's container in place, which may be the prestige container itself.
+``propagate_upstream`` runs it into a fresh tally and returns the shares.
+``settle_transfer`` is a whole transfer along a root path on a prestige
+container (the chain's and the theorem checks' per-position lists);
+``apply_transfer`` maps it onto ``Account``s.
 """
 
 from __future__ import annotations
@@ -49,10 +49,8 @@ class MiningMode(str, enum.Enum):
     PROGRESSIVE = "progressive"
 
     @classmethod
-    def parse(cls, label: str | MiningMode, key: str = "mode") -> "MiningMode":
-        if isinstance(label, MiningMode):
-            return label
-        try:
+    def parse(cls, label: str, key: str = "mode") -> "MiningMode":
+        try:  # a member is a str too, and parses back to itself
             return cls(label.lower())
         except (AttributeError, ValueError):  # naming the argument, *key*, the label came in
             raise ValueError(f"{key}: unknown mining mode {label!r}; "
@@ -152,8 +150,9 @@ def settle_upstream(
 
     *path* is a root path of the contributor, contributor first and root
     last, never empty, naming each node once: ``MiningDag.path_to_root`` in
-    the chain, a tuple stored when the node attached in the tree scenarios.
-    Its ids may be account ids or, as in the tree scenarios, positions.
+    the chain, a tuple stored when the node attached in the tree scenarios,
+    ``(contributor,)`` in simple mining, which is ``credit[contributor] += x``;
+    its ids may be account ids or, as in the tree scenarios, positions.
     *prestige_of* maps each id on the path to its prestige: a mapping, or a
     list indexed by position when the ids are positions; ids off the path
     are never read.
@@ -173,6 +172,9 @@ def settle_upstream(
     """
     if x < 0:
         raise ValueError(f"transfer amount must be >= 0, got {x}")
+    if len(path) == 1:  # no ancestors: the contributor is its own root (simple mining)
+        credit[path[0]] += x
+        return
 
     # Ancestor prestige mass, summed from the root down; above[-1 - i] is
     # what sits above path[i]. Skipping a negative p leaves the same bits as
@@ -226,24 +228,18 @@ def propagate_upstream(
 def settle_transfer(
     prestige: MutableMapping[Hashable, float] | MutableSequence[float],
     beneficiary: Hashable,
-    contributor: Hashable,
+    path: Sequence[Hashable],
     x: float,
-    path: Sequence[Hashable] | None = None,
     b: float = 0.0,
 ) -> list[tuple[Hashable, float]]:
     """Debit the beneficiary by x and credit the contributor side in *prestige*.
 
-    With no *path* (simple mining) the contributor gets all of x; with the
-    contributor's root path ``propagate_upstream`` splits x from the prestige
-    before the debit. Then the beneficiary is debited and each non-zero
-    share credited, in path order; the (node, amount) shares are returned.
+    *path* is the contributor's root path, ``(contributor,)`` in simple mining;
+    ``propagate_upstream`` splits x along it from the prestige before the
+    debit. Then the beneficiary is debited and each non-zero share credited,
+    in path order; the (node, amount) shares are returned.
     """
-    if path is None:
-        if x < 0:
-            raise ValueError(f"transfer amount must be >= 0, got {x}")
-        shares = [(contributor, x)]
-    else:
-        shares = propagate_upstream(path, x, prestige, b)
+    shares = propagate_upstream(path, x, prestige, b)
     prestige[beneficiary] += -x  # inject_prestige's p + (-x): same bits as p - x, NaN sign too
     for node, amount in shares:
         if amount != 0.0:
@@ -264,10 +260,10 @@ def apply_transfer(
 ) -> TransferRecord:
     """``settle_transfer`` on a mapping of ``Account``s, with an audit record.
 
-    Simple mode credits the contributor in full; progressive mode splits x
-    along the contributor's branch (requires the contributor to be in the
-    DAG, else NotInDag, and an account for every node on its path to the
-    root, else UnknownAccount naming the first one missing). Every check,
+    Simple mode settles on the path ``(contributor,)``, which keeps all of x;
+    progressive mode splits x along the contributor's branch (requires the
+    contributor in the DAG, else NotInDag, and an account for every node on
+    its path to the root, else UnknownAccount naming the first). Every check,
     ValueError for x < 0 included, runs before any account changes, so a
     call that raises leaves *accounts* as it found it. On success the
     beneficiary and every node with a non-zero share are replaced in
@@ -277,7 +273,7 @@ def apply_transfer(
     for acct_id in (beneficiary, contributor):
         if acct_id not in accounts:
             raise UnknownAccount(acct_id)
-    path = None
+    path = (contributor,)
     if mode is MiningMode.PROGRESSIVE:
         if contributor not in dag:
             raise NotInDag(contributor)
@@ -286,8 +282,8 @@ def apply_transfer(
             if node not in accounts:
                 raise UnknownAccount(node)
 
-    prestige = {n: accounts[n].prestige for n in (beneficiary, contributor, *(path or ()))}
-    shares = settle_transfer(prestige, beneficiary, contributor, x, path, b)
+    prestige = {n: accounts[n].prestige for n in (beneficiary, *path)}
+    shares = settle_transfer(prestige, beneficiary, path, x, b)
     for node in (beneficiary, *(n for n, a in shares if a != 0.0)):
         accounts[node] = replace(accounts[node], prestige=prestige[node])
     return TransferRecord(beneficiary, contributor, float(x), block, mode,

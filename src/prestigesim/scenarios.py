@@ -30,7 +30,7 @@ import numpy as np
 from . import mining
 from .acks import PATH_ACK_BASE_BYTES, PATH_HOP_BYTES, SIMPLE_ACK_BYTES
 # step_account and apply_transfer go unused here: perfbench/tracing.py patches them by name.
-from .core import SystemParams, finite_nonnegative, static_value, step_account  # noqa: F401
+from .core import SystemParams, convergence_gap, finite_nonnegative, static_value, step_account  # noqa: F401
 from .mining import MiningMode, apply_transfer  # noqa: F401
 
 __all__ = [
@@ -375,10 +375,10 @@ def run_decay_study(
 
     for i, label in enumerate(labels):
         s = static_value(coins[i], params[i])
-        # Superposed closed form: initial gap from zero plus the spike's echo.
+        # Superposed closed form: the gap from zero, plus the spike decaying as if coinless.
         predicted_pre_drop = (
-            s + (0.0 - s) * keeps[i] ** (spike_down_at - 1)
-            + spike * keeps[i] ** (spike_down_at - 1 - spike_up_at)
+            s + convergence_gap(0.0, coins[i], params[i], spike_down_at - 1)
+            + convergence_gap(spike, 0, params[i], spike_down_at - 1 - spike_up_at)
         )
         result.summary[f"{label}.static_value"] = s
         result.summary[f"{label}.final_prestige"] = prestige[i]
@@ -522,14 +522,12 @@ def run_dag_study(
         paid = [0.0] * n_users
         retained = [0.0] * n_users
         absorbed = [0.0] * n_users
+        mode_paths = paths if mode is MiningMode.PROGRESSIVE else [(i,) for i in range(n_users)]
         for server, j in zip(servers, payer_picks):
             if j >= server:
                 j += 1
             paid[j] += fee
-            if mode is MiningMode.SIMPLE:
-                retained[server] += fee
-            else:
-                mining.settle_upstream(paths[server], fee, base, branch_power, retained)
+            mining.settle_upstream(mode_paths[server], fee, base, branch_power, retained)
         if mode is MiningMode.PROGRESSIVE:
             # A root is only ever credited its paths' final residual.
             for i in range(n_users):
@@ -620,7 +618,8 @@ def run_global(
                 roster.append(pool.pop())
     n = len(roster)
     ids = _user_ids(n)
-    paths, _ = _grow_forest(rng, range(n), 1, fanout)
+    forest, _ = _grow_forest(rng, range(n), 1, fanout)  # drawn in either mode: one stream
+    paths = forest if mining_mode is MiningMode.PROGRESSIVE else [(i,) for i in range(n)]
 
     coins = [c for _, c, _ in roster]
     work_p = np.array([w for _, _, w in roster], dtype=np.float64)
@@ -633,10 +632,7 @@ def run_global(
     for t in range(1, blocks + 1):
         prestige = [c + keep * p for c, p in zip(coins, prestige)]
         for i in np.flatnonzero(rng.random(n) < work_p).tolist():
-            if mining_mode is MiningMode.SIMPLE:
-                prestige[i] += fee
-            else:
-                mining.settle_upstream(paths[i], fee, prestige, branch_power, prestige)
+            mining.settle_upstream(paths[i], fee, prestige, branch_power, prestige)
         history.extend(prestige)
         if t > blocks - window:
             tail = [a + (p - s) / window for a, p, s in zip(tail, prestige, statics)]
@@ -1007,7 +1003,7 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
     for _ in range(max(1, trials // 10)):
         n = int(rng.integers(3, 10))
         paths, _ = _grow_forest(rng, range(n), 1, n)
-        for contributor_paths in ([None] * n, paths):  # simple mining, then progressive
+        for contributor_paths in ([(k,) for k in range(n)], paths):  # simple mining, then progressive
             draws = [(int(rng.integers(1, 200)), float(rng.uniform(0, 500))) for _u in range(n)]
             coins, prestige = [c for c, _ in draws], [p for _, p in draws]
             for _t in range(20):
@@ -1017,7 +1013,7 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
                 beneficiary = int(rng.integers(n))
                 if beneficiary != k:
                     x = float(rng.uniform(1, 300))
-                    mining.settle_transfer(prestige, beneficiary, k, x, contributor_paths[k], 0.5)
+                    mining.settle_transfer(prestige, beneficiary, contributor_paths[k], x, 0.5)
                 got = sum(prestige)
                 worst_cons = max(worst_cons, abs(got - expected) / max(abs(expected), 1e-12))
     record("transfer_conservation", worst_cons, 1e-9)
@@ -1051,10 +1047,10 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
             active = [c + (1.0 - d) * p for c, p in zip(coins, active)]
             idle = [c + (1.0 - d) * p for c, p in zip(coins, idle)]
             before = active[1]
-            mining.settle_transfer(active, 2, 1, x_ji, (1, 0), 0.5)
+            mining.settle_transfer(active, 2, (1, 0), x_ji, 0.5)
             retained_i = active[1] - before
             x_ij = max(retained_i, 0.0) + jitter
-            mining.settle_transfer(active, 1, 2, x_ij, (2, 1, 0), 0.5)
+            mining.settle_transfer(active, 1, (2, 1, 0), x_ij, 0.5)
             pair = active[1] + active[2]
             base = idle[1] + idle[2]
             worst_pair = max(worst_pair, (pair - base) / max(abs(base), 1e-12))

@@ -494,6 +494,22 @@ def test_run_refuses_a_cohort_label_that_breaks_a_csv_row(tmp_path, capsys, name
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, config, refused", [
+    ("decay", "[scenari]\nblocks = 7\n", "unknown section [scenari]"),
+    ("global", "[scenario]\nblocks = 7\n\n[cohort a]\ncoins = 5\nwork_probability = 0.2\n"
+               "work_prob = 0.9\n", "[cohort a] does not accept: work_prob\n"),
+    ("decay", "[DEFAULT]\nspike = 50\n\n[scenario]\nseed = 1\n", "unknown section [DEFAULT]"),
+], ids=["misspelt-section", "cohort-key", "default-section"])
+def test_run_refuses_an_unknown_config_section_or_cohort_key(tmp_path, capsys, name, config, refused):
+    # each was ignored, or copied into every section, and the run went on
+    ini = tmp_path / "c.ini"
+    ini.write_text(config)
+    out = tmp_path / "out"
+    assert main(["run", name, "--config", str(ini), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"config error: {refused}")
+    assert not out.exists()
+
+
 def test_cli_overrides_beat_config(tmp_path):
     ini = tmp_path / "econ.ini"
     ini.write_text(CONFIG)

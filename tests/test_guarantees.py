@@ -1,7 +1,7 @@
 """The paper's Sybil and collusion claims, checked on the chain itself.
 
 ``run_theorem_checks`` checks both on plain lists; these rules drive a
-``ChainState`` through ``submit_ack`` and ``advance_block`` instead. Both use
+``ChainState`` through ``submit_ack`` and ``advance_block`` instead. All use
 ``subsidy=0``, ``ack_fee=0`` and no motivators, so coins never move and only
 prestige can tell the chains apart.
 """
@@ -61,6 +61,39 @@ def test_splitting_an_account_changes_nothing_on_the_chain(split_case):
     others_split = [i if i < w else i + k - 1 for i in others_whole]
     group = split.accounts.ids[w:w + k]
     for _ in range(40):
+        whole, whole_block = advance_block(whole)
+        split, split_block = advance_block(split)
+        p_whole = whole.accounts.prestige.item(w)
+        p_group = sum(split.accounts.prestige[w:w + k].tolist())
+        assert abs(p_group - p_whole) <= 1e-9 * max(1.0, abs(p_whole))
+        assert (split.accounts.prestige[others_split].tobytes()
+                == whole.accounts.prestige[others_whole].tobytes())
+        if whole_block.minter == f"u{w}":
+            assert split_block.minter in group
+        else:
+            assert split_block.minter == whole_block.minter
+
+
+@settings(max_examples=100, deadline=None)
+@given(sybil_splits(), st.data())
+def test_splitting_an_account_paid_by_simple_acks_changes_nothing_on_the_chain(split_case, data):
+    # Each block other accounts sign the same simple acks in both chains: for u{w}'s work in the
+    # whole chain, and for a drawn member of the group in the split one. A split of an account
+    # that holds DAG placements is not drawn here.
+    whole, split, w, k = split_case
+    others_whole = [i for i in range(len(whole.accounts)) if i != w]
+    others_split = [i if i < w else i + k - 1 for i in others_whole]
+    group = split.accounts.ids[w:w + k]
+    keys = {name: keygen(KEYS, name) for name in (*whole.accounts.ids, *group)}
+    acks = st.lists(st.tuples(st.sampled_from(others_whole), st.integers(0, 10**4),
+                              st.sampled_from(group)), max_size=3)
+    task = 0
+    for _ in range(40):
+        for payer, amount, member in data.draw(acks):
+            for state, contributor in ((whole, f"u{w}"), (split, member)):
+                ack = make_simple_ack(keys[f"u{payer}"], tid(task), keys[contributor].vk, amount)
+                submit_ack(state, ack, beneficiary=f"u{payer}")
+            task += 1
         whole, whole_block = advance_block(whole)
         split, split_block = advance_block(split)
         p_whole = whole.accounts.prestige.item(w)

@@ -5,7 +5,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prestigesim import (
     Account,
@@ -22,6 +22,7 @@ from prestigesim import (
     retain_progressive,
     settle_upstream,
 )
+from prestigesim.mining import settle_transfer
 
 
 def chain_dag(*names: str) -> MiningDag:
@@ -242,6 +243,43 @@ def test_settle_upstream_matches_reference_bits(prestige, start, x, b, data):
         expected[node] += amount
     settle_upstream(path, x, prestige, b, prestige)
     assert _bits(prestige) == _bits(expected)
+
+
+def _simple_rule(prestige, beneficiary, contributor, x):
+    """Simple mining as it was written beside the kernel: debit, then credit a non-zero x."""
+    prestige[beneficiary] += -x
+    if x != 0.0:
+        prestige[contributor] += x
+    return [(contributor, x)]
+
+
+@settings(max_examples=400)
+@given(
+    prestige=st.lists(_prestige_values, min_size=3, max_size=3),
+    start=st.lists(_prestige_values, min_size=3, max_size=3),
+    x=st.one_of(st.sampled_from([0.0, -0.0, 7]), st.integers(0, 10**6), st.floats(min_value=0.0)),
+    b=st.one_of(st.sampled_from([0.0, 0.5]), st.floats()),
+    beneficiary=st.integers(0, 2),
+    contributor=st.integers(0, 2),  # the beneficiary itself included: a self-payment
+)
+@example(prestige=[0.3, 1.0, 2.0], start=[0.0] * 3, x=0.1, b=0.5, beneficiary=0, contributor=0)
+def test_simple_mining_is_the_one_node_path_bit_for_bit(prestige, start, x, b, beneficiary, contributor):
+    # (0.3 - 0.1) + 0.1 is 0.3, but (0.3 + 0.1) - 0.1 is 0.30000000000000004: a self-payment
+    # shows whether the debit still comes before the credit
+    expected = list(prestige)
+    expected_shares = _simple_rule(expected, beneficiary, contributor, x)
+    got = list(prestige)
+    shares = settle_transfer(got, beneficiary, (contributor,), x, b)
+    assert _bits(got) == _bits(expected)
+    assert [node for node, _ in shares] == [contributor]
+    assert _bits(a for _, a in shares) == _bits(a for _, a in expected_shares)  # an int x as its float
+    assert repr(shares[0][1]) == repr(float(x))
+
+    # into a separate list: the kernel's one-node case is credit[c] += x
+    credit, expected = list(start), list(start)
+    expected[contributor] += x
+    settle_upstream((contributor,), x, prestige, b, credit)
+    assert _bits(credit) == _bits(expected)
 
 
 # --- applying transfers --------------------------------------------------------------

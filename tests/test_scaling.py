@@ -28,6 +28,7 @@ from prestigesim import (
     load_snapshot,
     make_root_ack,
     make_simple_ack,
+    run_file_distribution,
     save_snapshot,
     setup,
     submit_ack,
@@ -136,6 +137,12 @@ def walk_branch(depth: int):
     return lambda: dag.path_to_root(f"n{depth - 1}")
 
 
+def distribute(n: int):
+    """One file_distribution episode of n joins (tasks), each settled along its path."""
+    return lambda: run_file_distribution(scale=1, episodes=1, viewers_range=(n, n),
+                                         budget_cents=10_000)
+
+
 def test_submit_ack_costs_the_same_at_any_queue_depth():
     # one submit is O(1) in the queue: filling Q acks is linear (1.0 exactly when measured);
     # a set rebuilt over the queue per call reads near 2
@@ -175,3 +182,10 @@ def test_save_and_load_are_linear_in_accounts():
 def test_csv_rendering_is_linear_in_rows():
     # only the bool column renders in Python, one generator step per row (0.95 when measured)
     assert exponent(render_rows, 250) <= 1.15
+
+
+def test_file_distribution_is_near_linear_in_tasks():
+    # one grow step and one settle per join, along a path whose depth grows as log n, so the
+    # bound leaves room above 1.0 (0.99 when measured); a per-join walk over every earlier
+    # joiner read 1.69
+    assert exponent(distribute, 250) <= 1.25
