@@ -542,7 +542,8 @@ def save_snapshot(state: ChainState) -> str:
     lines += [f"# seen {task.hex()}" for task in sorted(state.seen_tasks)]
     columns = zip(led.ids, led.coins.tolist(), led.prestige.tolist(), led.keys)
     lines += [f"{acct_id},{coins},{p!r},{vk.hex()}" for acct_id, coins, p, vk in columns]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the text ends with a newline
+    return "\n".join(lines)
 
 
 def load_snapshot(text: str) -> ChainState:

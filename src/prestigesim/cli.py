@@ -317,8 +317,8 @@ def cmd_step(state_file: str, n_blocks: int, output_dir: str) -> int:
     log_path = outdir / f"{stem}_h{state.height}_blocks.csv"
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        snap_path.write_text(save_snapshot(state), encoding="utf-8", newline="")
-        log_path.write_text(log.csv_text(), encoding="utf-8", newline="")
+        scenarios._write_text(snap_path, save_snapshot(state))
+        scenarios._write_text(log_path, log.csv_text())
     except OSError as exc:  # an --out that cannot be created or written
         print(f"step failed to write: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

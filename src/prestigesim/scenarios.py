@@ -52,14 +52,40 @@ __all__ = [
 # result container
 
 
+_ROWS_PER_BLOCK = 4096  # rows csv_text renders into one string at a time
+_WRITE_CHARS = 1 << 16  # characters _write_text encodes and writes at a time
+
+
+def _values(col: Sequence) -> Sequence:
+    """A column or a slice of one, a numpy array converted with ``tolist``."""
+    return col.tolist() if isinstance(col, np.ndarray) else col
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write *text* to *path* as UTF-8 with no newline translation.
+
+    The text goes out ``_WRITE_CHARS`` characters at a time, so no encoded
+    copy of the whole text is made; a slice is cut by character, so no
+    UTF-8 sequence is split.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        for start in range(0, len(text), _WRITE_CHARS):
+            out.write(text[start:start + _WRITE_CHARS])
+
+
 @dataclass
 class ScenarioResult:
     """One experiment run's table, one sequence per CSV column, plus its summary statistics.
 
     Each column of *data* holds one kind of value: floats (written as
     ``repr``, the shortest round-trip form), ints, strs or bools
-    (``true``/``false``). A numpy array is converted with ``tolist`` first.
+    (``true``/``false``). A numpy array is converted with ``tolist``.
     No data means no rows.
+
+    ``csv_text`` renders ``_ROWS_PER_BLOCK`` rows at a time, converting a
+    numpy column one block slice at a time, so the text and its block
+    strings are the only full-size copies it holds. ``write`` encodes and
+    writes that text a slice at a time, making no encoded copy of it.
     """
 
     name: str
@@ -67,9 +93,9 @@ class ScenarioResult:
     data: Sequence[Sequence] = ()
     summary: dict[str, object] = field(default_factory=dict)
 
-    def _lists(self) -> list[Sequence]:
-        """The columns with arrays as lists, checked to be one per header and of one length."""
-        data = [col.tolist() if isinstance(col, np.ndarray) else col for col in self.data]
+    def _checked(self) -> list[Sequence]:
+        """The columns, checked to be one per header and of one length."""
+        data = list(self.data)
         if data and (len(data) != len(self.columns) or len(set(map(len, data))) > 1):
             raise ValueError(f"{self.name}: {len(self.columns)} columns need as many sequences "
                              f"of one length, got lengths {[len(col) for col in data]}")
@@ -78,15 +104,21 @@ class ScenarioResult:
     @property
     def rows(self) -> list[tuple]:
         """The rows as tuples, a read-only view of the columns."""
-        return list(zip(*self._lists()))
+        return list(zip(*map(_values, self._checked())))
 
     def csv_text(self) -> str:
-        cells = [
-            ("true" if v else "false" for v in col) if col and type(col[0]) is bool
-            else map(str, col)  # for a float, str is repr
-            for col in self._lists()
-        ]
-        return "\n".join([",".join(self.columns), *map(",".join, zip(*cells))]) + "\n"
+        data = self._checked()
+        n_rows = len(data[0]) if data else 0
+        # a column renders as true/false if its first value is a bool, else by str (repr for a float)
+        bools = [n_rows > 0 and type(_values(col[:1])[0]) is bool for col in data]
+        blocks = [",".join(self.columns)]
+        for start in range(0, n_rows, _ROWS_PER_BLOCK):
+            parts = [_values(col[start:start + _ROWS_PER_BLOCK]) for col in data]
+            cells = [("true" if v else "false" for v in part) if is_bool else map(str, part)
+                     for is_bool, part in zip(bools, parts)]
+            blocks.append("\n".join(map(",".join, zip(*cells))))
+        blocks.append("")  # the text ends with a newline
+        return "\n".join(blocks)
 
     def summary_text(self) -> str:
         # json renders np.float64, a float subclass, as a float; other numpy scalars reach its hook
@@ -107,8 +139,8 @@ class ScenarioResult:
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / f"{self.name}.csv"
         summary_path = out / f"{self.name}_summary.txt"
-        csv_path.write_text(csv_text, encoding="utf-8", newline="")
-        summary_path.write_text(summary_text, encoding="utf-8", newline="")
+        _write_text(csv_path, csv_text)
+        _write_text(summary_path, summary_text)
         return csv_path, summary_path
 
 
@@ -357,7 +389,7 @@ def run_decay_study(
     _check_finite(nonnegative=True, coins=coins)
     keeps = [1.0 - p.decay for p in params]
     prestige = pre_drop = [0.0] * len(users)
-    history: list[float] = []  # each block's prestige, one user after another
+    history = np.empty((blocks, len(users)))  # row t - 1: block t's prestige, one user after another
     for t in range(1, blocks + 1):
         prestige = [c + k * p for c, k, p in zip(coins, keeps, prestige)]
         if t == spike_up_at:
@@ -366,11 +398,11 @@ def run_decay_study(
             prestige = [p - spike for p in prestige]
         if t == spike_down_at - 1:
             pre_drop = prestige
-        history.extend(prestige)
+        history[t - 1] = prestige
     result = ScenarioResult(
         "decay",
         ("block", "user_id", "prestige", "coins"),
-        (np.arange(1, blocks + 1).repeat(len(users)), labels * blocks, history, coins * blocks),
+        (np.arange(1, blocks + 1).repeat(len(users)), labels * blocks, history.ravel(), coins * blocks),
     )
 
     for i, label in enumerate(labels):
@@ -628,18 +660,18 @@ def run_global(
 
     keep = 1.0 - decay
     tail = [0.0] * n
-    history: list[float] = []  # each block's prestige, one user after another
+    history = np.empty((blocks, n))  # row t - 1: block t's prestige, one user after another
     for t in range(1, blocks + 1):
         prestige = [c + keep * p for c, p in zip(coins, prestige)]
         for i in np.flatnonzero(rng.random(n) < work_p).tolist():
             mining.settle_upstream(paths[i], fee, prestige, branch_power, prestige)
-        history.extend(prestige)
+        history[t - 1] = prestige
         if t > blocks - window:
             tail = [a + (p - s) / window for a, p, s in zip(tail, prestige, statics)]
     result = ScenarioResult(
         "global",
         ("block", "user_id", "prestige", "coins"),
-        (np.arange(1, blocks + 1).repeat(n), ids * blocks, history, coins * blocks),
+        (np.arange(1, blocks + 1).repeat(n), ids * blocks, history.ravel(), coins * blocks),
     )
 
     labels = [c[0] for c in cohorts]
