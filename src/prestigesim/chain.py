@@ -554,8 +554,10 @@ def load_snapshot(text: str) -> ChainState:
     its parent a node; ``_ledger`` reads the account lines. A line that does not
     parse, a header value out of range or a line ``save_snapshot`` never writes
     (a repeated or unknown key, a count of values other than its key's, a seen
-    task id not 32 bytes long or given twice) raises SnapshotError naming the
-    first bad line's number; a missing header raises one naming the header.
+    task id not 32 bytes long or given twice, an account field or seen id spelt
+    otherwise than save writes it, such as ``+5``, ``5_0``, ``0e0`` or upper-case
+    hex) raises SnapshotError naming the first bad line's number; a missing
+    header raises one naming the header.
     """
     header: dict[str, object] = {}
     dag = MiningDag()
@@ -588,6 +590,9 @@ def load_snapshot(text: str) -> ChainState:
                     task = bytes.fromhex(value)
                     if len(task) != TASK_ID_BYTES or task in seen:
                         raise ValueError(f"task id {value!r} must be {TASK_ID_BYTES} bytes, seen once")
+                    # upper case is the one other spelling fromhex reads in a value split() gave
+                    if value != value.lower():
+                        raise ValueError(f"task id {value!r} must be written {value.lower()!r}")
                     seen.add(task)
                 elif key == "edge":
                     child, parent = value, parts[2]
@@ -635,12 +640,17 @@ def _ledger(rows: list[str], at: list[int]) -> Ledger:
             raise ValueError("an account line without 4 fields")
         cells = ",".join(rows).split(",")  # one split: a list per line would set off full GCs
         ids, coins, prestige, hexes = cells[0::4], cells[1::4], cells[2::4], cells[3::4]
-        keys, coins = list(map(bytes.fromhex, hexes)), list(map(int, coins))
-        if min(coins) < 0 or max(coins) > MAX_COINS or not set(map(len, keys)) <= {0, VK_BYTES}:
+        keys, counts = list(map(bytes.fromhex, hexes)), list(map(int, coins))
+        floats = list(map(float, prestige))
+        if min(counts) < 0 or max(counts) > MAX_COINS or not set(map(len, keys)) <= {0, VK_BYTES}:
             raise ValueError("an account line out of range")
-        accounts = Ledger()._fill(ids, coins, list(map(float, prestige)), keys)
+        accounts = Ledger()._fill(ids, counts, floats, keys)
         if not _snapshot_safe(ids, accounts.prestige) or len(accounts.pos) != len(ids):
             raise ValueError("an account line save_snapshot would refuse, or a repeated id")
+        # each column as save_snapshot spells it, so that a load re-saves the same bytes
+        if (",".join(map(str, counts)) != ",".join(coins) or list(map(repr, floats)) != prestige
+                or ",".join(map(bytes.hex, keys)) != ",".join(hexes)):
+            raise ValueError("an account line save_snapshot would spell otherwise")
         return accounts
     except ValueError:
         pos: set[str] = set()
@@ -652,6 +662,10 @@ def _ledger(rows: list[str], at: list[int]) -> Ledger:
                 vk, acct_id, n, p = bytes.fromhex(fields[3]), fields[0], int(fields[1]), float(fields[2])
                 check_account(acct_id, n, vk)
                 _check_snapshot_safe(acct_id, p)
+                for name, text, written in zip(("coins", "prestige", "key"), fields[1:],
+                                               (str(n), repr(p), vk.hex())):
+                    if text != written:  # a spelling save_snapshot never writes
+                        raise ValueError(f"{name} {text!r} must be written {written!r}")
                 if acct_id in pos:
                     raise ValueError(f"duplicate account {acct_id!r}")
             except ValueError as exc:

@@ -11,21 +11,21 @@ contributor side. Two modes are supported:
   applying its own fraction, and the root absorbs whatever is left, so every
   transferred unit lands somewhere on the path.
 
-* simple mining: the same rule on the one-node path ``(contributor,)``.
-  Its own root, the contributor keeps the whole fee.
+* simple mining: the same rule on a forest with no parents, so each path
+  is the one node ``(contributor,)``: its own root, it keeps the whole fee.
 
 Nodes with zero or negative prestige retain nothing and pass everything
 upstream; ancestors with negative prestige contribute zero to branch power.
 
-``retain_progressive`` is the one statement of the per-node rule.
-``settle_upstream`` is the propagation kernel, which settles every transfer
-in either mode: it walks a root path twice (ancestor mass up, then the
-residual down, applying the rule inline) and adds each node's share into a
-caller's container in place, which may be the prestige container itself.
-``propagate_upstream`` runs it into a fresh tally and returns the shares.
-``settle_transfer`` is a whole transfer along a root path on a prestige
-container (the chain's and the theorem checks' per-position lists);
-``apply_transfer`` maps it onto ``Account``s.
+``root_path`` walks a forest held as a parent map, and ``retain_progressive``
+states the per-node rule. ``settle_upstream`` is the propagation kernel,
+which settles every transfer in either mode: it walks a root path twice
+(ancestor mass up, then the residual down, applying the rule inline) and
+adds each node's share into a caller's container in place, which may be the
+prestige container itself. ``propagate_upstream`` runs it into a fresh
+tally and returns the shares. ``settle_transfer`` is a whole transfer along
+a root path on a prestige container (the chain's and the theorem checks'
+per-position lists); ``apply_transfer`` maps it onto ``Account``s.
 """
 
 from __future__ import annotations
@@ -92,19 +92,25 @@ class MiningDag:
         return len(self.parents)
 
     def path_to_root(self, node: str) -> list[str]:
-        """Node first, root last; UnknownNode if *node* is not in the DAG."""
+        """``root_path`` over ``parents``; UnknownNode if *node* is not in the DAG."""
         if node not in self.parents:
             raise UnknownNode(node)
-        path, current = [node], self.parents[node]
-        while current is not None:
-            path.append(current)
-            current = self.parents[current]
-        return path
+        return root_path(self.parents, node)
 
     def copy(self) -> "MiningDag":
         dup = MiningDag()
         dup.parents = dict(self.parents)
         return dup
+
+
+def root_path(parent_of: Mapping[Hashable, Hashable] | Sequence[Hashable], node: Hashable) -> list:
+    """Node first, root last, over a parent mapping or list in which a root maps to None."""
+    path = [node]
+    node = parent_of[node]
+    while node is not None:
+        path.append(node)
+        node = parent_of[node]
+    return path
 
 
 @dataclass(frozen=True)
@@ -149,10 +155,10 @@ def settle_upstream(
     """Split a fee x along a contributor's path to the root, crediting in place.
 
     *path* is a root path of the contributor, contributor first and root
-    last, never empty, naming each node once: ``MiningDag.path_to_root`` in
-    the chain, a tuple stored when the node attached in the tree scenarios,
-    ``(contributor,)`` in simple mining, which is ``credit[contributor] += x``;
-    its ids may be account ids or, as in the tree scenarios, positions.
+    last, never empty, naming each node once: ``root_path`` of a parent map
+    (``MiningDag.path_to_root`` in the chain), or ``(contributor,)`` in simple
+    mining, which is ``credit[contributor] += x``; its ids may be account ids
+    or, as in the tree scenarios, positions.
     *prestige_of* maps each id on the path to its prestige: a mapping, or a
     list indexed by position when the ids are positions; ids off the path
     are never read.

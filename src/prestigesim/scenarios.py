@@ -202,23 +202,21 @@ def _grow_forest(
     node_ids: Sequence[Hashable],
     n_roots: int,
     fanout: int,
-) -> tuple[list[tuple[Hashable, ...]], int]:
+) -> tuple[list[Hashable | None], list[int], int]:
     """Attach nodes one by one to uniformly chosen open parents.
 
     Ids may be any distinct hashables; the tree scenarios pass positions
-    (``range(n)``) so that each path indexes per-user lists.
+    (``range(n)``), so that the parents index per-user lists.
     The first *n_roots* ids become tree roots; every later node picks a
     tree uniformly at random, then a parent uniformly among that tree's
     nodes that still have an open child slot (strictly fewer than
-    *fanout* children).  Returns ``(paths, path_bytes)``.  ``paths[k]``
-    is the root path of ``node_ids[k]``, node first and root last, built
-    once when the node attaches as its own id followed by its parent's
-    path; so a path's length less one is the node's depth, its last id
-    names its tree, and ``paths[n_roots:]`` lists the attachments in
-    order.  Path receipts are composed along root-to-leaf chains, so
-    only each leaf's final upload counts: *path_bytes* sums 33 bytes of
-    composite signature plus 69 per node on each leaf's path (root
-    included).
+    *fanout* children).  Returns ``(parents, depths, path_bytes)``:
+    ``parents[k]`` is the id of ``node_ids[k]``'s parent, None for a root
+    (the parent map ``mining.root_path`` walks, when ids are positions),
+    and ``depths[k]`` its distance from its root.  Path receipts are
+    composed along root-to-leaf chains, so only each leaf's final upload
+    counts: *path_bytes* sums 33 bytes of composite signature plus 69 per
+    node on each leaf's path (root included).
 
     Draws: each attachment takes ``int(rng.integers(n_roots))`` for the
     tree, then ``int(rng.integers(len(open slots)))`` for the parent, a
@@ -229,7 +227,8 @@ def _grow_forest(
         raise ValueError("n_roots must be between 1 and the number of nodes")
     if fanout < 1:
         raise ValueError("fanout must be at least 1")
-    paths = [(root,) for root in node_ids[:n_roots]]
+    parents: list[Hashable | None] = [None] * n_roots
+    depths = [0] * len(node_ids)
     n_children = [0] * len(node_ids)
     # open slots hold positions in node_ids
     open_slots = [[k] for k in range(n_roots)]
@@ -238,7 +237,8 @@ def _grow_forest(
         slots = open_slots[below(n_roots)]
         idx = below(len(slots))
         parent = slots[idx]
-        paths.append((node_ids[pos],) + paths[parent])
+        parents.append(node_ids[parent])
+        depths[pos] = depths[parent] + 1
         n_children[parent] += 1
         if n_children[parent] >= fanout:
             slots[idx] = slots[-1]
@@ -246,10 +246,10 @@ def _grow_forest(
         slots.append(pos)
     below.close()
     path_bytes = sum(
-        PATH_ACK_BASE_BYTES + PATH_HOP_BYTES * len(path)
-        for path, c in zip(paths, n_children) if c == 0
+        PATH_ACK_BASE_BYTES + PATH_HOP_BYTES * (depth + 1)
+        for depth, c in zip(depths, n_children) if c == 0
     )
-    return paths, path_bytes
+    return parents, depths, path_bytes
 
 
 def _user_ids(n: int) -> list[str]:
@@ -526,8 +526,7 @@ def run_dag_study(
     _check_grid(modes=[m.value for m in modes])
     ids = _user_ids(n_users)
     rng = np.random.default_rng(seed)
-    paths, path_bytes = _grow_forest(rng, range(n_users), n_trees, fanout)
-    depth = [len(path) - 1 for path in paths]
+    parents, depth, path_bytes = _grow_forest(rng, range(n_users), n_trees, fanout)
     if len(set(depth)) < 3:
         raise ValueError(f"n_trees={n_trees} left no two users below a root at different "
                          "distances, so the gain-vs-distance slope is undefined")
@@ -546,7 +545,7 @@ def run_dag_study(
     tasks = np.array(task_count, dtype=np.float64)
     bases = np.array(base, dtype=np.float64)
 
-    trees = [path[-1] for path in paths]
+    trees = [mining.root_path(parents, i)[-1] for i in range(n_users)]
     columns = ("mode", "user_id", "tree", "distance", "base_prestige",
                "tasks", "paid", "retained", "absorbed", "gain")
     result = ScenarioResult("dag_study", columns, tuple([] for _ in columns))
@@ -554,17 +553,16 @@ def run_dag_study(
         paid = [0.0] * n_users
         retained = [0.0] * n_users
         absorbed = [0.0] * n_users
-        mode_paths = paths if mode is MiningMode.PROGRESSIVE else [(i,) for i in range(n_users)]
+        up = parents if mode is MiningMode.PROGRESSIVE else [None] * n_users
         for server, j in zip(servers, payer_picks):
             if j >= server:
                 j += 1
             paid[j] += fee
-            mining.settle_upstream(mode_paths[server], fee, base, branch_power, retained)
+            mining.settle_upstream(mining.root_path(up, server), fee, base, branch_power, retained)
         if mode is MiningMode.PROGRESSIVE:
-            # A root is only ever credited its paths' final residual.
-            for i in range(n_users):
-                if depth[i] == 0:
-                    absorbed[i], retained[i] = retained[i], 0.0
+            # A root (the first n_trees positions) is only ever credited its paths' final residual.
+            for i in range(n_trees):
+                absorbed[i], retained[i] = retained[i], 0.0
         key = mode.value
         gain = np.add(retained, absorbed)
         for col, values in zip(result.data, ([key] * n_users, ids, trees, depth, base,
@@ -650,8 +648,8 @@ def run_global(
                 roster.append(pool.pop())
     n = len(roster)
     ids = _user_ids(n)
-    forest, _ = _grow_forest(rng, range(n), 1, fanout)  # drawn in either mode: one stream
-    paths = forest if mining_mode is MiningMode.PROGRESSIVE else [(i,) for i in range(n)]
+    parents, _, _ = _grow_forest(rng, range(n), 1, fanout)  # drawn in either mode: one stream
+    up = parents if mining_mode is MiningMode.PROGRESSIVE else [None] * n
 
     coins = [c for _, c, _ in roster]
     work_p = np.array([w for _, _, w in roster], dtype=np.float64)
@@ -664,7 +662,7 @@ def run_global(
     for t in range(1, blocks + 1):
         prestige = [c + keep * p for c, p in zip(coins, prestige)]
         for i in np.flatnonzero(rng.random(n) < work_p).tolist():
-            mining.settle_upstream(paths[i], fee, prestige, branch_power, prestige)
+            mining.settle_upstream(mining.root_path(up, i), fee, prestige, branch_power, prestige)
         history[t - 1] = prestige
         if t > blocks - window:
             tail = [a + (p - s) / window for a, p, s in zip(tail, prestige, statics)]
@@ -888,27 +886,28 @@ def run_file_distribution(
         base = prestige[:pool_size]
         tasks_served = [0] * (pool_size + 1)
         episodes_joined = [0] * pool_size
-        n_tasks = simple_bytes = path_bytes = 0
+        up = [None] * (pool_size + 1)  # each id's parent in the episode it last joined
+        n_tasks = path_bytes = 0
         for _ in range(episodes):
             audience = int(rng.integers(viewers_low, viewers_high + 1))
             joiners = rng.permutation(pool_size)[:audience].tolist()
-            paths, episode_path = _grow_forest(rng, [creator, *joiners], 1, fanout)
+            parents, _, episode_path = _grow_forest(rng, [creator, *joiners], 1, fanout)
             # Settle joins in attachment order: a later join never changes an earlier path.
-            # Each joiner pays its parent, whose path is the joiner's less its first id.
-            for path in paths[1:]:
-                child, parent = path[0], path[1]
+            # Each joiner pays its parent, whose ancestors all joined earlier in this episode.
+            for child, parent in zip(joiners, parents[1:]):
+                up[child] = parent
                 episodes_joined[child] += 1
                 tasks_served[parent] += 1
                 prestige[child] -= fee_value
-                mining.settle_upstream(path[1:], fee_value, prestige, branch_value, prestige)
-            n_tasks += len(paths) - 1
-            simple_bytes += SIMPLE_ACK_BYTES * audience
+                mining.settle_upstream(mining.root_path(up, parent), fee_value, prestige,
+                                       branch_value, prestige)
+            n_tasks += audience
             path_bytes += episode_path
         weights = np.array([max(p, 0.0) for p in prestige[:pool_size]])
         rewards = _largest_remainder(weights, budget)
-        return base, prestige, tasks_served, episodes_joined, rewards, n_tasks, simple_bytes, path_bytes
+        return base, prestige, tasks_served, episodes_joined, rewards, n_tasks, path_bytes
 
-    base, prestige, tasks_served, episodes_joined, rewards, n_tasks, simple_bytes, path_bytes = one_run(
+    base, prestige, tasks_served, episodes_joined, rewards, n_tasks, path_bytes = one_run(
         fee, branch_power)
 
     result = ScenarioResult(
@@ -931,7 +930,7 @@ def run_file_distribution(
     result.summary["typical_reward_cents"] = _interquartile_mean(paid)
     result.summary["fraction_paid"] = float(np.mean(rewards > 0))
     result.summary["creator_final_prestige"] = prestige[creator]
-    result.summary["ack_bytes_per_task"] = simple_bytes
+    result.summary["ack_bytes_per_task"] = SIMPLE_ACK_BYTES * n_tasks
     result.summary["ack_bytes_per_path"] = path_bytes
     result.summary["fee"] = fee
     result.summary["branch_power"] = branch_power
@@ -942,7 +941,7 @@ def run_file_distribution(
         typicals = []
         for f_alt in fee_grid:
             for b_alt in branch_grid:
-                *_, alt_rewards, _, _, _ = one_run(float(f_alt), float(b_alt))
+                *_, alt_rewards, _, _ = one_run(float(f_alt), float(b_alt))
                 alt_paid = alt_rewards[alt_rewards > 0]
                 typ = _interquartile_mean(alt_paid)
                 typicals.append(typ)
@@ -1034,8 +1033,8 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
     worst_cons = 0.0
     for _ in range(max(1, trials // 10)):
         n = int(rng.integers(3, 10))
-        paths, _ = _grow_forest(rng, range(n), 1, n)
-        for contributor_paths in ([(k,) for k in range(n)], paths):  # simple mining, then progressive
+        parents, _, _ = _grow_forest(rng, range(n), 1, n)
+        for up in ([None] * n, parents):  # simple mining (no parents), then progressive
             draws = [(int(rng.integers(1, 200)), float(rng.uniform(0, 500))) for _u in range(n)]
             coins, prestige = [c for c, _ in draws], [p for _, p in draws]
             for _t in range(20):
@@ -1045,7 +1044,7 @@ def run_theorem_checks(seed: int = 0, trials: int = 500) -> ScenarioResult:
                 beneficiary = int(rng.integers(n))
                 if beneficiary != k:
                     x = float(rng.uniform(1, 300))
-                    mining.settle_transfer(prestige, beneficiary, contributor_paths[k], x, 0.5)
+                    mining.settle_transfer(prestige, beneficiary, mining.root_path(up, k), x, 0.5)
                 got = sum(prestige)
                 worst_cons = max(worst_cons, abs(got - expected) / max(abs(expected), 1e-12))
     record("transfer_conservation", worst_cons, 1e-9)

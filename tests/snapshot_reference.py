@@ -54,6 +54,8 @@ def _load_lines(text: str) -> ChainState:
                         task = bytes.fromhex(value)
                         if len(task) != TASK_ID_BYTES or task in seen:
                             raise ValueError(f"task id {value!r} must be {TASK_ID_BYTES} bytes, seen once")
+                        if value != task.hex():
+                            raise ValueError(f"task id {value!r} must be written {task.hex()!r}")
                         seen.add(task)
                     elif key == "edge":
                         child, parent = value, parts[2]
@@ -80,6 +82,11 @@ def _load_lines(text: str) -> ChainState:
                 acct_id, n, p = fields[0], int(fields[1]), float(fields[2])
                 check_account(acct_id, n, vk)
                 _check_snapshot_safe(acct_id, p)
+                # each field as save_snapshot writes it, so the line re-saves as the same bytes
+                for name, text, written in zip(("coins", "prestige", "key"), fields[1:],
+                                               (str(n), repr(p), vk.hex())):
+                    if text != written:
+                        raise ValueError(f"{name} {text!r} must be written {written!r}")
                 if acct_id in pos:
                     raise ValueError(f"duplicate account {acct_id!r}")
             except ValueError as exc:

@@ -964,6 +964,34 @@ def test_snapshot_refuses_a_line_with_the_wrong_count_of_values(line, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("a,5,", "a,5_0,", "line 12: coins '5_0' must be written '50'"),
+    ("a,5,", "a,+50,", "line 12: coins '+50' must be written '50'"),
+    ("a,5,", "a,05,", "line 12: coins '05' must be written '5'"),
+    (",0.0,", ",0e0,", "line 12: prestige '0e0' must be written '0.0'"),
+    (",0.0,", ",+0.0,", "line 12: prestige '+0.0' must be written '0.0'"),
+    (",ab", ",AB", "line 12: key 'AB" + "ab" * 32 + "' must be written '" + "ab" * 33 + "'"),
+    ("# seen 0a", "# seen 0A", "line 11: task id '0A" + "0a" * 31 + "' must be written '"
+     + "0a" * 32 + "'"),
+], ids=["underscore", "plus", "leading zero", "exponent", "plus float", "upper-case key",
+        "upper-case seen id"])
+def test_snapshot_refuses_spellings_save_never_writes(old, new, message):
+    # int, float and bytes.fromhex each read more than one spelling of a value;
+    # a load of any but save_snapshot's own would re-save as other bytes
+    state = ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5), rng_seed=1)
+    state.seen_tasks.add(b"\x0a" * 32)  # line 11, before the account lines
+    state.accounts["a"] = Account(id="a", coins=5, verification_key=b"\xab" * 33)
+    lines = save_snapshot(state).splitlines()
+    assert lines[10] == "# seen " + "0a" * 32 and lines[11] == "a,5,0.0," + "ab" * 33
+    at = 10 if old.startswith("#") else 11
+    lines[at] = lines[at].replace(old, new, 1)
+    text = "\n".join(lines) + "\n"
+    for load in (load_snapshot, _load_lines):
+        with pytest.raises(SnapshotError) as err:
+            load(text)
+        assert str(err.value) == message
+
+
 def test_snapshot_skips_a_bare_hash_line():
     text = save_snapshot(ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5), rng_seed=1))
     lines = text.splitlines()

@@ -22,7 +22,7 @@ from prestigesim import (
     retain_progressive,
     settle_upstream,
 )
-from prestigesim.mining import settle_transfer
+from prestigesim.mining import root_path, settle_transfer
 
 
 def chain_dag(*names: str) -> MiningDag:
@@ -86,6 +86,24 @@ def test_mode_parse():
     for label in (5, None):  # not text: the documented error, not AttributeError
         with pytest.raises(ValueError, match=f"^mode: unknown mining mode {label}; "):
             MiningMode.parse(label)
+
+
+@settings(max_examples=300)
+@given(picks=st.lists(st.one_of(st.none(), st.integers(min_value=0)), max_size=30))
+def test_root_path_over_a_list_walks_as_path_to_root_over_a_dict(picks):
+    # node 0 is a root; node k + 1 is a root when picks[k] is None, else it hangs
+    # under node picks[k] % (k + 1): any forest, its nodes numbered in attachment order
+    parents = [None] + [None if p is None else p % (k + 1) for k, p in enumerate(picks)]
+    dag = MiningDag()
+    for node, parent in enumerate(parents):
+        if parent is None:
+            dag.add_root(f"n{node}")
+        else:
+            dag.attach(f"n{parent}", f"n{node}")
+    for node in range(len(parents)):
+        path = root_path(parents, node)
+        assert [f"n{k}" for k in path] == dag.path_to_root(f"n{node}")
+        assert parents[path[-1]] is None
 
 
 # --- retention rules --------------------------------------------------------------

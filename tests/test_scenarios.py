@@ -197,23 +197,41 @@ def test_gain_vs_decay_judges_the_trend_in_ascending_decay(decay_grid):
                          [(1, 1, 1), (40, 1, 1), (200, 1, 3), (200, 5, 2), (500, 3, 8)])
 def test_grow_forest_attaches_every_id_once_within_fanout(seed, n_nodes, n_roots, fanout):
     ids = [f"n{i}" for i in range(n_nodes)]
-    paths, path_bytes = _grow_forest(np.random.default_rng(seed), ids, n_roots, fanout)
-    assert len(paths) == n_nodes
-    assert [path[0] for path in paths] == ids
-    assert paths[:n_roots] == [(root,) for root in ids[:n_roots]]
-    placed = {paths[k]: k for k in range(n_roots)}
+    parents, depths, path_bytes = _grow_forest(np.random.default_rng(seed), ids, n_roots, fanout)
+    assert len(parents) == len(depths) == n_nodes
+    assert parents[:n_roots] == [None] * n_roots
+    assert depths[:n_roots] == [0] * n_roots
+    position = {node: k for k, node in enumerate(ids)}
     n_children = [0] * n_nodes
     for k in range(n_roots, n_nodes):
-        # the tail is the whole path of a node placed earlier: its parent
-        parent = placed[paths[k][1:]]
+        # every parent is an id attached earlier, one level up
+        parent = position[parents[k]]
+        assert parent < k
+        assert depths[k] == depths[parent] + 1
         n_children[parent] += 1
-        placed[paths[k]] = k
     assert max(n_children) <= fanout
     leaf_sum = sum(
-        PATH_ACK_BASE_BYTES + PATH_HOP_BYTES * len(path)
-        for path, c in zip(paths, n_children) if c == 0
+        PATH_ACK_BASE_BYTES + PATH_HOP_BYTES * (depth + 1)
+        for depth, c in zip(depths, n_children) if c == 0
     )
     assert path_bytes == leaf_sum
+
+
+def test_grow_forest_holds_memory_linear_in_nodes():
+    # Fanout 1 grows one chain, n deep. Root paths stored per node hold n**2 / 2 ids, so the
+    # peak quadruples from 2000 to 4000 nodes (3.98x measured); parents and depths double it
+    # (2.10x). The first growth pays one-off allocations, so a tiny one runs first.
+    def peak(n):
+        tracemalloc.start()
+        try:
+            _grow_forest(np.random.default_rng(0), range(n), 1, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)
+    ratio = peak(4000) / peak(2000)
+    assert ratio <= 2.5, f"the peak grew {ratio:.2f}x from 2000 to 4000 nodes"
 
 
 def _scalar_forest(rng, n_nodes, n_roots, fanout):
@@ -238,9 +256,8 @@ def _scalar_forest(rng, n_nodes, n_roots, fanout):
 def test_grow_forest_draws_as_scalar_calls_would(n_nodes, n_roots, fanout):
     batched, scalar = np.random.default_rng(5), np.random.default_rng(5)
     batched.integers(10), scalar.integers(10)  # start from a buffered half word
-    paths, _ = _grow_forest(batched, range(n_nodes), n_roots, fanout)
-    assert [p[1] if len(p) > 1 else None for p in paths] == _scalar_forest(
-        scalar, n_nodes, n_roots, fanout)
+    parents, _, _ = _grow_forest(batched, range(n_nodes), n_roots, fanout)
+    assert parents == _scalar_forest(scalar, n_nodes, n_roots, fanout)
     assert batched.bit_generator.state == scalar.bit_generator.state
 
 
