@@ -287,6 +287,14 @@ _HEADER_STATE = attrgetter(*(attribute for attribute, _ in _HEADERS.values()))
 _FIELDS = dict.fromkeys([SNAPSHOT_MAGIC, "seen", "root", *_HEADERS], 1) | {"edge": 2, "reward": 3}
 
 
+def _spelt(name: str, text: str, value: object) -> object:
+    """*value*, parsed from *text*; ValueError unless ``str(value)``, the text save_snapshot
+    writes for it, is *text*: a load of any other spelling would re-save as other bytes."""
+    if str(value) != text:
+        raise ValueError(f"{name} {text!r} must be written {str(value)!r}")
+    return value
+
+
 def _check_snapshot_safe(acct_id: str, prestige: float) -> None:
     """Raise ValueError for an account whose snapshot line would not load back."""
     # split() != [id] exactly when the id is empty or holds whitespace (str.isspace)
@@ -554,10 +562,11 @@ def load_snapshot(text: str) -> ChainState:
     its parent a node; ``_ledger`` reads the account lines. A line that does not
     parse, a header value out of range or a line ``save_snapshot`` never writes
     (a repeated or unknown key, a count of values other than its key's, a seen
-    task id not 32 bytes long or given twice, an account field or seen id spelt
-    otherwise than save writes it, such as ``+5``, ``5_0``, ``0e0`` or upper-case
-    hex) raises SnapshotError naming the first bad line's number; a missing
-    header raises one naming the header.
+    task id not 32 bytes long or given twice, a header value, reward count,
+    account field or seen id spelt otherwise than save writes it, such as
+    ``+5``, ``5_0``, ``0e0``, ``5e-1`` or upper-case hex) raises SnapshotError
+    naming the first bad line's number; a missing header raises one naming
+    the header.
     """
     header: dict[str, object] = {}
     dag = MiningDag()
@@ -603,12 +612,14 @@ def load_snapshot(text: str) -> ChainState:
                 elif key == "root":
                     dag.add_root(value)
                 elif key == "reward":
-                    rewards.append(RewardSchedule(value, _count("coins_per_block", parts[2]),
-                                                  _count("remaining_blocks", parts[3])))
+                    counts = [_spelt(name, text, _count(name, text)) for name, text
+                              in zip(("coins_per_block", "remaining_blocks"), parts[2:])]
+                    rewards.append(RewardSchedule(value, *counts))
                 elif key in header:
                     raise ValueError(f"repeated header {key!r}")
                 else:
-                    header[key] = value if key == SNAPSHOT_MAGIC else _HEADERS[key][1](value)
+                    header[key] = (value if key == SNAPSHOT_MAGIC
+                                   else _spelt(key, value, _HEADERS[key][1](value)))
             except ValueError as exc:
                 _ledger(rows, at)  # an earlier account line may be bad too
                 raise SnapshotError(f"line {lineno}: {exc}") from exc

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Callable, Hashable, Sequence
 
@@ -685,7 +686,8 @@ def run_global(
     result.summary["blocks"] = blocks
     result.summary["window"] = window
     if {"poor_lazy", "poor_active", "rich_lazy", "rich_active"} <= set(labels):
-        pair_rel = lambda a, b: abs(a - b) / max(abs(a), abs(b))  # noqa: E731
+        # two equal surpluses, zero ones included, are no gap
+        pair_rel = lambda a, b: abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0  # noqa: E731
         result.summary["same_work_rel_gap.active"] = pair_rel(
             surplus["poor_active"], surplus["rich_active"]
         )
@@ -848,11 +850,12 @@ def run_file_distribution(
     are excluded — using largest-remainder rounding so the cents sum
     exactly.
 
-    Optional *fee_grid* x *branch_grid* reruns the study per combination
-    — over the identical random structure — and reports each combo's
-    typical (interquartile-mean) and top rewards: the knobs reshuffle
-    the top of the payout table while the typical participant's reward
-    barely moves.
+    Optional *fee_grid* x *branch_grid* settles every combination over
+    the season drawn once for the headline run: the same base prestige,
+    audiences, join orders and forests, each combination on a prestige
+    list of its own.  Each combo's typical (interquartile-mean) and top
+    rewards are reported: the knobs reshuffle the top of the payout table
+    while the typical participant's reward barely moves.
     """
     _check_finite(nonnegative=True, fee=fee, fee_grid=fee_grid, branch_power=branch_power,
                   branch_grid=branch_grid)
@@ -877,38 +880,40 @@ def run_file_distribution(
     budget = budget_cents // scale
     pool_size = viewers_high
     creator = pool_size  # position after the pool in prestige and tasks_served
-
-    def one_run(fee_value: float, branch_value: float):
-        rng = np.random.default_rng([seed, 0])
-        # the pool's base prestige, then the creator's, in one call: the words of a scalar call each
-        draws = rng.integers(base_range[0], base_range[1] + 1, size=pool_size + 1)
-        prestige = [float(v) for v in draws.tolist()]
-        base = prestige[:pool_size]
-        tasks_served = [0] * (pool_size + 1)
-        episodes_joined = [0] * pool_size
-        up = [None] * (pool_size + 1)  # each id's parent in the episode it last joined
-        n_tasks = path_bytes = 0
-        for _ in range(episodes):
-            audience = int(rng.integers(viewers_low, viewers_high + 1))
-            joiners = rng.permutation(pool_size)[:audience].tolist()
-            parents, _, episode_path = _grow_forest(rng, [creator, *joiners], 1, fanout)
-            # Settle joins in attachment order: a later join never changes an earlier path.
-            # Each joiner pays its parent, whose ancestors all joined earlier in this episode.
-            for child, parent in zip(joiners, parents[1:]):
-                up[child] = parent
-                episodes_joined[child] += 1
-                tasks_served[parent] += 1
-                prestige[child] -= fee_value
-                mining.settle_upstream(mining.root_path(up, parent), fee_value, prestige,
-                                       branch_value, prestige)
-            n_tasks += audience
-            path_bytes += episode_path
-        weights = np.array([max(p, 0.0) for p in prestige[:pool_size]])
-        rewards = _largest_remainder(weights, budget)
-        return base, prestige, tasks_served, episodes_joined, rewards, n_tasks, path_bytes
-
-    base, prestige, tasks_served, episodes_joined, rewards, n_tasks, path_bytes = one_run(
-        fee, branch_power)
+    rng = np.random.default_rng([seed, 0])
+    # the pool's base prestige, then the creator's, in one call: the words of a scalar call each
+    draws = rng.integers(base_range[0], base_range[1] + 1, size=pool_size + 1)
+    prestige = [float(v) for v in draws.tolist()]
+    base = prestige[:pool_size]
+    # the headline setting, then each grid combination, each settling a prestige list of its own
+    combos = list(product(fee_grid, branch_grid))
+    settings = [(fee, branch_power, prestige),
+                *((float(f), float(b), prestige.copy()) for f, b in combos)]
+    tasks_served = [0] * (pool_size + 1)
+    episodes_joined = [0] * pool_size
+    up = [None] * (pool_size + 1)  # each id's parent in the episode it last joined
+    n_tasks = path_bytes = 0
+    for _ in range(episodes):
+        audience = int(rng.integers(viewers_low, viewers_high + 1))
+        joiners = rng.permutation(pool_size)[:audience].tolist()
+        parents, _, episode_path = _grow_forest(rng, [creator, *joiners], 1, fanout)
+        del parents[0]  # the creator's: it roots the tree
+        for child, parent in zip(joiners, parents):
+            up[child] = parent
+            episodes_joined[child] += 1
+            tasks_served[parent] += 1
+        n_tasks += audience
+        path_bytes += episode_path
+        # Settle joins in attachment order. Each joiner pays its parent, whose root path holds
+        # only ids that joined earlier in this episode: setting all of `up` first moves no path.
+        for fee_value, branch_value, live in settings:
+            for child, parent in zip(joiners, parents):
+                live[child] -= fee_value
+                mining.settle_upstream(mining.root_path(up, parent), fee_value, live,
+                                       branch_value, live)
+    rewards, *alt_payouts = [
+        _largest_remainder(np.array([max(p, 0.0) for p in live[:pool_size]]), budget)
+        for *_, live in settings]
 
     result = ScenarioResult(
         "file_distribution",
@@ -935,18 +940,13 @@ def run_file_distribution(
     result.summary["fee"] = fee
     result.summary["branch_power"] = branch_power
 
-    if fee_grid and branch_grid:
-        # Same stream as the headline run: the forests, base draws and
-        # join orders are held fixed so only the knobs themselves move.
+    if combos:
         typicals = []
-        for f_alt in fee_grid:
-            for b_alt in branch_grid:
-                *_, alt_rewards, _, _ = one_run(float(f_alt), float(b_alt))
-                alt_paid = alt_rewards[alt_rewards > 0]
-                typ = _interquartile_mean(alt_paid)
-                typicals.append(typ)
-                result.summary[f"combo_f{f_alt}_b{b_alt}.typical_cents"] = typ
-                result.summary[f"combo_f{f_alt}_b{b_alt}.top_cents"] = int(np.max(alt_rewards))
+        for (f_alt, b_alt), alt_rewards in zip(combos, alt_payouts):
+            typ = _interquartile_mean(alt_rewards[alt_rewards > 0])
+            typicals.append(typ)
+            result.summary[f"combo_f{f_alt}_b{b_alt}.typical_cents"] = typ
+            result.summary[f"combo_f{f_alt}_b{b_alt}.top_cents"] = int(np.max(alt_rewards))
         ref = result.summary["typical_reward_cents"]
         spread = max(abs(t - ref) / ref for t in typicals) if ref else 0.0
         result.summary["typical_reward_max_rel_shift"] = spread

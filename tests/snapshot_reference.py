@@ -22,6 +22,13 @@ from prestigesim.errors import SnapshotError
 from prestigesim.mining import MiningDag
 
 
+def _written(name: str, text: str, value: object) -> object:
+    """*value*, parsed from header text *text*, if save_snapshot writes it as *text*."""
+    if text != str(value):
+        raise ValueError(f"{name} {text!r} must be written {str(value)!r}")
+    return value
+
+
 def _load_lines(text: str) -> ChainState:
     """``load_snapshot`` one line at a time, in any layout it accepts; the source
     of every SnapshotError it raises."""
@@ -66,14 +73,17 @@ def _load_lines(text: str) -> ChainState:
                     elif key == "root":
                         dag.add_root(value)
                     elif key == "reward":
-                        rewards.append(RewardSchedule(value, _count("coins_per_block", parts[2]),
-                                                      _count("remaining_blocks", parts[3])))
+                        coins_per_block = _count("coins_per_block", parts[2])
+                        remaining_blocks = _count("remaining_blocks", parts[3])
+                        rewards.append(RewardSchedule(
+                            value, _written("coins_per_block", parts[2], coins_per_block),
+                            _written("remaining_blocks", parts[3], remaining_blocks)))
                     elif key in header:
                         raise ValueError(f"repeated header {key!r}")
                     elif key == SNAPSHOT_MAGIC:
                         header[key] = value
                     else:
-                        header[key] = _HEADER_VALUES[key][1](value)
+                        header[key] = _written(key, value, _HEADER_VALUES[key][1](value))
                     continue
                 fields = line.split(",")
                 if len(fields) != 4:

@@ -973,8 +973,18 @@ def test_snapshot_refuses_a_line_with_the_wrong_count_of_values(line, message):
     (",ab", ",AB", "line 12: key 'AB" + "ab" * 32 + "' must be written '" + "ab" * 33 + "'"),
     ("# seen 0a", "# seen 0A", "line 11: task id '0A" + "0a" * 31 + "' must be written '"
      + "0a" * 32 + "'"),
+    ("# height 0", "# height +0", "line 2: height '+0' must be written '0'"),
+    ("# decay 0.5", "# decay 5e-1", "line 3: decay '5e-1' must be written '0.5'"),
+    ("# branch-power 0.0", "# branch-power 0", "line 4: branch-power '0' must be written '0.0'"),
+    ("# seed 1", "# seed +1", "line 6: seed '+1' must be written '1'"),
+    ("# subsidy 0", "# subsidy 0_0", "line 7: subsidy '0_0' must be written '0'"),
+    ("# initial-coins 8", "# initial-coins 08", "line 9: initial-coins '08' must be written '8'"),
+    ("# reward b 1 3", "# reward b 01 3", "line 11: coins_per_block '01' must be written '1'"),
+    ("# reward b 1 3", "# reward b 1 3_0", "line 11: remaining_blocks '3_0' must be written '30'"),
 ], ids=["underscore", "plus", "leading zero", "exponent", "plus float", "upper-case key",
-        "upper-case seen id"])
+        "upper-case seen id", "plus height", "exponent decay", "int branch power", "plus seed",
+        "underscore subsidy", "leading zero initial coins", "leading zero reward",
+        "underscore reward"])
 def test_snapshot_refuses_spellings_save_never_writes(old, new, message):
     # int, float and bytes.fromhex each read more than one spelling of a value;
     # a load of any but save_snapshot's own would re-save as other bytes
@@ -983,7 +993,11 @@ def test_snapshot_refuses_spellings_save_never_writes(old, new, message):
     state.accounts["a"] = Account(id="a", coins=5, verification_key=b"\xab" * 33)
     lines = save_snapshot(state).splitlines()
     assert lines[10] == "# seen " + "0a" * 32 and lines[11] == "a,5,0.0," + "ab" * 33
-    at = 10 if old.startswith("#") else 11
+    if old.startswith("# reward"):  # a schedule funded by b, at line 11 ahead of the seen id
+        register_motivator_reward(state, "b", 1, 3)
+        lines = save_snapshot(state).splitlines()
+        assert lines[10] == old
+    at = next(i for i, line in enumerate(lines) if old in line)
     lines[at] = lines[at].replace(old, new, 1)
     text = "\n".join(lines) + "\n"
     for load in (load_snapshot, _load_lines):

@@ -480,6 +480,17 @@ def test_run_refuses_a_cohort_with_negative_coins(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_global_reads_no_gap_between_two_zero_surpluses(tmp_path):
+    # both lazy cohorts hold nothing and never work: each surplus is 0, and so is their gap
+    ini = tmp_path / "idle.ini"
+    ini.write_text("".join(f"[cohort {label}]\ncoins = {coins}\nwork_probability = {work}\ncount = 3\n\n"
+                           for label, coins, work in (("poor_lazy", 0, 0), ("poor_active", 50, 0.2),
+                                                      ("rich_lazy", 0, 0), ("rich_active", 100, 0.2))))
+    code = main(["run", "global", "--config", str(ini), "--set", "blocks=20", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert "same_work_rel_gap.lazy: 0.0" in (tmp_path / "global_summary.txt").read_text().splitlines()
+
+
 @pytest.mark.parametrize("label", ["odd,label", 'say"hi"', "two words"])
 @pytest.mark.parametrize("name", ["global", "tradeoff"])
 def test_run_refuses_a_cohort_label_that_breaks_a_csv_row(tmp_path, capsys, name, label):

@@ -704,6 +704,26 @@ def test_distribution_gentle_parameter_shifts_stay_small():
             assert f"combo_f{f}_b{b}.typical_cents" in result.summary
 
 
+def test_distribution_grows_each_forest_once_whatever_the_grid(monkeypatch):
+    # the grid settles over the season the headline run draws: one forest an episode
+    calls = []
+    grow = scenarios._grow_forest
+    monkeypatch.setattr(scenarios, "_grow_forest", lambda *a: calls.append(1) or grow(*a))
+    run_file_distribution(scale=4000, fee_grid=(150.0, 600.0), branch_grid=(0.1, 2.0))
+    assert len(calls) == 6
+
+
+def test_distribution_grid_combos_equal_standalone_runs():
+    # "over the identical random structure": each combination pays out as a run at its settings
+    grid = run_file_distribution(seed=2, scale=4000, fee_grid=(150.0, 600.0),
+                                 branch_grid=(0.1, 2.0)).summary
+    for f in (150.0, 600.0):
+        for b in (0.1, 2.0):
+            alone = run_file_distribution(seed=2, scale=4000, fee=f, branch_power=b).summary
+            assert grid[f"combo_f{f}_b{b}.typical_cents"] == alone["typical_reward_cents"]
+            assert grid[f"combo_f{f}_b{b}.top_cents"] == alone["top_reward_cents"]
+
+
 @pytest.mark.parametrize("grids", [dict(fee_grid=(100.0, 300.0)), dict(branch_grid=(0.4,))])
 def test_distribution_rejects_half_a_grid(grids):
     with pytest.raises(ValueError, match="fee_grid and branch_grid"):
