@@ -9,8 +9,8 @@ advances. Given the same starting state and seed the whole evolution is
 deterministic; the per-block RNG stream is derived from (seed, height).
 
 Accounts live in columns, the ``Ledger`` (coins int64, prestige float64), so
-regeneration is one array expression; submit, settle and load work on them by
-position, and an ``Account`` is built only when the ledger is read as a mapping.
+regeneration is one array expression; a block settles on the accounts it touches,
+by id, and an ``Account`` is built only when the ledger is read as a mapping.
 Coins past 2**63 - 1 raise a ValueError naming coins, or for a block's reward
 an OverflowError that leaves the state as it was.
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from operator import attrgetter, methodcaller
+from operator import attrgetter, itemgetter, methodcaller
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -115,7 +115,7 @@ class Ledger(Mapping[str, Account]):
               keys: list[bytes]) -> "Ledger":
         """Hold these columns, already checked as ``Account`` checks them."""
         self.ids, self.keys = ids, keys
-        self.pos = {acct_id: i for i, acct_id in enumerate(ids)}
+        self.pos = dict(zip(ids, range(len(ids))))
         self.coins = np.array(coins, dtype=np.int64)
         self.prestige = np.array(prestige, dtype=np.float64)
         self.by_vk = dict(zip(reversed(keys), reversed(ids)))
@@ -244,18 +244,19 @@ class ChainState:
 def elect_minter(accounts: Mapping[str, Account], rng: np.random.Generator) -> str:
     """Sample one account id with probability proportional to max(P, 0).
 
-    Fallback when every weight is zero: uniform over accounts holding coins,
-    or over all accounts if nobody holds any.
+    The draw is over the running sums of the weights, so a cutoff below
+    their last sum always lands on an account of positive weight. Fallback
+    when every weight is zero (or they sum past the float range): uniform
+    over accounts holding coins, or over all accounts if nobody holds any.
     """
     if not accounts:
         raise NoAccounts("cannot elect a minter with no accounts")
     led = accounts if isinstance(accounts, Ledger) else Ledger(accounts.values())
-    weights = np.maximum(led.prestige, 0.0)
-    total = float(weights.sum())
-    if total > 0.0:
+    cumulative = np.cumsum(np.maximum(led.prestige, 0.0))
+    total = float(cumulative[-1])
+    if 0.0 < total < math.inf:
         cutoff = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(weights), cutoff, side="right"))
-        return led.ids[min(idx, len(led.ids) - 1)]
+        return led.ids[int(np.searchsorted(cumulative, cutoff, side="right"))]
     pool = [i for i, coins in zip(led.ids, led.coins.tolist()) if coins > 0] or led.ids
     return pool[int(rng.integers(len(pool)))]
 
@@ -450,14 +451,14 @@ def register_motivator_reward(
 
 
 class _Touched(dict):
-    """Prestige by position, read from a float64 column on first use as the
-    Python float ``tolist`` would give; updates stay here, off the column."""
+    """Prestige by account id, read from a float64 column at ``pos[id]`` on first
+    use as the Python float ``tolist`` would give; updates stay here, off the column."""
 
-    def __init__(self, column: np.ndarray) -> None:
-        self.column = column
+    def __init__(self, column: np.ndarray, pos: dict[str, int]) -> None:
+        self.column, self.pos = column, pos
 
-    def __missing__(self, i: int) -> float:
-        value = self[i] = self.column.item(i)
+    def __missing__(self, acct_id: str) -> float:
+        value = self[acct_id] = self.column.item(self.pos[acct_id])
         return value
 
 
@@ -465,34 +466,32 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
     """Mint one block: regenerate, settle queued transfers, elect, pay rewards.
 
     Regeneration is one array expression into a new prestige column. The
-    queued transfers then apply in submission order on a dict holding only
-    the positions they touch, read from that column on first use and written
-    back into it in one indexed assignment, so an empty block costs no
-    Python work per account. The DAG and the seen task ids are left as they
-    are: ``submit_ack`` recorded them on acceptance. Every step works on
-    locals and the state is written once at the end, so a call that raises
-    changes nothing: OverflowError, naming coins, when the reward would take
-    the minter past 2**63 - 1 coins.
+    queued transfers then settle in submission order, as ``apply_transfer``
+    does, on a dict of the account ids they touch, read from that column on
+    first use and written back into it in one indexed assignment, so an
+    empty block costs no Python work per account. The DAG and the seen task
+    ids are left as they are: ``submit_ack`` recorded them on acceptance.
+    Every step works on locals and the state is written once at the end, so
+    a call that raises changes nothing: OverflowError, naming coins, when
+    the reward would take the minter past 2**63 - 1 coins.
     """
     if not state.accounts:
         raise NoAccounts("cannot advance an empty chain")
     new_height = state.height + 1
-    led = state.accounts
-    ids, pos, b = led.ids, led.pos, state.params.branch_power
+    led, b = state.accounts, state.params.branch_power
 
     # step_account for every account at once; int64 -> float64 rounds as int + float does
     regenerated = led.coins + (1.0 - state.params.decay) * led.prestige
-    touched = _Touched(regenerated)
+    touched = _Touched(regenerated, led.pos)
     records: list[TransferRecord] = []
     for item in state.pending_acks:
         for beneficiary, contributor, amount, mode in item.transfers:
-            path = ((pos[contributor],) if mode is MiningMode.SIMPLE
-                    else [pos[n] for n in state.dag.path_to_root(contributor)])
-            shares = settle_transfer(touched, pos[beneficiary], path, amount, b)
-            records.append(TransferRecord(beneficiary, contributor, amount, new_height, mode,
-                                          tuple((ids[i], a) for i, a in shares)))
+            path = ((contributor,) if mode is MiningMode.SIMPLE
+                    else state.dag.path_to_root(contributor))
+            shares = settle_transfer(touched, beneficiary, path, amount, b)
+            records.append(TransferRecord(beneficiary, contributor, amount, new_height, mode, tuple(shares)))
     if touched:
-        regenerated[list(touched)] = list(touched.values())
+        regenerated[list(map(led.pos.__getitem__, touched))] = list(touched.values())
 
     staged = copy.copy(led)  # shares every column but prestige, for the election
     staged.prestige = regenerated
@@ -502,7 +501,7 @@ def advance_block(state: ChainState) -> tuple[ChainState, Block]:
     paying = [s for s in state.motivator_rewards if s.remaining_blocks > 0]
     payout = sum(s.coins_per_block for s in paying)
     fees = state.fees_pending
-    i = pos[minter]
+    i = led.pos[minter]
     coins = led.coins.item(i) + state.subsidy + fees + payout
     if coins > MAX_COINS:
         raise OverflowError(f"the reward would give minter {minter!r} {coins} coins, past 2**63 - 1")
@@ -557,36 +556,31 @@ def save_snapshot(state: ChainState) -> str:
 def load_snapshot(text: str) -> ChainState:
     """Parse ``save_snapshot`` output back into a ChainState.
 
-    One parser reads every layout: headers are parsed and checked, and DAG
-    lines attached, as they are read, so an edge must follow the line making
-    its parent a node; ``_ledger`` reads the account lines. A line that does not
-    parse, a header value out of range or a line ``save_snapshot`` never writes
-    (a repeated or unknown key, a count of values other than its key's, a seen
-    task id not 32 bytes long or given twice, a header value, reward count,
-    account field or seen id spelt otherwise than save writes it, such as
-    ``+5``, ``5_0``, ``0e0``, ``5e-1`` or upper-case hex) raises SnapshotError
-    naming the first bad line's number; a missing header raises one naming
-    the header.
+    It reads save's shape, the ``#`` lines and then one block of account lines
+    (``_ledger``): headers are checked, and DAG lines attached, as they are
+    read, so an edge must follow the line making its parent a node. A line
+    that does not parse, a header value out of range or a line save never
+    writes (a repeated or unknown key, a count of values other than its key's,
+    a seen task id not 32 bytes long or given twice, a value spelt otherwise
+    than save writes it, such as ``+5``, ``5_0``, ``0e0``, ``5e-1`` or
+    upper-case hex, or a ``#`` line after the first account line) raises
+    SnapshotError naming the first bad line's number; a missing header raises
+    one naming the header. Blank lines and surrounding whitespace are ignored.
     """
     header: dict[str, object] = {}
     dag = MiningDag()
     rewards: list[RewardSchedule] = []
     seen: set[bytes] = set()
-    rows: list[str] = []  # the account lines, stripped
-    at: list[int] = []  # and their line numbers
+    lines = text.splitlines()
 
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            if line[0] != "#":
-                rows.append(line)
-                at.append(lineno)
-                continue
+            if line and line[0] != "#":  # the first account line
+                break
             try:
                 parts = line[1:].split()
-                if not parts:
+                if not parts:  # a blank line, or a bare '#'
                     continue
                 key, count = parts[0], _FIELDS.get(parts[0])
                 if count is None:
@@ -621,10 +615,10 @@ def load_snapshot(text: str) -> ChainState:
                     header[key] = (value if key == SNAPSHOT_MAGIC
                                    else _spelt(key, value, _HEADERS[key][1](value)))
             except ValueError as exc:
-                _ledger(rows, at)  # an earlier account line may be bad too
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
-
-        accounts = _ledger(rows, at)
+        else:
+            lineno = len(lines) + 1  # no account line
+        accounts = _ledger(lines[lineno - 1:], lineno)
         if header.get(SNAPSHOT_MAGIC) != str(SNAPSHOT_VERSION):
             raise SnapshotError("missing or unsupported snapshot header")
         fields: dict[str, dict[str, object]] = {"": {}, "params": {}}
@@ -640,10 +634,12 @@ def load_snapshot(text: str) -> ChainState:
         raise SnapshotError(f"missing header {exc}") from exc
 
 
-def _ledger(rows: list[str], at: list[int]) -> Ledger:
-    """The ledger of account lines *rows*, at line numbers *at*, each ``id,coins,prestige,vk``
-    as ``save_snapshot`` writes it, converted and checked a column at a time. A column check
-    fails exactly when some line's own check does; then the first bad line's SnapshotError is raised."""
+def _ledger(block: list[str], first: int) -> Ledger:
+    """The ledger of account lines *block*, from line *first* on, each ``id,coins,prestige,vk``
+    as ``save_snapshot`` writes it, blanks dropped, converted and checked a column at a time. A
+    column check fails exactly when some line's own check does; only then are the lines walked,
+    one at a time, to raise the first bad line's SnapshotError."""
+    rows = list(filter(None, map(str.strip, block)))
     if not rows:
         return Ledger()
     try:
@@ -665,8 +661,10 @@ def _ledger(rows: list[str], at: list[int]) -> Ledger:
         return accounts
     except ValueError:
         pos: set[str] = set()
-        for lineno, line in zip(at, rows):
+        for lineno, line in filter(itemgetter(1), enumerate(map(str.strip, block), start=first)):
             try:
+                if line[0] == "#":
+                    raise ValueError("a '#' line after the first account line")
                 fields = line.split(",")
                 if len(fields) != 4:
                     raise ValueError("expected id,coins,prestige,vk")

@@ -9,6 +9,7 @@ by side with the real chain and compares the two after every operation.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -119,11 +120,10 @@ class ChainModel:
 
     def elect(self, rng: np.random.Generator) -> str:
         ids = list(self.accounts)
-        weights = [max(a[1], 0.0) for a in self.accounts.values()]
-        total = float(np.array(weights).sum())
-        if total > 0.0:
-            cutoff = rng.random() * total
-            return ids[min(bisect_right(list(accumulate(weights)), cutoff), len(ids) - 1)]
+        cumulative = list(accumulate(max(a[1], 0.0) for a in self.accounts.values()))
+        if 0.0 < cumulative[-1] < math.inf:
+            cutoff = rng.random() * cumulative[-1]
+            return ids[bisect_right(cumulative, cutoff)]
         pool = [uid for uid in ids if self.accounts[uid][0] > 0] or ids
         return pool[int(rng.integers(len(pool)))]
 

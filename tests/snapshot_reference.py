@@ -30,8 +30,8 @@ def _written(name: str, text: str, value: object) -> object:
 
 
 def _load_lines(text: str) -> ChainState:
-    """``load_snapshot`` one line at a time, in any layout it accepts; the source
-    of every SnapshotError it raises."""
+    """``load_snapshot`` one line at a time, '#' lines first and then the account
+    lines; the source of every SnapshotError it raises."""
     header: dict[str, object] = {}
     dag = MiningDag()
     rewards: list[RewardSchedule] = []
@@ -46,6 +46,8 @@ def _load_lines(text: str) -> ChainState:
                 continue
             try:
                 if line.startswith("#"):
+                    if ids:  # save writes every '#' line before the accounts
+                        raise ValueError("a '#' line after the first account line")
                     parts = line[1:].split()
                     if not parts:
                         continue

@@ -275,11 +275,11 @@ def list_weights_minter(accounts, rng):
     """elect_minter with weights built by a Python list, as the reference."""
     ids = list(accounts)
     weights = np.array([max(accounts[i].prestige, 0.0) for i in ids], dtype=np.float64)
-    total = float(weights.sum())
-    if total > 0.0:
+    cumulative = np.cumsum(weights)
+    total = float(cumulative[-1])
+    if 0.0 < total < math.inf:
         cutoff = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(weights), cutoff, side="right"))
-        return ids[min(idx, len(ids) - 1)]
+        return ids[int(np.searchsorted(cumulative, cutoff, side="right"))]
     funded = [i for i in ids if accounts[i].coins > 0]
     pool = funded if funded else ids
     return pool[int(rng.integers(len(pool)))]
@@ -309,6 +309,27 @@ def test_election_matches_list_weights(cells, seed):
     assert elect_minter(accounts, np.random.default_rng(seed)) == list_weights_minter(
         accounts, np.random.default_rng(seed)
     )
+
+
+class TopDraw:
+    """An rng stub whose every draw is the largest double below 1."""
+
+    def random(self) -> float:
+        return 1.0 - 2.0**-53
+
+
+def test_election_never_picks_an_account_of_zero_weight():
+    # the pairwise sum of nine 0.1s is 0.9, an ulp above their running sum 0.8999999999999999:
+    # a cutoff drawn against it could land past the last running sum, on the last account
+    accounts = {f"a{k}": Account(id=f"a{k}", prestige=0.1 if k < 9 else 0.0) for k in range(10)}
+    assert elect_minter(accounts, TopDraw()) == "a8"
+
+
+def test_election_falls_back_when_the_weights_sum_to_infinity():
+    # no cutoff can be drawn in proportion to an infinite total: the funded account is elected
+    accounts = {"a": Account(id="a", coins=1, prestige=math.inf), "b": Account(id="b", prestige=math.inf)}
+    rng = np.random.default_rng(0)
+    assert all(elect_minter(accounts, rng) == "a" for _ in range(20))
 
 
 def test_election_empty():
@@ -810,6 +831,13 @@ def test_snapshot_rejects_bad_headers(text):
         load_snapshot(text)
 
 
+def before_accounts(text: str, line: str) -> str:
+    """Snapshot *text* with *line* put just before its first account line, after its '#' lines."""
+    lines = text.splitlines()
+    lines.insert(next(i for i, old in enumerate(lines) if not old.startswith("#")), line)
+    return "\n".join(lines) + "\n"
+
+
 def test_snapshot_rejects_malformed_lines():
     good = save_snapshot(busy_state())
     with pytest.raises(SnapshotError, match="expected id,coins"):
@@ -818,10 +846,10 @@ def test_snapshot_rejects_malformed_lines():
     with pytest.raises(SnapshotError, match="duplicate account"):
         load_snapshot(good + dup_line + "\n")
     with pytest.raises(SnapshotError, match="dangling"):
-        load_snapshot(good + "# edge ghost missing-parent\n")
+        load_snapshot(before_accounts(good, "# edge ghost missing-parent"))
     for line in ("# root r", "# edge A r"):
-        with pytest.raises(SnapshotError, match="^line 21: DAG node '[rA]' is already present$"):
-            load_snapshot(good + line + "\n")
+        with pytest.raises(SnapshotError, match="^line 18: DAG node '[rA]' is already present$"):
+            load_snapshot(before_accounts(good, line))
     with pytest.raises(SnapshotError):
         load_snapshot(good.replace("# decay 0.5", "# decay banana"))
 
@@ -846,9 +874,9 @@ def test_snapshot_rejects_non_finite_params(header):
 def test_snapshot_rejects_dag_nodes_without_accounts():
     good = save_snapshot(busy_state())
     with pytest.raises(SnapshotError, match="ghost"):
-        load_snapshot(good + "# root ghost\n")
+        load_snapshot(before_accounts(good, "# root ghost"))
     with pytest.raises(SnapshotError, match="ghost"):
-        load_snapshot(good + "# edge ghost A\n")
+        load_snapshot(before_accounts(good, "# edge ghost A"))
 
 
 @pytest.mark.parametrize("line", ["a,1,nan,", "a,1,inf,", "a,1,-inf,", "a b,1,0.0,"])
@@ -876,6 +904,25 @@ def test_snapshot_account_line_errors_name_the_line(line, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("line", ["# subsidy 2", "# seen " + "01" * 32, "#", "  # root a"])
+def test_snapshot_refuses_a_hash_line_after_the_accounts(line):
+    # save_snapshot writes every '#' line before the account lines
+    good = save_snapshot(ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5), rng_seed=1))
+    lines = good.splitlines()
+    lines.insert(11, line)  # between the account lines a (line 11) and b
+    with pytest.raises(SnapshotError) as err:
+        load_snapshot("\n".join(lines) + "\n")
+    assert str(err.value) == "line 12: a '#' line after the first account line"
+
+
+def test_snapshot_loads_blank_lines_and_spaces_among_the_accounts():
+    state = busy_state()
+    lines = save_snapshot(state).splitlines()
+    assert not lines[17].startswith("#") and len(lines) == 20
+    lines[17:] = ["", "  " + lines[17] + "\t", "", " " + lines[18], "\r", lines[19] + " ", ""]
+    assert save_snapshot(load_snapshot("\n".join(lines))) == save_snapshot(state)
+
+
 @pytest.mark.parametrize("line, message", [
     ("# height x", "line 2: invalid literal for int() with base 10: 'x'"),
     ("# height -4", "line 2: height must be >= 0, got -4"),
@@ -890,15 +937,15 @@ def test_snapshot_account_line_errors_name_the_line(line, message):
     ("# initial-coins x", "line 9: invalid literal for int() with base 10: 'x'"),
     ("# initial-coins -5", "line 9: initial-coins must be >= 0, got -5"),
     ("# fees-pending -3", "line 10: fees-pending must be >= 0, got -3"),
-    ("# reward a -1 3", "line 13: coins_per_block must be >= 0, got -1"),
-    ("# reward a 1 -3", "line 13: remaining_blocks must be >= 0, got -3"),
+    ("# reward a -1 3", "line 11: coins_per_block must be >= 0, got -1"),
+    ("# reward a 1 -3", "line 11: remaining_blocks must be >= 0, got -3"),
 ])
 def test_snapshot_header_errors_name_the_line(line, message):
     good = save_snapshot(ChainState.genesis([("a", 5), ("b", 3)], SystemParams(decay=0.5), rng_seed=1))
     key = line.split()[1]
     lines = good.splitlines()
     if key == "reward":
-        lines.append(line)
+        lines.insert(10, line)  # after the headers, where save writes a reward
     else:
         lines = [line if old.startswith(f"# {key} ") else old for old in lines]
         assert line in lines
@@ -914,8 +961,8 @@ def test_snapshot_header_errors_name_the_line(line, message):
     (1, "# subsidy 7", "line 8: repeated header 'subsidy'"),  # the second line is the one named
     (10, "# prestigesim-state 1", "line 11: repeated header 'prestigesim-state'"),
     (10, "# frobnicate 7", "line 11: unknown header 'frobnicate'"),
-    (12, "# version 1", "line 13: unknown header 'version'"),
-    (12, "#c,1,0.0,", "line 13: unknown header 'c,1,0.0,'"),  # a leading '#' makes a header
+    (11, "# version 1", "line 12: unknown header 'version'"),
+    (11, "#c,1,0.0,", "line 12: unknown header 'c,1,0.0,'"),  # a leading '#' makes a header
     (10, "# seen abcd", "line 11: task id 'abcd' must be 32 bytes, seen once"),
     (11, "# seen " + "01" * 32, f"line 12: task id '{'01' * 32}' must be 32 bytes, seen once"),
     (13, "c,1,0.0", "line 14: expected id,coins,prestige,vk"),
@@ -1260,6 +1307,12 @@ def _swap_header_lines(draw, lines):
     lines[i], lines[j] = lines[j], lines[i]
 
 
+def _late_header(draw, lines):
+    # a '#' line moved below an account line, where save_snapshot never writes one
+    line = lines.pop(_pick(draw, lines, header=True))
+    lines.insert(_pick(draw, lines, header=False) + 1, line)
+
+
 # One single-line corruption of each kind the pinned snapshot message tests cover.
 SNAPSHOT_CORRUPTIONS = {
     "none": lambda draw, lines: None,
@@ -1278,6 +1331,7 @@ SNAPSHOT_CORRUPTIONS = {
     "inner space": _inner_space,
     "header order": _swap_header_lines,
     "value count": _value_count,
+    "late header": _late_header,
 }
 
 

@@ -848,6 +848,24 @@ def test_theorem_checks_catch_a_corrupted_propagation(monkeypatch, factor, check
     assert result.summary[f"{check}.passed"] is False
 
 
+def test_theorem_checks_catch_a_negative_share(monkeypatch):
+    # Negative control: shares that still sum to x but hand one node less than nothing
+    # must trip the non-negative branch of the propagation check, and no other check.
+    real = prestigesim.mining.propagate_upstream
+
+    def shifted(*args):
+        shares = real(*args)
+        if len(shares) > 1:  # move 1.0 from the first share to the second
+            (first, a), (second, b) = shares[:2]
+            shares[:2] = [(first, a - 1.0), (second, b + 1.0)]
+        return shares
+
+    monkeypatch.setattr(prestigesim.mining, "propagate_upstream", shifted)
+    result = run_theorem_checks(seed=0, trials=200)
+    failed = [(row[0], row[2]) for row in result.rows if not row[4]]
+    assert failed == [("propagation_exact_and_nonnegative", 1.0)]
+
+
 # --- output contract ----------------------------------------------------------------------
 
 def test_result_write_and_formats(tmp_path):
