@@ -19,6 +19,7 @@ Summaries are ``key: value`` lines with JSON-encoded scalars.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -84,9 +85,10 @@ class ScenarioResult:
     No data means no rows.
 
     ``csv_text`` renders ``_ROWS_PER_BLOCK`` rows at a time, converting a
-    numpy column one block slice at a time, so the text and its block
-    strings are the only full-size copies it holds. ``write`` encodes and
-    writes that text a slice at a time, making no encoded copy of it.
+    numpy column one block slice at a time, and appends each block to one
+    growing text, so the text is the only full-size copy it holds.
+    ``write`` encodes and writes that text a slice at a time, making no
+    encoded copy of it.
     """
 
     name: str
@@ -112,14 +114,16 @@ class ScenarioResult:
         n_rows = len(data[0]) if data else 0
         # a column renders as true/false if its first value is a bool, else by str (repr for a float)
         bools = [n_rows > 0 and type(_values(col[:1])[0]) is bool for col in data]
-        blocks = [",".join(self.columns)]
+        # += on text, its one reference, resizes it in place: the text is the one full-size copy
+        text = ",".join(self.columns)
         for start in range(0, n_rows, _ROWS_PER_BLOCK):
             parts = [_values(col[start:start + _ROWS_PER_BLOCK]) for col in data]
             cells = [("true" if v else "false" for v in part) if is_bool else map(str, part)
                      for is_bool, part in zip(bools, parts)]
-            blocks.append("\n".join(map(",".join, zip(*cells))))
-        blocks.append("")  # the text ends with a newline
-        return "\n".join(blocks)
+            text += "\n"
+            text += "\n".join(map(",".join, zip(*cells)))
+        text += "\n"
+        return text
 
     def summary_text(self) -> str:
         # json renders np.float64, a float subclass, as a float; other numpy scalars reach its hook
@@ -259,6 +263,44 @@ def _user_ids(n: int) -> list[str]:
     return [f"u{str(i).zfill(width)}" for i in range(n)]
 
 
+class _Tiled(Sequence):
+    """*values* repeated *times* over, holding one copy of them; a step-1 slice is built in C."""
+
+    def __init__(self, values: Sequence, times: int) -> None:
+        self.values, self.times = list(values), times
+
+    def __len__(self) -> int:
+        return len(self.values) * self.times
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(itertools.repeat(self.values, self.times))
+
+    def __getitem__(self, key):
+        at, m = range(len(self))[key], len(self.values)  # an index, or a range of them
+        if isinstance(at, int):
+            return self.values[at % m]
+        if at.step != 1 or not at:
+            return [self.values[i % m] for i in at]
+        (q0, r0), (q1, r1) = divmod(at.start, m), divmod(at.stop, m)
+        if q0 == q1:
+            return self.values[r0:r1]
+        return self.values[r0:] + self.values * (q1 - q0 - 1) + self.values[:r1]
+
+
+def _block_table(name: str, labels: Sequence[str], coins: Sequence[int],
+                 history: np.ndarray) -> ScenarioResult:
+    """A per-block table: row t - 1 of *history* is block t's prestige, one user after another.
+
+    Its columns are block, user_id (from *labels*), prestige and coins; the
+    labels and coins are tiled, not copied, once a block, and the block
+    number takes the smallest integer dtype that holds it.
+    """
+    blocks = len(history)
+    return ScenarioResult(name, ("block", "user_id", "prestige", "coins"), (
+        np.arange(1, blocks + 1, dtype=np.min_scalar_type(blocks)).repeat(len(labels)),
+        _Tiled(labels, blocks), history.ravel(), _Tiled(coins, blocks)))
+
+
 def _check_finite(*, nonnegative: bool = False, **values: float | Sequence[float]) -> None:
     """Raise ValueError naming the first argument, or grid, holding a NaN or infinity or,
     if *nonnegative*, a value below 0: the rule ``SystemParams`` holds its knobs to."""
@@ -378,6 +420,10 @@ def run_decay_study(
     *spike* (applied after that block's regeneration step), and at
     *spike_down_at* the same amount is removed, exposing how quickly
     each decay rate forgets transient gains.
+
+    The table has one row per block and user: the block, the user's
+    ``C<coins>_d<decay>`` label, its prestige after that block and its
+    coins, built by ``_block_table``.
     """
     _check_finite(spike=spike)
     if not users or len(set(users)) != len(users):
@@ -400,11 +446,7 @@ def run_decay_study(
         if t == spike_down_at - 1:
             pre_drop = prestige
         history[t - 1] = prestige
-    result = ScenarioResult(
-        "decay",
-        ("block", "user_id", "prestige", "coins"),
-        (np.arange(1, blocks + 1).repeat(len(users)), labels * blocks, history.ravel(), coins * blocks),
-    )
+    result = _block_table("decay", labels, coins, history)
 
     for i, label in enumerate(labels):
         s = static_value(coins[i], params[i])
@@ -629,6 +671,10 @@ def run_global(
     outsized ripple windfalls that say nothing about the retention rule.
     The default branch power is kept moderate (0.2) so that retention
     differences, not ripple noise, dominate the cohort signal.
+
+    The table has one row per block and user, in roster order: the block,
+    the user's id, its prestige after that block and its coins, built by
+    ``_block_table``.
     """
     mining_mode = MiningMode.parse(mode)
     params = SystemParams(decay=decay, branch_power=branch_power)
@@ -667,11 +713,7 @@ def run_global(
         history[t - 1] = prestige
         if t > blocks - window:
             tail = [a + (p - s) / window for a, p, s in zip(tail, prestige, statics)]
-    result = ScenarioResult(
-        "global",
-        ("block", "user_id", "prestige", "coins"),
-        (np.arange(1, blocks + 1).repeat(n), ids * blocks, history.ravel(), coins * blocks),
-    )
+    result = _block_table("global", ids, coins, history)
 
     labels = [c[0] for c in cohorts]
     surplus: dict[str, float] = {}
